@@ -4,6 +4,7 @@ solver, InfoNCE lower-bound estimators and independent verification oracles."""
 from .calculus import (
     GradientBundle,
     HessianBundle,
+    KernelParts,
     b_matrix,
     exp_kernel,
     grad_cent,
@@ -20,7 +21,9 @@ from .calculus import (
     hessian_reg,
     hessian_total,
     hessian_total_at,
+    loss_kernel_parts,
     total_kernel,
+    total_kernel_parts,
 )
 from .landscape import (
     LandscapeGrid,

@@ -5,19 +5,31 @@ Everything is assembled from the column derivative of the prediction vector
     df/dx_i = -<f, A_i> f + f o A_i          (o = entrywise product)
 
 which in matrix form is ``J = P A`` with the softmax kernel
-``P = diag(f) - f f^T``.  The cross-entropy Hessian is ``A^T B A`` with
-``B = <1, b> P``; the squared-residual Hessian is derived by the product
-rule on ``<df/dx_i, f - b>`` and is likewise expressed as ``A^T B_exp A``
-for an explicit n-by-n kernel, so the total Hessian is ``A^T D A`` with
-``D = B + B_exp + W^2``.  That factored form is what the row-sampling
-approximation in the solver consumes.
+``P = diag(f) - f f^T``.  Every Hessian is a congruence ``A^T D A`` with an
+n-by-n curvature kernel of the structured form
+
+    D = diag(c) + kappa f f^T - g f^T - f g^T
+
+a diagonal plus a correction of rank at most 2 in span{f, g}.  With
+``beta = <1, b>``, ``q = f o (f - b)`` and ``s = <f, f - b>`` the terms give
+
+    cross entropy     c = beta f                 g = 0          kappa = -beta
+    squared residual  c = f o f + q - s f        g = f o f + q  kappa = ||f||^2 + 2 s
+    ridge             c = w^2                    g = 0          kappa = 0
+
+so the kernel is held as ``KernelParts`` in O(n) memory and the Hessian is
+``A^T diag(c) A + kappa a a^T - gamma a^T - a gamma^T`` with ``a = A^T f`` and
+``gamma = A^T g``, in O(n d^2) time and no n-by-n array.  The dense kernels
+``b_matrix``, ``exp_kernel`` and ``total_kernel`` build the same matrices
+directly (``exp_kernel`` as ``P^2`` plus the residual-weighted curvature of f)
+and serve as independent oracles.
 
 Index arguments are 0-based columns of A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,13 +54,47 @@ class GradientBundle:
 
 @dataclass(frozen=True)
 class HessianBundle:
-    """Cross-entropy kernel plus per-term and total Hessians at one point."""
+    """Per-term and total Hessians at one point."""
 
-    b_kernel: np.ndarray  # n x n cross-entropy curvature kernel
     h_exp: np.ndarray
     h_cent: np.ndarray
     h_reg: np.ndarray
     h_total: np.ndarray
+
+
+@dataclass(frozen=True)
+class KernelParts:
+    """Curvature kernel D = diag(c) + kappa f f^T - g f^T - f g^T in O(n) memory."""
+
+    c: np.ndarray
+    g: np.ndarray
+    kappa: float
+    f: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The n-by-n kernel itself: O(n^2) time and memory."""
+        out = np.outer(self.kappa * self.f - self.g, self.f) - np.outer(self.f, self.g)
+        out[np.diag_indices_from(out)] += self.c
+        return out
+
+    def matvec(self, v) -> np.ndarray:
+        """D v in O(n)."""
+        v = np.ravel(v)
+        fv = float(self.f @ v)
+        return self.c * v + (self.kappa * fv - float(self.g @ v)) * self.f - fv * self.g
+
+    def congruence(self, a: np.ndarray) -> np.ndarray:
+        """A^T D A = A^T diag(c) A + kappa a a^T - gamma a^T - a gamma^T.
+
+        With a = A^T f and gamma = A^T g; O(n d^2) time, no n-by-n array.
+        """
+        a_f = a.T @ self.f
+        gamma = a.T @ self.g
+        return (
+            a.T @ (self.c[:, None] * a)
+            + np.outer(self.kappa * a_f - gamma, a_f)
+            - np.outer(a_f, gamma)
+        )
 
 
 def grad_f_dir(state: ModelState, inst: ProblemInstance, i: int) -> np.ndarray:
@@ -159,14 +205,51 @@ def exp_kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     )
 
 
+def _cent_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
+    beta = float(inst.b.sum())
+    f = state.f
+    return KernelParts(c=beta * f, g=np.zeros_like(f), kappa=-beta, f=f)
+
+
+def _exp_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
+    f = state.f
+    r = f - inst.b
+    q = f * r
+    s = float(f @ r)
+    g = f * f + q
+    return KernelParts(c=g - s * f, g=g, kappa=float(f @ f) + 2.0 * s, f=f)
+
+
+def loss_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
+    """Structured kernel of the enabled loss terms, ridge excluded."""
+    f = state.f
+    terms = []
+    if inst.use_cent:
+        terms.append(_cent_parts(state, inst))
+    if inst.use_exp:
+        terms.append(_exp_parts(state, inst))
+    return KernelParts(
+        c=sum((t.c for t in terms), np.zeros_like(f)),
+        g=sum((t.g for t in terms), np.zeros_like(f)),
+        kappa=float(sum(t.kappa for t in terms)),
+        f=f,
+    )
+
+
+def total_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
+    """Structured form of ``total_kernel``: the loss kernel plus W^2."""
+    parts = loss_kernel_parts(state, inst)
+    return replace(parts, c=parts.c + inst.w**2)
+
+
 def hessian_cent(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     """Cross-entropy Hessian A^T B A."""
-    return inst.a.T @ b_matrix(state, inst.b) @ inst.a
+    return _cent_parts(state, inst).congruence(inst.a)
 
 
 def hessian_exp(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     """Exact Hessian of 0.5 ||f - b||^2 (validated against finite differences)."""
-    return inst.a.T @ exp_kernel(state, inst) @ inst.a
+    return _exp_parts(state, inst).congruence(inst.a)
 
 
 def hessian_reg(inst: ProblemInstance) -> np.ndarray:
@@ -187,12 +270,10 @@ def total_kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 def hessian_total(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     """Per-term Hessians and their sum; disabled terms contribute zero."""
     zero = np.zeros((inst.d, inst.d))
-    b_kernel = b_matrix(state, inst.b)
-    h_cent = inst.a.T @ b_kernel @ inst.a if inst.use_cent else zero
+    h_cent = hessian_cent(state, inst) if inst.use_cent else zero
     h_exp = hessian_exp(state, inst) if inst.use_exp else zero
     h_reg = hessian_reg(inst)
     return HessianBundle(
-        b_kernel=b_kernel,
         h_exp=h_exp,
         h_cent=h_cent,
         h_reg=h_reg,

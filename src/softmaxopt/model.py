@@ -203,7 +203,10 @@ def evaluate_u(inst: ProblemInstance, x) -> np.ndarray:
     exponent range in either direction (exp would return Inf or exactly 0,
     both of which break the positivity of the weights).
     """
-    z = logits(inst, x)
+    return _exp_logits(logits(inst, x))
+
+
+def _exp_logits(z: np.ndarray) -> np.ndarray:
     if np.any(z > MAX_EXP_ARG):
         raise OverflowError(
             f"exp(A @ x) overflows float64 (max logit {z.max():.3g})"
@@ -260,9 +263,9 @@ def make_state(inst: ProblemInstance, x) -> ModelState:
     on exponent overflow.
     """
     x = _vector(x, "x").copy()
-    u = evaluate_u(inst, x)
+    z = logits(inst, x)
+    u = _exp_logits(z)
     alpha = evaluate_alpha(u)
-    z = inst.a @ x
     e = np.exp(z - z.max())
     f = e / e.sum()
     for arr in (x, u, f):

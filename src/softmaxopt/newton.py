@@ -1,13 +1,16 @@
 """Newton-type solver with exact and row-sampled Hessian modes.
 
 Each step solves the symmetric positive-definite system H s = g by Cholesky
-factorization and updates x <- x - s (the descent direction).  In sampled
-mode the Hessian is replaced by an unbiased row-sampling estimate built from
-the factored form H = C^T C, C = D(x)^{1/2} A, where D(x) is the combined
-n-by-n curvature kernel: row i of C is kept independently with probability
-p_i = min(1, c * ||C_i||^2 / ||C||_F^2) and rescaled by 1 / sqrt(p_i), with
-the oversampling count c = ceil(10 d log(d / delta) / eps0^2).  When every
-p_i saturates at 1 the estimate reproduces the exact Hessian.
+factorization and updates x <- x - s (the descent direction).  In exact mode
+H comes from the structured curvature kernel in O(n d^2).  In sampled mode
+the Hessian is replaced by an unbiased row-sampling estimate built from the
+factored form H = C^T C, C = D(x)^{1/2} A, where D(x) is the combined
+curvature kernel, materialised from its structured parts as an n-by-n
+matrix for the square root: row i of C is kept independently with
+probability p_i = min(1, c * ||C_i||^2 / ||C||_F^2) and rescaled by
+1 / sqrt(p_i), with the oversampling count c = ceil(10 d log(d / delta) /
+eps0^2).  When every p_i saturates at 1 the estimate reproduces the exact
+Hessian.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .calculus import gradient_bundle, hessian_total, total_kernel
+from .calculus import gradient_bundle, hessian_total, total_kernel_parts
 from .exceptions import (
     DomainError,
     KernelNotPSD,
@@ -144,7 +147,7 @@ def approx_hessian(
     n, d = inst.n, inst.d
     if d > n:
         raise SamplingDegenerate(f"d = {d} exceeds n = {n}; kernel rank cannot reach d")
-    kernel = total_kernel(state, inst)
+    kernel = total_kernel_parts(state, inst).dense()
     evals, vecs = np.linalg.eigh(kernel)
     top = max(1.0, float(evals[-1]))
     if evals[0] < -1e-8 * top:

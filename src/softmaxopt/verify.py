@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .calculus import b_matrix, exp_kernel, hessian_total_at
+from .calculus import KernelParts, hessian_total_at, loss_kernel_parts
 from .exceptions import (
     AsymmetricMatrix,
     DomainError,
@@ -31,6 +31,15 @@ FD_HESS_STEP = 1e-4
 # Absolute floor added to spectral pass thresholds so a target of 0 does not
 # fail on eigensolver rounding of an exactly-PSD matrix.
 _SPECTRAL_SLACK = 1e-10
+
+# kernel_bound takes the 2-norm by eigvalsh of the materialised kernel up to
+# this many rows, and by Lanczos on the structured operator above it, where
+# Lanczos is the faster of the two (one BLAS thread on a 2-core Xeon, per
+# kernel: 0.04 ms against 0.6 ms at n = 20, 1.5 ms against 0.5 ms at n = 200,
+# 101 ms against 1.2 ms at n = 1000).
+DENSE_NORM_MAX_N = 150
+# Seed of the Lanczos start vector, fixed so that reruns are bitwise equal.
+_LANCZOS_SEED = 0
 
 
 def rel_err(a, b) -> float:
@@ -235,17 +244,39 @@ def convergence_audit(trace, epsilon: float) -> bool:
     return trace.iterations_run <= budget
 
 
+def _kernel_norm(parts: KernelParts) -> float:
+    n = parts.f.size
+    if n <= DENSE_NORM_MAX_N:
+        evals = np.linalg.eigvalsh(parts.dense())
+        return float(max(-evals[0], evals[-1]))
+    if parts.kappa == 0.0 and not (parts.c.any() or parts.g.any()):
+        return 0.0  # ARPACK rejects the zero operator
+    # Imported here so that runs which never reach large n do not pay its memory.
+    import scipy.sparse.linalg
+
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=parts.matvec, dtype=np.float64)
+    # D 1 = 0 for every loss kernel, so a constant start vector would lie in
+    # the null space.
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    top = scipy.sparse.linalg.eigsh(
+        op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False
+    )
+    return float(abs(top[0]))
+
+
 def kernel_bound(inst: ProblemInstance, probe_points) -> float:
-    """Largest spectral norm of the enabled curvature kernels over probe points."""
+    """Largest spectral norm of the enabled curvature kernels over probe points.
+
+    Each kernel is held in its structured form (``KernelParts``), so memory
+    stays O(n) above ``DENSE_NORM_MAX_N`` rows, where the norm is the
+    largest-magnitude eigenvalue found by Lanczos (ARPACK) from a fixed
+    seeded start vector; up to that size it comes from eigvalsh of the
+    materialised n-by-n kernel.
+    """
     worst = 0.0
     for x in probe_points:
-        state = make_state(inst, x)
-        kernel = np.zeros((inst.n, inst.n))
-        if inst.use_cent:
-            kernel = kernel + b_matrix(state, inst.b)
-        if inst.use_exp:
-            kernel = kernel + exp_kernel(state, inst)
-        worst = max(worst, float(np.linalg.norm(kernel, 2)))
+        parts = loss_kernel_parts(make_state(inst, x), inst)
+        worst = max(worst, _kernel_norm(parts))
     return worst
 
 

@@ -348,6 +348,47 @@ class TestHessians:
         assert so.rel_err(via_kernel, so.hessian_total(state, inst).h_total) <= 1e-12
 
 
+FLAG_SETS = ((True, True), (False, True), (True, False))  # (use_exp, use_cent)
+
+
+def flagged_instances(tag, count=20):
+    """random_instance draws, each with both terms on and with each switched off."""
+    for i in range(count):
+        inst, x = random_instance([tag, i])
+        for use_exp, use_cent in FLAG_SETS:
+            yield so.ProblemInstance(
+                a=inst.a, b=inst.b, w=inst.w, use_exp=use_exp, use_cent=use_cent
+            ), x
+
+
+class TestStructuredKernel:
+    def test_materialised_kernel_matches_dense_oracles(self):
+        for inst, x in flagged_instances(60):
+            state = so.make_state(inst, x)
+            oracle = so.total_kernel(state, inst)  # b_matrix + exp_kernel + W^2
+            parts = so.total_kernel_parts(state, inst)
+            assert so.rel_err(parts.dense(), oracle) <= 1e-12
+            v = np.random.default_rng(inst.n).standard_normal(inst.n)
+            assert so.rel_err(parts.matvec(v), oracle @ v) <= 1e-12
+            loss_only = oracle - np.diag(inst.w**2)
+            assert so.rel_err(so.loss_kernel_parts(state, inst).dense(), loss_only) <= 1e-12
+
+    def test_hessians_match_dense_kernel_congruence(self):
+        for inst, x in flagged_instances(61):
+            state = so.make_state(inst, x)
+            a = inst.a
+            bundle = so.hessian_total(state, inst)
+            assert so.rel_err(
+                so.hessian_cent(state, inst), a.T @ so.b_matrix(state, inst.b) @ a
+            ) <= 1e-12
+            assert so.rel_err(
+                so.hessian_exp(state, inst), a.T @ so.exp_kernel(state, inst) @ a
+            ) <= 1e-12
+            assert so.rel_err(
+                bundle.h_total, a.T @ so.total_kernel(state, inst) @ a
+            ) <= 1e-12
+
+
 class TestConsistencySweeps:
     def test_gradient_sweep(self):
         worst = 0.0

@@ -1,6 +1,7 @@
 """Soundness of the oracles themselves, spectral checks and audits."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,56 @@ class TestRidgeRecipe:
         )
         w = so.ridge_weights(inst, 0.0, [np.zeros(3)])
         np.testing.assert_array_equal(w, np.zeros(3))
+
+
+def kernel_instance(n, d=4):
+    """Instance with n rows, a non-normalised target and three probe points."""
+    rng = np.random.default_rng([70, n])
+    a = rng.standard_normal((n, d))
+    b = rng.uniform(0.0, 3.0 / n, n)
+    probes = [rng.standard_normal(d) for _ in range(3)]
+    return so.ProblemInstance(a=a, b=b, w=np.zeros(n)), probes
+
+
+class TestKernelBound:
+    @pytest.mark.parametrize("n", [1, 2, 20, so.verify.DENSE_NORM_MAX_N + 1, 400])
+    def test_matches_dense_two_norm(self, n):
+        inst, probes = kernel_instance(n)
+        expected = 0.0
+        for x in probes:
+            state = so.make_state(inst, x)
+            kernel = so.b_matrix(state, inst.b) + so.exp_kernel(state, inst)
+            expected = max(expected, float(np.linalg.norm(kernel, 2)))
+        assert so.kernel_bound(inst, probes) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_reruns_are_bitwise_equal(self, n):
+        inst, probes = kernel_instance(n)
+        assert so.kernel_bound(inst, probes) == so.kernel_bound(inst, probes)
+
+    def test_zero_kernel_above_cutoff(self):
+        inst, probes = kernel_instance(400)
+        zero = so.ProblemInstance(
+            a=inst.a, b=np.zeros(inst.n), w=inst.w, use_exp=False, use_cent=True
+        )
+        assert so.kernel_bound(zero, probes) == 0.0
+
+    def test_no_n_by_n_allocation(self):
+        n = 3000
+        inst, probes = kernel_instance(n)
+        state = so.make_state(inst, probes[0])
+        so.kernel_bound(inst, probes[:1])  # imports the Lanczos solver untraced
+        tracemalloc.start()
+        try:
+            so.hessian_total(state, inst)
+            hessian_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            so.kernel_bound(inst, probes)
+            bound_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hessian_peak < n * n * 8
+        assert bound_peak < n * n * 8
 
 
 class TestLipschitzProbe:
