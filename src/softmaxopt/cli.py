@@ -16,6 +16,7 @@ are only written when --timings is passed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -126,18 +127,9 @@ def _cmd_landscape(args) -> int:
         if args.instance:
             raise ValueError("--avg-seeds only applies to generated instances")
         grids = []
+        spec = _spec_from_args(args)
         for i in range(args.avg_seeds):
-            spec = _spec_from_args(args)
-            inst, _ = generate_planted(
-                GeneratorSpec(
-                    n=spec.n,
-                    d=spec.d,
-                    conditioning=spec.conditioning,
-                    norm_cap_r=spec.norm_cap_r,
-                    ridge_l=spec.ridge_l,
-                    seed=args.seed + i,
-                )
-            )
+            inst, _ = generate_planted(dataclasses.replace(spec, seed=args.seed + i))
             grids.append(
                 landscape_grid(
                     inst, center=center,
@@ -303,7 +295,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # CLI boundary: report and signal failure
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

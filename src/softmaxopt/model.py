@@ -318,13 +318,16 @@ class LossBreakdown:
             object.__setattr__(self, "total", self.l_exp + self.l_cent + self.l_reg)
 
 
-def loss_total(inst: ProblemInstance, x) -> LossBreakdown:
-    """All loss terms from one shared state; disabled terms contribute 0."""
-    state = make_state(inst, x)
+def state_losses(inst: ProblemInstance, state: ModelState) -> LossBreakdown:
+    """All loss terms at an evaluated state; disabled terms contribute 0."""
     l_exp = loss_exp(state.f, inst.b) if inst.use_exp else 0.0
     l_cent = loss_cent(state.f, inst.b) if inst.use_cent else 0.0
-    l_reg = loss_reg(inst, x)
-    return LossBreakdown(l_exp=l_exp, l_cent=l_cent, l_reg=l_reg)
+    return LossBreakdown(l_exp=l_exp, l_cent=l_cent, l_reg=loss_reg(inst, state.x))
+
+
+def loss_total(inst: ProblemInstance, x) -> LossBreakdown:
+    """All loss terms from one shared state; disabled terms contribute 0."""
+    return state_losses(inst, make_state(inst, x))
 
 
 def residual_linear(inst: ProblemInstance, x) -> float:

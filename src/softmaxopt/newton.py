@@ -1,7 +1,11 @@
 """Newton-type solver with exact and row-sampled Hessian modes.
 
-Each step solves the symmetric positive-definite system H s = g by Cholesky
-factorization and updates x <- x - s (the descent direction).  In exact mode
+``solve`` and ``gradient_descent_baseline`` run one iteration loop that
+records each iterate and applies the stop rules; only the step differs.  A
+Newton step, shared by ``solve`` and ``newton_step``, takes the spectrum of
+H once, for the stop rule ||g|| <= epsilon * eigmin(H) and the singularity
+guard, then solves the symmetric positive-definite system H s = g by one
+Cholesky factorization and updates x <- x - s.  In exact mode
 H comes from the structured curvature kernel in O(n d^2).  In sampled mode
 the Hessian is replaced by an unbiased row-sampling estimate built from the
 factored form H = C^T C, C = D(x)^{1/2} A, where D(x) is the combined
@@ -30,15 +34,7 @@ from .exceptions import (
     SamplingDegenerate,
     SingularHessian,
 )
-from .model import (
-    LossBreakdown,
-    ModelState,
-    ProblemInstance,
-    loss_cent,
-    loss_exp,
-    loss_reg,
-    make_state,
-)
+from .model import ModelState, ProblemInstance, make_state, state_losses
 
 MODES = ("exact", "sampled")
 SAMPLE_OVERSAMPLING = 10.0
@@ -114,12 +110,6 @@ class SolveTrace:
         return "\n".join(lines) + "\n"
 
 
-def _loss_from_state(inst: ProblemInstance, state: ModelState) -> LossBreakdown:
-    l_exp = loss_exp(state.f, inst.b) if inst.use_exp else 0.0
-    l_cent = loss_cent(state.f, inst.b) if inst.use_cent else 0.0
-    return LossBreakdown(l_exp=l_exp, l_cent=l_cent, l_reg=loss_reg(inst, state.x))
-
-
 def _state_or_nonfinite(inst: ProblemInstance, x) -> ModelState:
     try:
         return make_state(inst, x)
@@ -175,14 +165,20 @@ def approx_hessian(
     return approx
 
 
-def _hessian_for_step(inst, state, mode, sample_epsilon, delta, seed):
+def _newton_update(inst, state, g, mode, sample_epsilon, delta, seed, epsilon=None):
+    """x - H^{-1} g from one spectrum and one Cholesky factorization of H.
+
+    The spectrum serves, in this order, the stop rule (None when epsilon is
+    given and ||g|| <= epsilon * eigmin(H)) and the SingularHessian guard
+    (eigmin(H) below 1e-12 of the spectral radius).
+    """
     if mode == "sampled":
-        return approx_hessian(inst, state, sample_epsilon, seed, delta=delta)
-    return hessian_total(state, inst).h_total
-
-
-def _spd_solve(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
+        hess = approx_hessian(inst, state, sample_epsilon, seed, delta=delta)
+    else:
+        hess = hessian_total(state, inst).h_total
     evs = np.linalg.eigvalsh(hess)
+    if epsilon is not None and float(np.linalg.norm(g)) <= epsilon * max(float(evs[0]), 0.0):
+        return None
     scale = float(np.max(np.abs(evs)))
     if scale == 0.0 or evs[0] < 1e-12 * scale:
         raise SingularHessian(
@@ -192,7 +188,50 @@ def _spd_solve(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
         factor = scipy.linalg.cho_factor(hess)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by eig check
         raise SingularHessian(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, g)
+    x_next = state.x - scipy.linalg.cho_solve(factor, g)
+    if not np.all(np.isfinite(x_next)):
+        raise NonFiniteIterate("Newton step produced NaN or Inf")
+    return x_next
+
+
+def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
+    """The solver loop: record each iterate, then x <- step(state, grad).
+
+    Converges once ||x - x_star|| <= epsilon with a planted optimum, once
+    ||grad|| <= epsilon without one when gradient_stop is set, or when step
+    returns None; otherwise takes max_iters steps and flags the trace.
+    """
+    x = np.array(x0, dtype=np.float64)
+    trace = SolveTrace()
+    step_seconds = 0.0
+    for t in range(max_iters + 1):
+        state = _state_or_nonfinite(inst, x)
+        loss = state_losses(inst, state).total
+        g = gradient_bundle(state, inst).g_total
+        grad_norm = float(np.linalg.norm(g))
+        err = float(np.linalg.norm(x - inst.x_star)) if inst.x_star is not None else None
+        trace.iterates.append(
+            IterateRecord(
+                t=t, x=x.copy(), loss=loss, grad_norm=grad_norm,
+                err_to_opt=err, step_seconds=step_seconds,
+            )
+        )
+        if epsilon is not None and (
+            err <= epsilon if err is not None else gradient_stop and grad_norm <= epsilon
+        ):
+            trace.converged = True
+            break
+        if t == max_iters:
+            break
+        tic = time.perf_counter()
+        x = step(state, g)
+        if x is None:
+            trace.converged = True
+            break
+        step_seconds = time.perf_counter() - tic
+        trace.iterations_run += 1
+    trace.max_iters_exceeded = not trace.converged and trace.iterations_run == max_iters
+    return trace
 
 
 def newton_step(
@@ -203,16 +242,12 @@ def newton_step(
     delta: float = 0.05,
     seed=None,
 ) -> np.ndarray:
-    """One Newton update x - H^{-1} grad, by SPD factorization."""
+    """One Newton update x - H^{-1} grad: solve's update without its stop rule."""
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
     state = _state_or_nonfinite(inst, x_t)
     g = gradient_bundle(state, inst).g_total
-    hess = _hessian_for_step(inst, state, mode, sample_epsilon, delta, seed)
-    x_next = state.x - _spd_solve(hess, g)
-    if not np.all(np.isfinite(x_next)):
-        raise NonFiniteIterate("Newton step produced NaN or Inf")
-    return x_next
+    return _newton_update(inst, state, g, mode, sample_epsilon, delta, seed)
 
 
 def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
@@ -220,51 +255,20 @@ def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
 
     Stops when the planted error ||x - x_star|| reaches cfg.epsilon (when the
     instance carries a planted optimum) or when ||grad|| falls below
-    cfg.epsilon times the current smallest Hessian eigenvalue.  Hitting
+    cfg.epsilon times the smallest eigenvalue of the step's Hessian.  Each
+    step takes that Hessian's spectrum once, for this stop rule and then
+    the SingularHessian guard, and solves by one Cholesky factorization.
+    The loop is the one gradient_descent_baseline runs.  Hitting
     cfg.max_iters sets a flag on the trace rather than raising.
     """
-    x = np.array(x0, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
-    trace = SolveTrace()
-    step_seconds = 0.0
-    steps = 0
-    for t in range(cfg.max_iters + 1):
-        state = _state_or_nonfinite(inst, x)
-        losses = _loss_from_state(inst, state)
-        g = gradient_bundle(state, inst).g_total
-        grad_norm = float(np.linalg.norm(g))
-        err = (
-            float(np.linalg.norm(x - inst.x_star)) if inst.x_star is not None else None
+
+    def step(state, g):
+        return _newton_update(
+            inst, state, g, cfg.mode, cfg.sample_epsilon, cfg.delta, rng, cfg.epsilon
         )
-        trace.iterates.append(
-            IterateRecord(
-                t=t,
-                x=x.copy(),
-                loss=losses.total,
-                grad_norm=grad_norm,
-                err_to_opt=err,
-                step_seconds=step_seconds,
-            )
-        )
-        if err is not None and err <= cfg.epsilon:
-            trace.converged = True
-            break
-        if t == cfg.max_iters:
-            break
-        tic = time.perf_counter()
-        hess = _hessian_for_step(inst, state, cfg.mode, cfg.sample_epsilon, cfg.delta, rng)
-        eigmin = float(np.linalg.eigvalsh(hess)[0])
-        if grad_norm <= cfg.epsilon * max(eigmin, 0.0):
-            trace.converged = True
-            break
-        x = state.x - _spd_solve(hess, g)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterate("Newton step produced NaN or Inf")
-        step_seconds = time.perf_counter() - tic
-        steps += 1
-    trace.iterations_run = steps
-    trace.max_iters_exceeded = not trace.converged and steps == cfg.max_iters
-    return trace
+
+    return _iterate(inst, x0, cfg.max_iters, step, cfg.epsilon, gradient_stop=False)
 
 
 def gradient_descent_baseline(
@@ -276,49 +280,20 @@ def gradient_descent_baseline(
 ) -> SolveTrace:
     """Plain fixed-step gradient descent with the same trace schema.
 
-    Used as the first-order reference in solver comparisons.  When epsilon
-    is given, stops early once the planted error (or, without a planted
-    optimum, the gradient norm) falls below it.
+    Used as the first-order reference in solver comparisons, it runs solve's
+    loop with a gradient step.  When epsilon is given, stops early once the
+    planted error (or, without a planted optimum, the gradient norm) falls
+    below it.
     """
     if step_size <= 0:
         raise DomainError("step_size must be positive")
     if iters < 0:
         raise DomainError("iters must be >= 0")
-    x = np.array(x0, dtype=np.float64)
-    trace = SolveTrace()
-    step_seconds = 0.0
-    steps = 0
-    for t in range(iters + 1):
-        state = _state_or_nonfinite(inst, x)
-        losses = _loss_from_state(inst, state)
-        g = gradient_bundle(state, inst).g_total
-        grad_norm = float(np.linalg.norm(g))
-        err = (
-            float(np.linalg.norm(x - inst.x_star)) if inst.x_star is not None else None
-        )
-        trace.iterates.append(
-            IterateRecord(
-                t=t,
-                x=x.copy(),
-                loss=losses.total,
-                grad_norm=grad_norm,
-                err_to_opt=err,
-                step_seconds=step_seconds,
-            )
-        )
-        if epsilon is not None:
-            reached = err <= epsilon if err is not None else grad_norm <= epsilon
-            if reached:
-                trace.converged = True
-                break
-        if t == iters:
-            break
-        tic = time.perf_counter()
+
+    def step(state, g):
         x = state.x - step_size * g
         if not np.all(np.isfinite(x)):
             raise NonFiniteIterate("gradient step produced NaN or Inf")
-        step_seconds = time.perf_counter() - tic
-        steps += 1
-    trace.iterations_run = steps
-    trace.max_iters_exceeded = not trace.converged and steps == iters
-    return trace
+        return x
+
+    return _iterate(inst, x0, iters, step, epsilon, gradient_stop=True)

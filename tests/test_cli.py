@@ -69,6 +69,14 @@ class TestSolve:
         assert run(["solve", "--instance", bad]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_error_line_names_exception_type(self, capsys):
+        # planted seed 1 from 400 x_star underflows f in the cross-entropy term
+        _, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=1))
+        x0 = ",".join(repr(float(v)) for v in 400.0 * x_star)
+        assert run(["solve", "--seed", 1, f"--x0={x0}"]) == 1
+        err = capsys.readouterr().err
+        assert "error: DomainError: loss_cent needs strictly positive f" in err
+
     def test_explicit_x0(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         run(["gen", "--n", 8, "--d", 2, "--seed", 6, "--out", inst_path])

@@ -222,6 +222,130 @@ class TestBaseline:
             so.gradient_descent_baseline(inst, np.zeros(inst.d), 0.0, 5)
 
 
+def no_planted_instance():
+    """Heavily ridged random instance (n=12, d=4) without a planted optimum."""
+    inst, x = random_instance(72, n_max=12, d_max=4)
+    return so.ProblemInstance(a=inst.a, b=inst.b, w=np.full(inst.n, 5.0)), x
+
+
+class TestStopBranchesWithoutPlantedOptimum:
+    def test_newton_stops_by_eigmin_scaled_gradient(self):
+        inst, x = no_planted_instance()
+        eps = 1e-10
+        trace = so.solve(inst, x, so.SolverConfig(epsilon=eps, max_iters=60))
+        assert trace.converged and not trace.max_iters_exceeded
+        assert trace.iterations_run == 2
+        assert all(rec.err_to_opt is None for rec in trace.iterates)
+        eigmin = float(np.linalg.eigvalsh(so.hessian_total_at(inst, trace.iterates[-1].x))[0])
+        # the last gradient passes only the eigmin-scaled test, not ||g|| <= eps
+        assert eps < trace.iterates[-1].grad_norm <= eps * eigmin
+        assert trace.iterates[-2].grad_norm > eps * eigmin
+
+    def test_gradient_descent_stops_by_gradient_norm(self):
+        inst, x = no_planted_instance()
+        trace = so.gradient_descent_baseline(inst, x, 0.05, 500, epsilon=1e-6)
+        assert trace.converged and not trace.max_iters_exceeded
+        assert trace.iterations_run == len(trace.iterates) - 1 == 118
+        assert trace.iterates[-1].grad_norm <= 1e-6 < trace.iterates[-2].grad_norm
+        assert all(rec.err_to_opt is None for rec in trace.iterates)
+
+    def test_gradient_descent_without_epsilon_runs_to_iters(self):
+        inst, x = no_planted_instance()
+        trace = so.gradient_descent_baseline(inst, x, 0.05, 10)
+        assert not trace.converged
+        assert trace.max_iters_exceeded
+        assert trace.iterations_run == 10
+        assert [rec.t for rec in trace.iterates] == list(range(11))
+
+
+# Traces on planted n=20, d=5 seed 21 from basin_start(x_star, 0.5, 0),
+# recorded before the solver loops were merged.  The absolute floor covers
+# the roundoff-level tail of converged iterates.
+PINNED_TRACES = {
+    "exact": {
+        "loss": [7.529130792337328, 2.691779581129946, 2.6917795375363633],
+        "grad_norm": [26.575960773443768, 0.0026203579561703363, 3.9590355954635045e-11],
+        "err_to_opt": [0.5, 4.501677031524229e-05, 1.4216404009576593e-12],
+    },
+    "sampled": {
+        "loss": [7.529130792337328, 2.6917795811299454, 2.6917795375363633],
+        "grad_norm": [26.575960773443768, 0.0026203579562030003, 3.9590355954635045e-11],
+        "err_to_opt": [0.5, 4.501677031505423e-05, 1.4216404009576593e-12],
+    },
+    "gd": {
+        "loss": [
+            7.529130792337328, 5.494477558166902, 4.60886729899819, 4.032345110479241,
+            3.6543249039190417, 3.404069458326351, 3.2362652607154088,
+            3.1218544351778217, 3.042184390335677,
+        ],
+        "grad_norm": [
+            26.575960773443768, 15.590544295840552, 12.570236929365516,
+            10.169254672606638, 8.263834534505357, 6.75574050584675,
+            5.566425437292095, 4.632671613339425, 3.903221843558091,
+        ],
+        "err_to_opt": [
+            0.5, 0.42827134613629925, 0.37700579135090173, 0.33728436069293544,
+            0.30627637345369035, 0.28174410524135673, 0.2619638207208243,
+            0.24564285168091318, 0.2318351348383461,
+        ],
+    },
+}
+PINNED_GD_STEP = 0.004035607420850197  # 1 / lambda_max(H(x0))
+
+
+class TestPinnedValues:
+    @staticmethod
+    def start():
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=21))
+        return inst, so.basin_start(x_star, 0.5, 0)
+
+    @staticmethod
+    def assert_matches(trace, pinned):
+        for col, want in pinned.items():
+            got = [getattr(rec, col) for rec in trace.iterates]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13, err_msg=col)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_newton_trace_values(self, mode):
+        inst, x0 = self.start()
+        trace = so.solve(inst, x0, so.SolverConfig(mode=mode, seed=4))
+        assert trace.converged and trace.iterations_run == 2
+        self.assert_matches(trace, PINNED_TRACES[mode])
+
+    def test_gradient_descent_trace_values(self):
+        inst, x0 = self.start()
+        step = 1.0 / float(np.linalg.eigvalsh(so.hessian_total_at(inst, x0))[-1])
+        assert step == pytest.approx(PINNED_GD_STEP, rel=1e-12)
+        trace = so.gradient_descent_baseline(inst, x0, PINNED_GD_STEP, 8)
+        assert not trace.converged and trace.max_iters_exceeded
+        assert trace.iterations_run == 8
+        self.assert_matches(trace, PINNED_TRACES["gd"])
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_newton_step_is_first_solve_iterate(self, mode):
+        inst, x0 = self.start()
+        for seed in (0, 4, 9):
+            trace = so.solve(inst, x0, so.SolverConfig(mode=mode, seed=seed))
+            x1 = so.newton_step(inst, x0, mode, seed=seed)
+            assert x1.tobytes() == trace.iterates[1].x.tobytes()
+
+
+class TestOneSpectrumPerStep:
+    @pytest.mark.parametrize("mode, per_step", [("exact", 1), ("sampled", 2)])
+    def test_eigvalsh_calls(self, monkeypatch, mode, per_step):
+        # sampled mode adds approx_hessian's own rank check
+        inst, x0 = TestPinnedValues.start()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        so.newton_step(inst, x0, mode, seed=0)
+        assert len(calls) == per_step
+        calls.clear()
+        trace = so.solve(inst, x0, so.SolverConfig(mode=mode, seed=0))
+        assert trace.iterations_run == 2
+        assert len(calls) == per_step * trace.iterations_run
+
+
 class TestTraceCsv:
     def test_schema_and_empty_fields(self, tmp_path):
         inst, x = random_instance(62, n_max=8, d_max=3)
