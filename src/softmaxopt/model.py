@@ -4,7 +4,8 @@ A problem is a dense real matrix ``A`` (n rows, d columns), a target vector
 ``b`` (length n) and a vector of ridge weights ``w`` (length n).  The model
 maps a parameter vector ``x`` to positive weights ``u = exp(A @ x)``, their
 sum ``alpha`` and the normalized prediction ``f = u / alpha`` (a probability
-vector).  Three loss terms are evaluated on top of that:
+vector), evaluated with ``log f`` from one max-shift of the logits ``A @ x``.
+Three loss terms are evaluated on top of that:
 
 * squared-residual term   ``0.5 * ||f - b||^2``
 * cross-entropy term      ``-<b, log f>``
@@ -179,11 +180,10 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class ModelState:
-    """Cached per-point quantities: ``x``, raw weights ``u``, their sum and ``f``."""
+    """Cached per-point quantities: ``x``, ``log f`` and ``f``."""
 
     x: np.ndarray
-    u: np.ndarray
-    alpha: float
+    log_f: np.ndarray
     f: np.ndarray
 
 
@@ -203,10 +203,7 @@ def evaluate_u(inst: ProblemInstance, x) -> np.ndarray:
     exponent range in either direction (exp would return Inf or exactly 0,
     both of which break the positivity of the weights).
     """
-    return _exp_logits(logits(inst, x))
-
-
-def _exp_logits(z: np.ndarray) -> np.ndarray:
+    z = logits(inst, x)
     if np.any(z > MAX_EXP_ARG):
         raise OverflowError(
             f"exp(A @ x) overflows float64 (max logit {z.max():.3g})"
@@ -238,39 +235,35 @@ def evaluate_f(u) -> np.ndarray:
     return u / alpha
 
 
-def softmax(inst: ProblemInstance, x) -> np.ndarray:
-    """Prediction vector computed with max-subtraction.
-
-    Stays finite even where the raw weights exp(A @ x) would overflow,
-    since the normalized output is invariant to shifting the logits.
-    """
+def _log_f_and_f(inst: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
+    """log f and f at x from one max-shift of the logits, finite wherever
+    A @ x is; raises OverflowError where it is not."""
     z = logits(inst, x)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    if not np.all(np.isfinite(z)):
+        raise OverflowError("A @ x overflows float64")
+    zs = z - z.max()
+    e = np.exp(zs)
+    total = e.sum()
+    return zs - np.log(total), e / total
+
+
+def softmax(inst: ProblemInstance, x) -> np.ndarray:
+    """Prediction vector f, computed with max-subtraction."""
+    return _log_f_and_f(inst, x)[1]
 
 
 def log_softmax(inst: ProblemInstance, x) -> np.ndarray:
     """log of the prediction vector, computed without forming exp(A @ x)."""
-    z = logits(inst, x)
-    zs = z - z.max()
-    return zs - np.log(np.exp(zs).sum())
+    return _log_f_and_f(inst, x)[0]
 
 
 def make_state(inst: ProblemInstance, x) -> ModelState:
-    """Evaluate and cache u, alpha and f at one parameter vector.
-
-    f uses the shift-invariant path; u is the raw exponential and errors
-    on exponent overflow.
-    """
+    """Evaluate and cache log f and f at one parameter vector."""
     x = _vector(x, "x").copy()
-    z = logits(inst, x)
-    u = _exp_logits(z)
-    alpha = evaluate_alpha(u)
-    e = np.exp(z - z.max())
-    f = e / e.sum()
-    for arr in (x, u, f):
+    log_f, f = _log_f_and_f(inst, x)
+    for arr in (x, log_f, f):
         arr.setflags(write=False)
-    return ModelState(x=x, u=u, alpha=alpha, f=f)
+    return ModelState(x=x, log_f=log_f, f=f)
 
 
 def loss_exp(f, b) -> float:
@@ -321,7 +314,7 @@ class LossBreakdown:
 def state_losses(inst: ProblemInstance, state: ModelState) -> LossBreakdown:
     """All loss terms at an evaluated state; disabled terms contribute 0."""
     l_exp = loss_exp(state.f, inst.b) if inst.use_exp else 0.0
-    l_cent = loss_cent(state.f, inst.b) if inst.use_cent else 0.0
+    l_cent = -float(inst.b @ state.log_f) if inst.use_cent else 0.0
     return LossBreakdown(l_exp=l_exp, l_cent=l_cent, l_reg=loss_reg(inst, state.x))
 
 

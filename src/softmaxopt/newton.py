@@ -128,7 +128,8 @@ def approx_hessian(
 
     Satisfies (1 - eps0) H <= H_approx <= (1 + eps0) H with probability at
     least 1 - delta for the conservative sample count used here.  ``seed``
-    may be an integer or a numpy Generator.
+    may be an integer or a numpy Generator.  With every row kept the
+    estimate is H, and a singular H is the caller's to report.
     """
     if not 0.0 < sample_epsilon < 1.0:
         raise DomainError("sample_epsilon must lie in (0, 1)")
@@ -159,9 +160,10 @@ def approx_hessian(
         raise SamplingDegenerate("no rows survived sampling")
     scaled = c_mat[keep] / np.sqrt(probs[keep])[:, None]
     approx = scaled.T @ scaled
-    evs = np.linalg.eigvalsh(approx)
-    if evs[-1] <= 0.0 or evs[0] < 1e-12 * evs[-1]:
-        raise SamplingDegenerate("sampled row set has rank below d")
+    if not keep.all():
+        evs = np.linalg.eigvalsh(approx)
+        if evs[-1] <= 0.0 or evs[0] < 1e-12 * evs[-1]:
+            raise SamplingDegenerate("sampled row set has rank below d")
     return approx
 
 

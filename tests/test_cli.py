@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import io
 import json
 
 import numpy as np
@@ -70,12 +71,18 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
     def test_error_line_names_exception_type(self, capsys):
-        # planted seed 1 from 400 x_star underflows f in the cross-entropy term
+        assert run(["solve", "--n", 10, "--d", 3, "--seed", 5, "--x0", "1,2"]) == 1
+        err = capsys.readouterr().err
+        assert "error: DimensionMismatch: x must have length 3, got (2,)" in err
+
+    def test_far_start_with_underflowing_f_converges(self, tmp_path):
+        # from 400 x_star, f underflows to exact zeros on planted seed 1
         _, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=1))
         x0 = ",".join(repr(float(v)) for v in 400.0 * x_star)
-        assert run(["solve", "--seed", 1, f"--x0={x0}"]) == 1
-        err = capsys.readouterr().err
-        assert "error: DomainError: loss_cent needs strictly positive f" in err
+        summary_path = tmp_path / "s.json"
+        assert run(["solve", "--seed", 1, f"--x0={x0}", "--summary", summary_path]) == 0
+        summary = json.loads(summary_path.read_text())
+        assert summary["converged"] is True and summary["final_err"] <= 1e-10
 
     def test_explicit_x0(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -100,7 +107,50 @@ class TestSolve:
         assert outs[0] == outs[1]
 
 
+# `landscape --n 8 --d 3 --seed 3 --half-width 0.5 --resolution 5`, recorded
+# while cross entropy took the log of the normalised f; the log-space
+# evaluation must stay within rtol 1e-12 of it.
+PINNED_LANDSCAPE_CSV = (
+    "-0.5,-0.5,0.020590473108815087,0.9306089782708828,88.1231405944882,89.0743400458679\n"
+    "-0.5,-0.25,0.015750514145018917,0.9146968121951571,77.10774802017717,78.03819534651734\n"
+    "-0.5,0.0,0.01206075721766218,0.9025340583283412,73.43595049540684,74.35054531095285\n"
+    "-0.5,0.25,0.009340183757888525,0.8938479046929916,77.10774802017721,78.01093610862809\n"
+    "-0.5,0.5,0.00741927755310417,0.8883777133508884,88.12314059448826,89.01893758539225\n"
+    "-0.25,-0.5,0.006655361949051664,0.8810401641425655,33.04617772293308,33.9338732490247\n"
+    "-0.25,-0.25,0.004233175407112118,0.8719363153724737,22.030785148622062,22.906954639401647\n"
+    "-0.25,0.0,0.0025995419439559997,0.8658740790250112,18.358987623851732,19.2274612448207\n"
+    "-0.25,0.25,0.0015918702103269948,0.8625943274110627,22.030785148622073,22.894971346243462\n"
+    "-0.25,0.5,0.0010685113045603937,0.8618540271405074,33.04617772293312,33.90910026137819\n"
+    "0.0,-0.5,0.0008315738855863632,0.8595866062155215,14.687190099081379,15.547608279182487\n"
+    "0.0,-0.25,0.00018642998493617776,0.8560234829549945,3.671797524770341,4.528007437710272\n"
+    "0.0,0.0,0.0,0.8548879099774479,0.0,0.8548879099774479\n"
+    "0.0,0.25,0.0001491434924006016,0.8559495456321969,3.671797524770341,4.527896213894938\n"
+    "0.0,0.5,0.00053263841277612,0.8589957005931568,14.687190099081379,15.546718438087312\n"
+    "0.25,-0.5,0.000673402407097453,0.8606043072897342,33.046177722933095,33.907455432629924\n"
+    "0.25,-0.25,0.001147201063324076,0.8614811572362031,22.030785148622016,22.893413506921544\n"
+    "0.25,0.0,0.0018274307292322663,0.864267145019127,18.358987623851696,19.225082199600056\n"
+    "0.25,0.25,0.0026334199083221095,0.8687667540785443,22.030785148622073,22.90218532260894\n"
+    "0.25,0.5,0.003502543320102945,0.8748017593755902,33.04617772293305,33.92448202562875\n"
+    "0.5,-0.5,0.0038776452372618424,0.8793830852218314,88.12314059448829,89.00640132494739\n"
+    "0.5,-0.25,0.004932462622719664,0.8837660765195234,77.10774802017721,77.99644655931945\n"
+    "0.5,0.0,0.006027266825537703,0.8896312996806308,73.43595049540689,74.33160906191306\n"
+    "0.5,0.25,0.007116634246682168,0.8968183471862269,77.10774802017728,78.0116830016102\n"
+    "0.5,0.5,0.00816783310498856,0.9051825081622894,88.12314059448826,89.03649093575554\n"
+)
+
+
 class TestLandscape:
+    def test_pinned_values(self, capsys):
+        argv = ["landscape", "--n", 8, "--d", 3, "--seed", 3, "--half-width", 0.5,
+                "--resolution", 5]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("u,v,l_exp,l_cent,l_reg,total\n")
+        got = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        want = np.loadtxt(io.StringIO(PINNED_LANDSCAPE_CSV), delimiter=",")
+        assert got.shape == want.shape == (25, 6)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_csv_matches_direct_evaluation(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         run(["gen", "--n", 10, "--d", 3, "--ridge-l", 0.5, "--seed", 8, "--out", inst_path])

@@ -1,5 +1,6 @@
 """Data model, objective terms and their documented invariants."""
 
+import dataclasses
 import json
 import math
 
@@ -229,12 +230,18 @@ class TestPredictionInvariants:
         )
 
     def test_state_caches_are_consistent(self):
+        assert [fld.name for fld in dataclasses.fields(so.ModelState)] == ["x", "log_f", "f"]
         for i in range(10):
             inst, x = random_instance([14, i])
             state = so.make_state(inst, x)
-            assert np.all(state.u > 0.0)
-            assert state.alpha == float(state.u.sum())
-            np.testing.assert_allclose(state.f, state.u / state.alpha, rtol=1e-12)
+            u = so.evaluate_u(inst, x)
+            alpha = so.evaluate_alpha(u)
+            assert np.all(u > 0.0)
+            assert alpha == float(u.sum())
+            np.testing.assert_allclose(state.f, u / alpha, rtol=1e-12)
+            np.testing.assert_allclose(np.exp(state.log_f), state.f, rtol=1e-12)
+            assert state.f.tobytes() == so.softmax(inst, x).tobytes()
+            assert state.log_f.tobytes() == so.log_softmax(inst, x).tobytes()
             np.testing.assert_array_equal(state.x, x)
 
     def test_deterministic_bitwise(self):
@@ -243,7 +250,22 @@ class TestPredictionInvariants:
         f2 = so.evaluate_f(so.evaluate_u(inst, x))
         assert np.array_equal(f1, f2)
         s1, s2 = so.make_state(inst, x), so.make_state(inst, x)
-        assert np.array_equal(s1.f, s2.f) and s1.alpha == s2.alpha
+        assert np.array_equal(s1.f, s2.f) and s1.log_f.tobytes() == s2.log_f.tobytes()
+
+    def test_state_past_the_exponent_range(self):
+        # logits beyond +-709: exp(A @ x) is not representable, log f and f are
+        inst = simple_instance(np.array([[1.0], [0.0], [-1.0]]), b=[0.5, 0.3, 0.2])
+        state = so.make_state(inst, [800.0])
+        with pytest.raises(OverflowError):
+            so.evaluate_u(inst, [800.0])
+        np.testing.assert_array_equal(state.log_f, [0.0, -800.0, -1600.0])
+        np.testing.assert_array_equal(state.f, [1.0, 0.0, 0.0])
+        assert so.loss_total(inst, [800.0]).l_cent == pytest.approx(560.0, rel=1e-15)
+
+    def test_non_finite_logits_raise_overflow(self):
+        inst = simple_instance(np.array([[1e300]]), b=[1.0])
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            so.make_state(inst, [1e300])
 
 
 class TestProblemInstanceValidation:

@@ -331,9 +331,9 @@ class TestPinnedValues:
 
 
 class TestOneSpectrumPerStep:
-    @pytest.mark.parametrize("mode, per_step", [("exact", 1), ("sampled", 2)])
+    @pytest.mark.parametrize("mode, per_step", [("exact", 1), ("sampled", 1)])
     def test_eigvalsh_calls(self, monkeypatch, mode, per_step):
-        # sampled mode adds approx_hessian's own rank check
+        # every row is kept here, so approx_hessian adds no rank check
         inst, x0 = TestPinnedValues.start()
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -344,6 +344,36 @@ class TestOneSpectrumPerStep:
         trace = so.solve(inst, x0, so.SolverConfig(mode=mode, seed=0))
         assert trace.iterations_run == 2
         assert len(calls) == per_step * trace.iterations_run
+
+
+class TestSingularHessianReport:
+    @pytest.mark.parametrize("draw", [27, 79, 108, 117, 123, 186])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_weakly_regularized_draws(self, draw, mode):
+        # every row is kept in sampled mode, so its estimate is H and the
+        # singularity is H's, not the sample's
+        base, _ = random_instance(draw)
+        inst = so.ProblemInstance(a=5.0 * base.a, b=base.b / base.b.sum(), w=0.05 * base.w)
+        with pytest.raises(SingularHessian):
+            so.solve(inst, np.zeros(inst.d), so.SolverConfig(mode=mode))
+
+
+FAR_STARTS = [(seed, multiple) for multiple in (200.0, 400.0) for seed in range(10)] + [
+    (seed, 100.0) for seed in (409, 431, 450, 553, 555)
+]
+
+
+class TestFarStarts:
+    @pytest.mark.parametrize("planted, multiple", FAR_STARTS)
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_converges_in_three_steps(self, planted, multiple, mode):
+        # most of these starts push logits past the exponent range or underflow f
+        inst, x_star = so.generate_planted(
+            so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=planted)
+        )
+        trace = so.solve(inst, multiple * x_star, so.SolverConfig(mode=mode))
+        assert trace.converged and trace.iterations_run <= 3
+        assert trace.iterates[-1].err_to_opt <= 1e-10
 
 
 class TestTraceCsv:
