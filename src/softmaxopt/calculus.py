@@ -19,7 +19,9 @@ a diagonal plus a correction of rank at most 2 in span{f, g}.  With
 
 so the kernel is held as ``KernelParts`` in O(n) memory and the Hessian is
 ``A^T diag(c) A + kappa a a^T - gamma a^T - a gamma^T`` with ``a = A^T f`` and
-``gamma = A^T g``, in O(n d^2) time and no n-by-n array.  The dense kernels
+``gamma = A^T g``, in O(n d^2) time and no n-by-n array.  The same parts
+give a factor C with ``C^T C = A^T D A`` in O(n d) (``KernelParts.factor``),
+whose rows sampled Newton samples.  The dense kernels
 ``b_matrix``, ``exp_kernel`` and ``total_kernel`` build the same matrices
 directly (``exp_kernel`` as ``P^2`` plus the residual-weighted curvature of f)
 and serve as independent oracles.
@@ -33,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IndexOutOfRange, NonFiniteInput
+from .exceptions import DimensionMismatch, IndexOutOfRange, KernelNotPSD, NonFiniteInput
 from .model import ModelState, ProblemInstance, _vector, make_state
 
 
@@ -95,6 +97,48 @@ class KernelParts:
             + np.outer(self.kappa * a_f - gamma, a_f)
             - np.outer(a_f, gamma)
         )
+
+    def factor(self, a: np.ndarray) -> np.ndarray:
+        """An n-by-d C with C^T C = A^T D A, in O(n d) and no n-by-n array.
+
+        Write D = diag(c) + U S U^T with U = [f, g], S = [[kappa, -1], [-1, 0]].
+        With r = sqrt(c) and a thin QR Q R = U / r, and T = R S R^T =
+        P diag(lam) P^T, D = diag(r) (I + Q T Q^T) diag(r), whose factor is
+
+            C = diag(r) A + Q P diag(sqrt(1 + lam) - 1) P^T Q^T diag(r) A.
+
+        D is PSD iff 1 + lam_min >= 0; below -1e-8 of max(1, 1 + lam_max)
+        raises KernelNotPSD, and smaller negative values clip to zero.  A
+        row with c_i = f_i = g_i = 0 (an underflowed f_i without ridge
+        weight) is a zero row of D and gets a zero row of C; any other
+        c_i <= 0 raises KernelNotPSD.
+        """
+        c = self.c
+        u = np.column_stack((self.f, self.g))
+        flat = c <= 0.0
+        if flat.any():
+            bad = np.flatnonzero(flat & ((c < 0.0) | u.any(axis=1)))
+            if bad.size:
+                i = int(bad[0])
+                raise KernelNotPSD(
+                    f"kernel diagonal has c[{i}] = {c[i]:.3g} <= 0 on a nonzero row; "
+                    "row sampling needs c > 0 there"
+                )
+            out = np.zeros(a.shape)
+            live = ~flat
+            out[live] = replace(self, c=c[live], g=self.g[live], f=self.f[live]).factor(a[live])
+            return out
+        r = np.sqrt(c)
+        q, rr = np.linalg.qr(u / r[:, None])
+        lam, p = np.linalg.eigh(rr @ np.array([[self.kappa, -1.0], [-1.0, 0.0]]) @ rr.T)
+        if 1.0 + lam[0] < -1e-8 * max(1.0, 1.0 + float(lam[-1])):
+            raise KernelNotPSD(
+                f"curvature kernel is indefinite: eigenvalue {1.0 + lam[0]:.3g} of "
+                "diag(c)^-1/2 D diag(c)^-1/2; row sampling needs a PSD kernel"
+            )
+        shift = np.sqrt(np.clip(1.0 + lam, 0.0, None)) - 1.0
+        ra = r[:, None] * a
+        return ra + q @ ((p * shift) @ p.T @ (q.T @ ra))
 
 
 def grad_f_dir(state: ModelState, inst: ProblemInstance, i: int) -> np.ndarray:

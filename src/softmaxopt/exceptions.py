@@ -34,7 +34,12 @@ class SamplingDegenerate(SoftmaxOptError):
 
 
 class KernelNotPSD(SoftmaxOptError):
-    """The curvature kernel has a meaningfully negative eigenvalue, so it has no real square root."""
+    """The curvature kernel cannot be factored for row sampling.
+
+    Raised when the kernel has a meaningfully negative eigenvalue, or when
+    its diagonal part c has an entry c_i <= 0 on a row that is not
+    identically zero.
+    """
 
 
 class PoolTooSmall(SoftmaxOptError, ValueError):

@@ -7,14 +7,16 @@ H once, for the stop rule ||g|| <= epsilon * eigmin(H) and the singularity
 guard, then solves the symmetric positive-definite system H s = g by one
 Cholesky factorization and updates x <- x - s.  In exact mode
 H comes from the structured curvature kernel in O(n d^2).  In sampled mode
-the Hessian is replaced by an unbiased row-sampling estimate built from the
-factored form H = C^T C, C = D(x)^{1/2} A, where D(x) is the combined
-curvature kernel, materialised from its structured parts as an n-by-n
-matrix for the square root: row i of C is kept independently with
+the Hessian is replaced by an unbiased row-sampling estimate built from a
+factored form H = C^T C, where C is built from the structured parts of the
+combined curvature kernel D(x) in O(n d) with no n-by-n array
+(``KernelParts.factor``): row i of C is kept independently with
 probability p_i = min(1, c * ||C_i||^2 / ||C||_F^2) and rescaled by
 1 / sqrt(p_i), with the oversampling count c = ceil(10 d log(d / delta) /
 eps0^2).  When every p_i saturates at 1 the estimate reproduces the exact
-Hessian.
+Hessian.  The factor needs the kernel diagonal c(x) > 0 on every row that
+is not identically zero, and D(x) PSD; otherwise sampled mode raises
+KernelNotPSD.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import scipy.linalg
 from .calculus import gradient_bundle, hessian_total, total_kernel_parts
 from .exceptions import (
     DomainError,
-    KernelNotPSD,
     NonFiniteIterate,
     SamplingDegenerate,
     SingularHessian,
@@ -130,6 +131,14 @@ def approx_hessian(
     least 1 - delta for the conservative sample count used here.  ``seed``
     may be an integer or a numpy Generator.  With every row kept the
     estimate is H, and a singular H is the caller's to report.
+
+    Rows are sampled from ``KernelParts.factor`` of the total kernel
+    diag(c) + kappa f f^T - g f^T - f g^T.  A row with c_i = 0 and
+    f_i = g_i = 0 (an underflowed f_i with w_i = 0) is a zero row and is
+    never kept; any other c_i <= 0, or an indefinite kernel, raises
+    KernelNotPSD.  c > 0 held at every planted instance the tests solve,
+    where the ridge weights w^2 dominate the kernel; weakly regularized
+    instances can have c_i < 0, and then raise even when D is PSD.
     """
     if not 0.0 < sample_epsilon < 1.0:
         raise DomainError("sample_epsilon must lie in (0, 1)")
@@ -138,16 +147,7 @@ def approx_hessian(
     n, d = inst.n, inst.d
     if d > n:
         raise SamplingDegenerate(f"d = {d} exceeds n = {n}; kernel rank cannot reach d")
-    kernel = total_kernel_parts(state, inst).dense()
-    evals, vecs = np.linalg.eigh(kernel)
-    top = max(1.0, float(evals[-1]))
-    if evals[0] < -1e-8 * top:
-        raise KernelNotPSD(
-            f"curvature kernel has eigenvalue {evals[0]:.3g}; row sampling needs a PSD kernel"
-        )
-    evals = np.clip(evals, 0.0, None)
-    sqrt_kernel = (vecs * np.sqrt(evals)) @ vecs.T
-    c_mat = sqrt_kernel @ inst.a
+    c_mat = total_kernel_parts(state, inst).factor(inst.a)
     row2 = np.einsum("ij,ij->i", c_mat, c_mat)
     total = float(row2.sum())
     if total <= 0.0:
@@ -202,6 +202,8 @@ def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
     Converges once ||x - x_star|| <= epsilon with a planted optimum, once
     ||grad|| <= epsilon without one when gradient_stop is set, or when step
     returns None; otherwise takes max_iters steps and flags the trace.
+    Raises NonFiniteIterate at the first iterate whose loss or gradient
+    norm is not finite, before recording it.
     """
     x = np.array(x0, dtype=np.float64)
     trace = SolveTrace()
@@ -211,6 +213,10 @@ def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
         loss = state_losses(inst, state).total
         g = gradient_bundle(state, inst).g_total
         grad_norm = float(np.linalg.norm(g))
+        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+            raise NonFiniteIterate(
+                f"iterate {t} has loss {loss!r} and gradient norm {grad_norm!r}"
+            )
         err = float(np.linalg.norm(x - inst.x_star)) if inst.x_star is not None else None
         trace.iterates.append(
             IterateRecord(

@@ -389,6 +389,42 @@ class TestStructuredKernel:
             ) <= 1e-12
 
 
+def positive_diagonal_instances(tag, count=20):
+    """The first `count` flagged_instances per flag set whose kernel diagonal c is > 0."""
+    found = {flags: 0 for flags in FLAG_SETS}
+    for inst, x in flagged_instances(tag, count=10 * count):
+        flags = (inst.use_exp, inst.use_cent)
+        c = so.total_kernel_parts(so.make_state(inst, x), inst).c
+        if found[flags] < count and c.min() > 0:
+            found[flags] += 1
+            yield inst, x
+    assert all(v == count for v in found.values()), found
+
+
+def dense_root_factor(parts, a):
+    """D^{1/2} A from the symmetric square root of the materialised kernel (oracle only)."""
+    evals, vecs = np.linalg.eigh(parts.dense())
+    return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T @ a
+
+
+class TestKernelFactor:
+    def test_gram_matches_kernel_congruence(self):
+        for inst, x in positive_diagonal_instances(62):
+            state = so.make_state(inst, x)
+            c_mat = so.total_kernel_parts(state, inst).factor(inst.a)
+            assert c_mat.shape == inst.a.shape
+            gram = c_mat.T @ c_mat
+            assert so.rel_err(gram, inst.a.T @ so.total_kernel(state, inst) @ inst.a) <= 1e-12
+            assert so.rel_err(gram, so.hessian_total(state, inst).h_total) <= 1e-12
+
+    def test_gram_matches_dense_symmetric_root(self):
+        for inst, x in positive_diagonal_instances(63):
+            parts = so.total_kernel_parts(so.make_state(inst, x), inst)
+            c_mat = parts.factor(inst.a)
+            root = dense_root_factor(parts, inst.a)
+            assert so.rel_err(c_mat.T @ c_mat, root.T @ root) <= 1e-12
+
+
 class TestConsistencySweeps:
     def test_gradient_sweep(self):
         worst = 0.0

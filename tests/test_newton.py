@@ -1,5 +1,8 @@
 """Newton solver, sampled Hessian and the gradient-descent baseline."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +10,7 @@ import scipy.linalg
 import softmaxopt as so
 from softmaxopt.exceptions import (
     DomainError,
+    KernelNotPSD,
     NonFiniteIterate,
     SamplingDegenerate,
     SingularHessian,
@@ -114,6 +118,96 @@ class TestApproxHessian:
             so.approx_hessian(inst, state, 0.9, seed=0, delta=0.9)
 
 
+class TestKernelNotPSD:
+    @pytest.mark.parametrize("draw", range(10))
+    def test_indefinite_kernel_raises(self, draw):
+        base, x = random_instance(draw)
+        inst = so.ProblemInstance(
+            a=5.0 * base.a, b=base.b, w=np.zeros(base.n), use_cent=False
+        )
+        state = so.make_state(inst, x)
+        evals = np.linalg.eigvalsh(so.total_kernel(state, inst))
+        assert evals[0] < -1e-8 * max(1.0, evals[-1])
+        with pytest.raises(KernelNotPSD):
+            so.approx_hessian(inst, state, 0.1, seed=0)
+
+    def test_indefinite_kernel_with_positive_diagonal_raises(self):
+        base, x = random_instance(564)
+        inst = so.ProblemInstance(a=base.a, b=base.b, w=base.w, use_cent=False)
+        state = so.make_state(inst, x)
+        assert so.total_kernel_parts(state, inst).c.min() > 0
+        assert np.linalg.eigvalsh(so.total_kernel(state, inst))[0] < -1e-2
+        with pytest.raises(KernelNotPSD, match="indefinite"):
+            so.approx_hessian(inst, state, 0.1, seed=0)
+
+    def test_negative_diagonal_raises(self):
+        # the kernel itself is positive definite here, but its diagonal part
+        # c has a negative entry, which the factor does not accept
+        inst, x = random_instance(859)
+        state = so.make_state(inst, x)
+        assert so.total_kernel_parts(state, inst).c[1] < 0
+        assert np.linalg.eigvalsh(so.total_kernel(state, inst))[0] > 1e-2
+        with pytest.raises(KernelNotPSD, match="kernel diagonal"):
+            so.approx_hessian(inst, state, 0.1, seed=0)
+
+    def test_zero_row_does_not_raise(self):
+        # f_3 underflows to 0 (its logit is 1000 below the rest) and w_3 = 0
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1000.0, 0.0]])
+        inst = so.ProblemInstance(
+            a=a, b=np.array([0.2, 0.3, 0.1, 0.4]), w=np.array([1.0, 1.0, 1.0, 0.0])
+        )
+        state = so.make_state(inst, np.array([1.0, 0.5]))
+        parts = so.total_kernel_parts(state, inst)
+        assert parts.c[3] == parts.f[3] == parts.g[3] == 0.0
+        np.testing.assert_array_equal(parts.factor(inst.a)[3], np.zeros(2))
+        approx = so.approx_hessian(inst, state, 0.1, seed=0)
+        assert so.rel_err(approx, so.hessian_total(state, inst).h_total) <= 1e-12
+
+
+class TestSampledAtScale:
+    def test_no_n_by_n_allocation(self):
+        n = 3000
+        rng = np.random.default_rng(80)
+        inst = so.ProblemInstance(
+            a=rng.standard_normal((n, 4)), b=rng.uniform(0.0, 3.0 / n, n), w=np.ones(n)
+        )
+        state = so.make_state(inst, rng.standard_normal(4))
+        so.approx_hessian(inst, state, 0.1, seed=0)
+        tracemalloc.start()
+        try:
+            so.approx_hessian(inst, state, 0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+    def test_sandwich_where_rows_are_dropped(self):
+        n, d, delta, eps0 = 200_000, 5, 0.05, 0.1
+        count = math.ceil(so.newton.SAMPLE_OVERSAMPLING * d * math.log(d / delta) / eps0**2)
+        assert count == 23_026
+        rng = np.random.default_rng(81)
+        a = rng.standard_normal((n, d)) / math.sqrt(d)
+        b = rng.uniform(0.0, 1.0, n)
+        inst = so.ProblemInstance(a=a, b=b / b.sum(), w=np.ones(n))
+        state = so.make_state(inst, rng.standard_normal(d))
+        parts = so.total_kernel_parts(state, inst)
+        assert parts.c.min() > 0
+        exact = so.hessian_total(state, inst).h_total
+        c_mat = parts.factor(inst.a)
+        row2 = np.einsum("ij,ij->i", c_mat, c_mat)
+        probs = np.minimum(1.0, count * row2 / row2.sum())
+        hits = 0
+        for s in range(20):
+            approx = so.approx_hessian(inst, state, eps0, seed=s, delta=delta)
+            keep = np.random.default_rng(s).random(n) < probs
+            assert keep.sum() < n // 2
+            scaled = c_mat[keep] / np.sqrt(probs[keep])[:, None]
+            assert so.rel_err(approx, scaled.T @ scaled) <= 1e-12
+            gen = scipy.linalg.eigh(approx, exact, eigvals_only=True)
+            hits += bool(gen[0] >= 1.0 - eps0 and gen[-1] <= 1.0 + eps0)
+        assert hits >= 19
+
+
 class TestSolve:
     def test_zero_iterations_at_planted_optimum(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=9))
@@ -208,13 +302,26 @@ class TestBaseline:
         assert baseline.converged
         assert baseline.iterations_run > newton.iterations_run
 
-    def test_divergence_raises(self):
+    def test_divergence_raises(self, monkeypatch):
         inst = so.ProblemInstance(
             a=np.array([[1.0], [1.0]]), b=np.zeros(2), w=np.ones(2),
             use_exp=False, use_cent=False,
         )
-        with pytest.raises(NonFiniteIterate):
+        losses = []
+        state_losses = so.newton.state_losses
+
+        def recording(inst_, state):
+            out = state_losses(inst_, state)
+            losses.append(out.total)
+            return out
+
+        monkeypatch.setattr(so.newton, "state_losses", recording)
+        with pytest.raises(NonFiniteIterate, match="iterate 19 has loss inf"):
             so.gradient_descent_baseline(inst, np.array([1.0]), 1e8, 50)
+        # x_t = (1 - 2e8)^t and the loss is x_t^2, which first overflows at
+        # t = 19: the loop stops there, and recorded no infinite loss
+        assert len(losses) == 20
+        assert np.all(np.isfinite(losses[:-1])) and losses[-1] == np.inf
 
     def test_validation(self):
         inst, _ = random_instance(61)
