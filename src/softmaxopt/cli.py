@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from .exceptions import DomainError
 from .landscape import average_grids, landscape_grid
 from .model import ProblemInstance
 from .nce import paired_vs_shuffled_bounds
@@ -123,26 +124,23 @@ def _cmd_solve(args) -> int:
 
 def _cmd_landscape(args) -> int:
     center = _parse_vector(args.center) if args.center is not None else None
-    if args.avg_seeds > 1:
-        if args.instance:
+    if args.avg_seeds < 1:
+        raise DomainError("--avg-seeds must be >= 1")
+    if args.instance:
+        if args.avg_seeds > 1:
             raise ValueError("--avg-seeds only applies to generated instances")
-        grids = []
-        spec = _spec_from_args(args)
-        for i in range(args.avg_seeds):
-            inst, _ = generate_planted(dataclasses.replace(spec, seed=args.seed + i))
-            grids.append(
-                landscape_grid(
-                    inst, center=center,
-                    half_width=args.half_width, resolution=args.resolution,
-                )
-            )
-        grid = average_grids(grids)
+        insts = [ProblemInstance.load(args.instance)]
     else:
-        inst = _load_or_generate(args)
-        grid = landscape_grid(
-            inst, center=center,
-            half_width=args.half_width, resolution=args.resolution,
-        )
+        spec = _spec_from_args(args)
+        insts = [
+            generate_planted(dataclasses.replace(spec, seed=args.seed + i))[0]
+            for i in range(args.avg_seeds)
+        ]
+    grids = [
+        landscape_grid(inst, center=center, half_width=args.half_width, resolution=args.resolution)
+        for inst in insts
+    ]
+    grid = average_grids(grids)
     if args.out:
         grid.write_csv(args.out)
     else:
@@ -178,6 +176,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_nce(args) -> int:
+    if args.seeds < 1:
+        raise DomainError("--seeds must be >= 1")
     rows = []
     for i in range(args.seeds):
         corr, shuf = paired_vs_shuffled_bounds(

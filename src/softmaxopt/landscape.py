@@ -7,12 +7,12 @@ center point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError
-from .model import LossBreakdown, ProblemInstance, loss_total
+from .model import ProblemInstance, loss_total
 
 _ORTHO_TOL = 1e-12
 
@@ -26,24 +26,28 @@ class LandscapeGrid:
     dir_v: np.ndarray
     half_width: float
     resolution: int
-    values: tuple  # values[i][j] is the LossBreakdown at offset (u_i, v_j)
+    values: np.ndarray  # values[i, j] = (l_exp, l_cent, l_reg) at offset (u_i, v_j)
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
     def offsets(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.resolution)
 
-    def rows(self):
-        """Yield (u, v, LossBreakdown) row-major, matching the CSV layout."""
-        offs = self.offsets()
-        for i, u in enumerate(offs):
-            for j, v in enumerate(offs):
-                yield float(u), float(v), self.values[i][j]
+    def totals(self) -> np.ndarray:
+        """Sum of the three loss terms per cell, added in (l_exp, l_cent, l_reg) order."""
+        return self.values.sum(axis=-1)
 
     def to_csv(self) -> str:
+        offs = self.offsets()
+        table = np.column_stack([
+            np.repeat(offs, self.resolution),
+            np.tile(offs, self.resolution),
+            self.values.reshape(-1, 3),
+            self.totals().reshape(-1),
+        ])
         lines = ["u,v,l_exp,l_cent,l_reg,total"]
-        for u, v, cell in self.rows():
-            lines.append(
-                f"{u!r},{v!r},{cell.l_exp!r},{cell.l_cent!r},{cell.l_reg!r},{cell.total!r}"
-            )
+        lines += [",".join(map(repr, row)) for row in table.tolist()]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -56,6 +60,9 @@ def average_grids(grids) -> LandscapeGrid:
 
     Each grid keeps its own center and directions (they are instance
     specific); the averaged surface is reported in the first grid's frame.
+    The mean runs over the last, contiguous axis of the stack, so each cell
+    is summed exactly as ``np.mean`` sums a list of that cell's values.  One
+    grid is returned as it is: a numpy sum turns a -0.0 cell into 0.0.
     """
     grids = list(grids)
     if not grids:
@@ -64,33 +71,16 @@ def average_grids(grids) -> LandscapeGrid:
     for g in grids[1:]:
         if g.resolution != first.resolution or g.half_width != first.half_width:
             raise DimensionMismatch("grids must share resolution and half_width")
-    res = first.resolution
-    values = tuple(
-        tuple(
-            LossBreakdown(
-                l_exp=float(np.mean([g.values[i][j].l_exp for g in grids])),
-                l_cent=float(np.mean([g.values[i][j].l_cent for g in grids])),
-                l_reg=float(np.mean([g.values[i][j].l_reg for g in grids])),
-            )
-            for j in range(res)
-        )
-        for i in range(res)
-    )
-    return LandscapeGrid(
-        center=first.center,
-        dir_u=first.dir_u,
-        dir_v=first.dir_v,
-        half_width=first.half_width,
-        resolution=res,
-        values=values,
-    )
+    if len(grids) == 1:
+        return first
+    return replace(first, values=np.stack([g.values for g in grids], axis=-1).mean(axis=-1))
 
 
 def default_directions(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     """Top two right singular vectors of A."""
     if inst.d < 2:
         raise DomainError("a 2D landscape needs d >= 2")
-    _, _, vt = np.linalg.svd(inst.a)
+    _, _, vt = np.linalg.svd(inst.a, full_matrices=False)
     return vt[0], vt[1]
 
 
@@ -127,15 +117,13 @@ def landscape_grid(
         raise DomainError("directions must be orthogonal")
 
     offs = np.linspace(-half_width, half_width, resolution)
-    values = tuple(
-        tuple(loss_total(inst, center + u * dir_u + v * dir_v) for v in offs)
-        for u in offs
-    )
+    cells = [loss_total(inst, center + u * dir_u + v * dir_v) for u in offs for v in offs]
+    values = np.array([(c.l_exp, c.l_cent, c.l_reg) for c in cells], dtype=np.float64)
     return LandscapeGrid(
         center=center,
         dir_u=dir_u,
         dir_v=dir_v,
         half_width=float(half_width),
         resolution=int(resolution),
-        values=values,
+        values=values.reshape(resolution, resolution, 3),
     )

@@ -5,8 +5,9 @@ records each iterate and applies the stop rules; only the step differs.  A
 Newton step, shared by ``solve`` and ``newton_step``, takes the spectrum of
 H once, for the stop rule ||g|| <= epsilon * eigmin(H) and the singularity
 guard, then solves the symmetric positive-definite system H s = g by one
-Cholesky factorization and updates x <- x - s.  In exact mode
-H comes from the structured curvature kernel in O(n d^2).  In sampled mode
+Cholesky factorization and updates x <- x - s.  In exact mode H is one
+congruence A^T D(x) A of the combined curvature kernel, in O(n d^2)
+(``KernelParts.congruence``).  In sampled mode
 the Hessian is replaced by an unbiased row-sampling estimate built from a
 factored form H = C^T C, where C is built from the structured parts of the
 combined curvature kernel D(x) in O(n d) with no n-by-n array
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .calculus import gradient_bundle, hessian_total, total_kernel_parts
+from .calculus import gradient_bundle, total_kernel_parts
 from .exceptions import (
     DomainError,
     NonFiniteIterate,
@@ -177,7 +178,7 @@ def _newton_update(inst, state, g, mode, sample_epsilon, delta, seed, epsilon=No
     if mode == "sampled":
         hess = approx_hessian(inst, state, sample_epsilon, seed, delta=delta)
     else:
-        hess = hessian_total(state, inst).h_total
+        hess = total_kernel_parts(state, inst).congruence(inst.a)
     evs = np.linalg.eigvalsh(hess)
     if epsilon is not None and float(np.linalg.norm(g)) <= epsilon * max(float(evs[0]), 0.0):
         return None
@@ -210,9 +211,10 @@ def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
     step_seconds = 0.0
     for t in range(max_iters + 1):
         state = _state_or_nonfinite(inst, x)
-        loss = state_losses(inst, state).total
-        g = gradient_bundle(state, inst).g_total
-        grad_norm = float(np.linalg.norm(g))
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            loss = state_losses(inst, state).total
+            g = gradient_bundle(state, inst).g_total
+            grad_norm = float(np.linalg.norm(g))
         if not (math.isfinite(loss) and math.isfinite(grad_norm)):
             raise NonFiniteIterate(
                 f"iterate {t} has loss {loss!r} and gradient norm {grad_norm!r}"

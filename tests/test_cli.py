@@ -193,6 +193,14 @@ class TestLandscape:
         run(["gen", "--n", 8, "--d", 2, "--seed", 1, "--out", inst_path])
         assert run(["landscape", "--instance", inst_path, "--avg-seeds", 2]) == 1
 
+    @pytest.mark.parametrize("count", [0, -4])
+    def test_avg_seeds_below_one_is_error(self, tmp_path, capsys, count):
+        inst_path = tmp_path / "inst.json"
+        run(["gen", "--n", 8, "--d", 2, "--seed", 1, "--out", inst_path])
+        assert run(["landscape", "--n", 8, "--d", 2, "--avg-seeds", count]) == 1
+        assert run(["landscape", "--instance", inst_path, "--avg-seeds", count]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestVerify:
     def test_default_suite_passes(self, tmp_path, capsys):
@@ -267,3 +275,9 @@ class TestNceCommand:
             )
             blobs.append(csv_path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_zero_seeds_is_error(self, tmp_path, capsys):
+        summary = tmp_path / "s.json"
+        assert run(["nce", "--seeds", 0, "--summary", summary]) == 1
+        assert "DomainError" in capsys.readouterr().err
+        assert not summary.exists()

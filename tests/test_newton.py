@@ -302,6 +302,7 @@ class TestBaseline:
         assert baseline.converged
         assert baseline.iterations_run > newton.iterations_run
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self, monkeypatch):
         inst = so.ProblemInstance(
             a=np.array([[1.0], [1.0]]), b=np.zeros(2), w=np.ones(2),

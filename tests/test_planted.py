@@ -76,18 +76,17 @@ class TestLandscape:
 
     def test_center_cell_matches_direct_evaluation(self):
         grid = so.landscape_grid(self.inst, half_width=0.5, resolution=3)
-        center_cell = grid.values[1][1]
         direct = so.loss_total(self.inst, grid.center)
-        assert center_cell.total == direct.total
+        assert grid.totals()[1, 1] == direct.total
 
     def test_zero_half_width_constant(self):
         grid = so.landscape_grid(self.inst, half_width=0.0, resolution=3)
-        totals = {cell.total for _, _, cell in grid.rows()}
+        totals = set(grid.totals().ravel().tolist())
         assert len(totals) == 1
 
     def test_resolution_two_gives_four_rows(self):
         grid = so.landscape_grid(self.inst, half_width=0.2, resolution=2)
-        assert len(list(grid.rows())) == 4
+        assert grid.totals().size == 4
 
     def test_default_directions_orthonormal(self):
         u, v = so.default_directions(self.inst)
@@ -99,14 +98,9 @@ class TestLandscape:
         u, v = so.default_directions(self.inst)
         fwd = so.landscape_grid(self.inst, dir_u=u, dir_v=v, half_width=0.4, resolution=5)
         rev = so.landscape_grid(self.inst, dir_u=-u, dir_v=-v, half_width=0.4, resolution=5)
-        r = fwd.resolution - 1
-        for i in range(fwd.resolution):
-            for j in range(fwd.resolution):
-                # grid offsets from linspace are not bitwise antisymmetric,
-                # so the evaluation points match only to rounding
-                assert fwd.values[i][j].total == pytest.approx(
-                    rev.values[r - i][r - j].total, rel=1e-12
-                )
+        # grid offsets from linspace are not bitwise antisymmetric, so the
+        # evaluation points match only to rounding
+        assert fwd.totals() == pytest.approx(rev.totals()[::-1, ::-1], rel=1e-12)
 
     def test_requires_two_dims(self):
         narrow = so.ProblemInstance(a=np.ones((3, 1)), b=np.zeros(3), w=np.zeros(3))
@@ -135,10 +129,46 @@ class TestLandscape:
         ]
         grids = [so.landscape_grid(i, half_width=0.3, resolution=3) for i in insts]
         avg = so.average_grids(grids)
-        for i in range(3):
-            for j in range(3):
-                expected = 0.5 * (grids[0].values[i][j].total + grids[1].values[i][j].total)
-                assert avg.values[i][j].total == pytest.approx(expected, rel=1e-15)
+        expected = 0.5 * (grids[0].totals() + grids[1].totals())
+        assert avg.totals() == pytest.approx(expected, rel=1e-15)
+
+    def test_values_are_one_read_only_array(self):
+        grid = so.landscape_grid(self.inst, half_width=0.3, resolution=4)
+        assert grid.values.shape == (4, 4, 3) and grid.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            grid.values[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            so.average_grids([grid, grid]).values[0, 0, 0] = 1.0
+
+    def test_average_of_one_grid_is_that_grid(self):
+        # b = 0 makes every cross-entropy cell -0.0, which a numpy sum turns into 0.0
+        inst = so.ProblemInstance(
+            a=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), b=np.zeros(3), w=np.ones(3)
+        )
+        for grid in (
+            so.landscape_grid(self.inst, half_width=0.3, resolution=3),
+            so.landscape_grid(inst, half_width=0.5, resolution=3),
+        ):
+            assert so.average_grids([grid]).values.tobytes() == grid.values.tobytes()
+            assert so.average_grids([grid]).to_csv() == grid.to_csv()
+
+    def test_average_of_nine_grids_is_cellwise_mean_of_a_list(self):
+        # numpy sums a contiguous axis pairwise from 8 terms on, so only a mean
+        # over the last axis of the stack matches the per-cell list mean
+        grids = [
+            so.landscape_grid(
+                so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=0.5, seed=s))[0],
+                half_width=0.3, resolution=3,
+            )
+            for s in range(30, 39)
+        ]
+        avg = so.average_grids(grids)
+        expected = [
+            [[float(np.mean([g.values[i, j, k] for g in grids])) for k in range(3)]
+             for j in range(3)]
+            for i in range(3)
+        ]
+        assert avg.values.tolist() == expected
 
     def test_average_grids_shape_mismatch(self):
         g1 = so.landscape_grid(self.inst, half_width=0.3, resolution=3)
