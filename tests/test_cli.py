@@ -138,6 +138,19 @@ PINNED_LANDSCAPE_CSV = (
     "0.5,0.5,0.00816783310498856,0.9051825081622894,88.12314059448826,89.03649093575554\n"
 )
 
+# `nce --seed 0 --seeds 2` with default flags, recorded while a batch held its
+# negatives as a tuple of vectors; later versions must stay within rtol 1e-12.
+PINNED_NCE_CSV = (
+    "0,1.4296561486240167,-11.146645297681253\n"
+    "1,1.3437410812324664,-9.890208223590589\n"
+)
+PINNED_NCE_SUMMARY = {
+    "margin": 11.905125375564165,
+    "mean_correlated": 1.3866986149282416,
+    "mean_shuffled": -10.518426760635922,
+    "seeds": 2,
+}
+
 
 class TestLandscape:
     def test_pinned_values(self, capsys):
@@ -238,6 +251,24 @@ class TestVerify:
 
 
 class TestNceCommand:
+    def test_pinned_values(self, tmp_path):
+        csv_path = tmp_path / "bounds.csv"
+        summary_path = tmp_path / "summary.json"
+        code = run(
+            ["nce", "--seed", 0, "--seeds", 2, "--out", csv_path, "--summary", summary_path]
+        )
+        assert code == 0
+        text = csv_path.read_text()
+        assert text.startswith("seed,bound_correlated,bound_shuffled\n")
+        got = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        want = np.loadtxt(io.StringIO(PINNED_NCE_CSV), delimiter=",")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        summary = json.loads(summary_path.read_text())
+        assert set(summary) == set(PINNED_NCE_SUMMARY)
+        assert summary["seeds"] == PINNED_NCE_SUMMARY["seeds"]
+        for key in ("margin", "mean_correlated", "mean_shuffled"):
+            assert summary[key] == pytest.approx(PINNED_NCE_SUMMARY[key], rel=1e-12, abs=0.0)
+
     def test_csv_and_summary(self, tmp_path):
         csv_path = tmp_path / "bounds.csv"
         summary_path = tmp_path / "summary.json"
