@@ -312,18 +312,20 @@ def total_kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 
 
 def hessian_total(state: ModelState, inst: ProblemInstance) -> HessianBundle:
-    """Per-term Hessians and their sum; disabled terms contribute zero."""
+    """Per-term Hessians and the total; disabled terms contribute zero.
+
+    ``h_total`` is the one congruence of ``total_kernel_parts`` that the
+    Newton step factors, equal to the sum of the terms up to rounding.
+    """
     zero = np.zeros((inst.d, inst.d))
-    h_cent = hessian_cent(state, inst) if inst.use_cent else zero
-    h_exp = hessian_exp(state, inst) if inst.use_exp else zero
-    h_reg = hessian_reg(inst)
     return HessianBundle(
-        h_exp=h_exp,
-        h_cent=h_cent,
-        h_reg=h_reg,
-        h_total=h_exp + h_cent + h_reg,
+        h_exp=hessian_exp(state, inst) if inst.use_exp else zero,
+        h_cent=hessian_cent(state, inst) if inst.use_cent else zero,
+        h_reg=hessian_reg(inst),
+        h_total=total_kernel_parts(state, inst).congruence(inst.a),
     )
 
 
 def hessian_total_at(inst: ProblemInstance, x) -> np.ndarray:
-    return hessian_total(make_state(inst, x), inst).h_total
+    """Total Hessian at x: one congruence of ``total_kernel_parts``."""
+    return total_kernel_parts(make_state(inst, x), inst).congruence(inst.a)

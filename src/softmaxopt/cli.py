@@ -158,7 +158,7 @@ def _cmd_verify(args) -> int:
             if cleaned in ("", "none")
             else [tok.strip() for tok in cleaned.split(",") if tok.strip()]
         )
-    results = run_suite(names, args.seed, fault=1e-3 if args.fault_inject else 0.0)
+    results = run_suite(names, args.seed)
     for res in results:
         print(f"{res.name:<12} {'PASS' if res.passed else 'FAIL'}")
     all_passed = all(res.passed for res in results)
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {','.join(CHECK_NAMES)}; 'none' for empty",
     )
     p_verify.add_argument("--out", help="JSON report path")
-    p_verify.add_argument("--fault-inject", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_nce = sub.add_parser("nce", help="correlated-vs-shuffled bound experiment")

@@ -95,8 +95,8 @@ def landscape_grid(
     """Evaluate all loss terms over the grid; directions must be orthonormal."""
     if resolution < 2:
         raise DomainError("resolution must be >= 2")
-    if half_width < 0:
-        raise DomainError("half_width must be >= 0")
+    if not np.isfinite(half_width) or half_width < 0:
+        raise DomainError("half_width must be finite and >= 0")
     if center is None:
         center = inst.x_star if inst.x_star is not None else np.zeros(inst.d)
     center = np.asarray(center, dtype=np.float64)

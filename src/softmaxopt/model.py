@@ -235,16 +235,20 @@ def evaluate_f(u) -> np.ndarray:
     return u / alpha
 
 
-def _log_f_and_f(inst: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
-    """log f and f at x from one max-shift of the logits, finite wherever
-    A @ x is; raises OverflowError where it is not."""
-    z = logits(inst, x)
-    if not np.all(np.isfinite(z)):
-        raise OverflowError("A @ x overflows float64")
+def _log_p_and_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p and p for p = exp(z) / <exp(z), 1>, from one max-shift of a finite z."""
     zs = z - z.max()
     e = np.exp(zs)
     total = e.sum()
     return zs - np.log(total), e / total
+
+
+def _log_f_and_f(inst: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
+    """log f and f at x; raises OverflowError where A @ x is not finite."""
+    z = logits(inst, x)
+    if not np.all(np.isfinite(z)):
+        raise OverflowError("A @ x overflows float64")
+    return _log_p_and_p(z)
 
 
 def softmax(inst: ProblemInstance, x) -> np.ndarray:

@@ -9,11 +9,12 @@ anchor and partner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError, NonFiniteInput, PoolTooSmall
+from .model import _log_p_and_p
 
 MI_KINDS = ("head", "representation")
 
@@ -34,17 +35,21 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class NceBatch:
-    """One anchor, its positive partner, K-1 negatives and the bilinear weight."""
+    """One anchor, K candidate partners and the bilinear weight.
+
+    The partners are held as one K x q array ``candidates`` with the positive
+    in row 0; ``positive`` and ``negatives`` (given as vectors or as a 2-D
+    array) are views of its rows."""
 
     anchor: np.ndarray
     positive: np.ndarray
-    negatives: tuple
+    negatives: np.ndarray
     weight: np.ndarray
+    candidates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         anchor = np.asarray(self.anchor, dtype=np.float64)
         positive = np.asarray(self.positive, dtype=np.float64)
-        negatives = tuple(np.asarray(v, dtype=np.float64) for v in self.negatives)
         weight = np.asarray(self.weight, dtype=np.float64)
         if anchor.ndim != 1 or positive.ndim != 1 or weight.ndim != 2:
             raise DimensionMismatch("anchor/positive must be vectors, weight a matrix")
@@ -52,28 +57,21 @@ class NceBatch:
             raise DimensionMismatch(
                 f"weight must be {anchor.size}x{positive.size}, got {weight.shape}"
             )
-        for v in negatives:
-            if v.shape != positive.shape:
-                raise DimensionMismatch("all candidates must share the positive's length")
-        if not (
-            np.all(np.isfinite(anchor))
-            and np.all(np.isfinite(positive))
-            and np.all(np.isfinite(weight))
-            and all(np.all(np.isfinite(v)) for v in negatives)
-        ):
+        try:
+            candidates = np.array([positive, *self.negatives], dtype=np.float64)
+        except ValueError as exc:
+            raise DimensionMismatch("all candidates must share the positive's length") from exc
+        if not all(np.isfinite(arr).all() for arr in (anchor, candidates, weight)):
             raise NonFiniteInput("batch contains NaN or Inf")
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "negatives", negatives)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "positive", candidates[0])
+        object.__setattr__(self, "negatives", candidates[1:])
         object.__setattr__(self, "weight", weight)
 
     @property
     def k(self) -> int:
-        return 1 + len(self.negatives)
-
-    def candidates(self) -> np.ndarray:
-        """K x q array with the positive in row 0."""
-        return np.vstack([self.positive, *self.negatives]) if self.negatives else self.positive[None, :]
+        return len(self.candidates)
 
 
 def bilinear_score(anchor, partner, weight) -> float:
@@ -88,20 +86,14 @@ def bilinear_score(anchor, partner, weight) -> float:
     return float(anchor @ weight @ partner)
 
 
-def batch_scores(batch: NceBatch) -> np.ndarray:
-    """Scores of all K candidates against the anchor, positive first."""
-    return batch.candidates() @ (batch.weight.T @ batch.anchor)
-
-
 def nce_loss(batch: NceBatch) -> float:
     """Log-softmax of the positive's score over all K candidate scores.
 
     Always <= 0; computed with max-subtraction so large scores do not
     overflow.
     """
-    s = batch_scores(batch)
-    m = s.max()
-    return float(s[0] - m - np.log(np.exp(s - m).sum()))
+    log_p, _ = _log_p_and_p(batch.candidates @ (batch.weight.T @ batch.anchor))
+    return float(log_p[0])
 
 
 def mi_lower_bound(batch: NceBatch, kind: str) -> float:
@@ -127,12 +119,8 @@ def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
     grad_W = anchor (q_1 - sum_k sigma_k q_k)^T and
     grad_anchor = W (q_1 - sum_k sigma_k q_k).
     """
-    s = batch_scores(batch)
-    m = s.max()
-    e = np.exp(s - m)
-    sigma = e / e.sum()
-    cands = batch.candidates()
-    diff = cands[0] - sigma @ cands
+    _, sigma = _log_p_and_p(batch.candidates @ (batch.weight.T @ batch.anchor))
+    diff = batch.positive - sigma @ batch.candidates
     return np.outer(batch.anchor, diff), batch.weight @ diff
 
 
@@ -181,6 +169,14 @@ def paired_vs_shuffled_bounds(
     """
     if k < 1 or k > pool_size:
         raise DomainError("need 1 <= k <= pool_size")
+    if dim_anchor < 1 or dim_partner < 1:
+        raise DomainError("dim_anchor and dim_partner must be >= 1")
+    if epochs < 0:
+        raise DomainError("epochs must be >= 0")
+    if not np.isfinite(learning_rate) or learning_rate <= 0:
+        raise DomainError("learning_rate must be finite and > 0")
+    if not np.isfinite(noise) or noise < 0:
+        raise DomainError("noise must be finite and >= 0")
     mix = np.random.default_rng(_MIX_SEED).standard_normal((dim_partner, dim_anchor))
     mix /= np.sqrt(dim_anchor)
     rng = np.random.default_rng(seed)
@@ -206,7 +202,6 @@ def paired_vs_shuffled_bounds(
     return bounds[0], bounds[1]
 
 
-def _draw_negatives(rng, partners, positive_index: int, count: int) -> tuple:
+def _draw_negatives(rng, partners, positive_index: int, count: int) -> np.ndarray:
     others = np.delete(np.arange(len(partners)), positive_index)
-    idx = rng.choice(others, size=count, replace=False)
-    return tuple(partners[j] for j in idx)
+    return partners[rng.choice(others, size=count, replace=False)]

@@ -334,9 +334,9 @@ class TestHessians:
         inst, x = random_instance(45)
         state = so.make_state(inst, x)
         bundle = so.hessian_total(state, inst)
-        np.testing.assert_array_equal(
-            bundle.h_total, bundle.h_exp + bundle.h_cent + bundle.h_reg
-        )
+        # h_total is one congruence of the combined kernel, so it equals the
+        # per-term sum up to rounding, not bit for bit.
+        assert so.rel_err(bundle.h_total, bundle.h_exp + bundle.h_cent + bundle.h_reg) <= 1e-12
         for mat in (bundle.h_exp, bundle.h_cent, bundle.h_reg, bundle.h_total):
             scale = max(np.linalg.norm(mat, 2), 1e-300)
             assert np.linalg.norm(mat - mat.T, 2) <= 1e-12 * scale

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import softmaxopt as so
+from softmaxopt import suite
 from softmaxopt.cli import main
+from softmaxopt.exceptions import DomainError
 
 
 def run(args):
@@ -234,8 +236,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "gradients" in out and "sandwich" in out and "psd" not in out
 
-    def test_fault_injection_fails(self, capsys):
-        assert run(["verify", "--seed", 0, "--checks", "gradients", "--fault-inject"]) == 1
+    def test_fault_injection_fails(self, capsys, monkeypatch):
+        exact = suite.grad_exp
+        monkeypatch.setattr(suite, "grad_exp", lambda state, inst: exact(state, inst) + 1e-3)
+        assert run(["verify", "--seed", 0, "--checks", "gradients"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_unknown_check_is_error(self, capsys):
@@ -306,6 +310,30 @@ class TestNceCommand:
             )
             blobs.append(csv_path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--learning-rate", "nan"),
+            ("--learning-rate", "inf"),
+            ("--learning-rate", "0"),
+            ("--learning-rate", "-0.2"),
+            ("--epochs", "-1"),
+            ("--dim-anchor", "0"),
+            ("--dim-partner", "0"),
+        ],
+    )
+    def test_bad_parameter_is_named_error(self, tmp_path, capsys, flag, value):
+        summary = tmp_path / "s.json"
+        assert run(["nce", "--seeds", 1, flag, value, "--summary", summary]) == 1
+        err = capsys.readouterr().err
+        assert "DomainError" in err and flag[2:].replace("-", "_") in err
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_is_named_error(self, noise):
+        with pytest.raises(DomainError, match="noise"):
+            so.paired_vs_shuffled_bounds(0, noise=noise)
 
     def test_zero_seeds_is_error(self, tmp_path, capsys):
         summary = tmp_path / "s.json"

@@ -118,6 +118,12 @@ class TestLandscape:
         with pytest.raises(DomainError):
             so.landscape_grid(self.inst, dir_u=2 * u, dir_v=v, half_width=0.1, resolution=2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("half_width", [-0.1, np.inf, np.nan])
+    def test_rejects_bad_half_width(self, half_width):
+        with pytest.raises(DomainError, match="half_width"):
+            so.landscape_grid(self.inst, half_width=half_width, resolution=3)
+
     def test_center_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             so.landscape_grid(self.inst, center=np.zeros(7), resolution=2)
