@@ -43,6 +43,7 @@ from .model import (
     loss_cent,
     loss_exp,
     loss_reg,
+    loss_terms,
     loss_total,
     make_state,
     residual_exponential,

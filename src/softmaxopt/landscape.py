@@ -2,7 +2,9 @@
 
 The plane is spanned by two orthonormal directions, by default the top two
 right singular vectors of A, evaluated on a square grid of offsets around a
-center point.
+center point.  The logits are affine in the offsets, so a grid takes four
+matrix-vector products, ``A c``, ``A (c - x_ref)``, ``A du`` and ``A dv``, and
+is then evaluated one row of cells (one ``u`` offset) at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError
-from .model import ProblemInstance, loss_total
+from .model import ProblemInstance, _log_p_and_p, _require_finite, loss_terms
 
 _ORTHO_TOL = 1e-12
 
@@ -38,21 +40,20 @@ class LandscapeGrid:
         """Sum of the three loss terms per cell, added in (l_exp, l_cent, l_reg) order."""
         return self.values.sum(axis=-1)
 
-    def to_csv(self) -> str:
+    def _csv_blocks(self):
+        """The CSV header, then the lines of one ``u`` row of cells per block."""
+        yield "u,v,l_exp,l_cent,l_reg,total\n"
         offs = self.offsets()
-        table = np.column_stack([
-            np.repeat(offs, self.resolution),
-            np.tile(offs, self.resolution),
-            self.values.reshape(-1, 3),
-            self.totals().reshape(-1),
-        ])
-        lines = ["u,v,l_exp,l_cent,l_reg,total"]
-        lines += [",".join(map(repr, row)) for row in table.tolist()]
-        return "\n".join(lines) + "\n"
+        for u, row in zip(offs, self.values):
+            table = np.column_stack([np.full_like(offs, u), offs, row, row.sum(axis=-1)])
+            yield "".join(",".join(map(repr, line)) + "\n" for line in table.tolist())
+
+    def to_csv(self) -> str:
+        return "".join(self._csv_blocks())
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+            fh.writelines(self._csv_blocks())
 
 
 def average_grids(grids) -> LandscapeGrid:
@@ -92,7 +93,14 @@ def landscape_grid(
     half_width: float = 1.0,
     resolution: int = 21,
 ) -> LandscapeGrid:
-    """Evaluate all loss terms over the grid; directions must be orthonormal."""
+    """Evaluate all loss terms over the grid; directions must be orthonormal.
+
+    Cell (i, j) sits at ``center + u_i dir_u + v_j dir_v`` and its logits are
+    ``(A c + u_i A dir_u) + v_j A dir_v``, so the center cell equals
+    ``loss_total(inst, center)`` bitwise and the others agree with it to
+    rounding.  Raises ``OverflowError`` at the first row of cells whose logits,
+    loss terms or totals are not finite.
+    """
     if resolution < 2:
         raise DomainError("resolution must be >= 2")
     if not np.isfinite(half_width) or half_width < 0:
@@ -102,6 +110,7 @@ def landscape_grid(
     center = np.asarray(center, dtype=np.float64)
     if center.shape != (inst.d,):
         raise DimensionMismatch(f"center must have length {inst.d}")
+    _require_finite(center, "center")
     if dir_u is None or dir_v is None:
         if dir_u is not None or dir_v is not None:
             raise DomainError("supply both directions or neither")
@@ -111,19 +120,36 @@ def landscape_grid(
     for name, vec in (("dir_u", dir_u), ("dir_v", dir_v)):
         if vec.shape != (inst.d,):
             raise DimensionMismatch(f"{name} must have length {inst.d}")
+        _require_finite(vec, name)
         if abs(np.linalg.norm(vec) - 1.0) > _ORTHO_TOL:
             raise DomainError(f"{name} must have unit norm")
     if abs(float(dir_u @ dir_v)) > _ORTHO_TOL:
         raise DomainError("directions must be orthogonal")
 
     offs = np.linspace(-half_width, half_width, resolution)
-    cells = [loss_total(inst, center + u * dir_u + v * dir_v) for u in offs for v in offs]
-    values = np.array([(c.l_exp, c.l_cent, c.l_reg) for c in cells], dtype=np.float64)
+    values = np.empty((resolution, resolution, 3))
+    # inf - inf and 0 * inf only arise where a value has overflowed, which the
+    # finite checks below report as one OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_c = inst.a @ center
+        r_c = inst.a @ (center - inst.reg_center())
+        a_u = inst.a @ dir_u
+        v_a_v = offs[:, None] * (inst.a @ dir_v)  # (resolution, n), the same for every row
+        for i, u in enumerate(offs.tolist()):
+            z = (z_c + u * a_u) + v_a_v
+            z_reg = (r_c + u * a_u) + v_a_v
+            if not (np.isfinite(z).all() and np.isfinite(z_reg).all()):
+                raise OverflowError(f"logits overflow float64 in grid row u={u!r}")
+            for k, term in enumerate(loss_terms(inst, *_log_p_and_p(z), z_reg)):
+                values[i, :, k] = term
+            # the terms are >= 0, so a finite row total means finite terms
+            if not np.isfinite(values[i].sum(axis=-1)).all():
+                raise OverflowError(f"loss terms overflow float64 in grid row u={u!r}")
     return LandscapeGrid(
         center=center,
         dir_u=dir_u,
         dir_v=dir_v,
         half_width=float(half_width),
         resolution=int(resolution),
-        values=values.reshape(resolution, resolution, 3),
+        values=values,
     )

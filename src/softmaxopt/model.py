@@ -39,7 +39,7 @@ def _vector(v, name: str) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf")
 
 
@@ -236,17 +236,23 @@ def evaluate_f(u) -> np.ndarray:
 
 
 def _log_p_and_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log p and p for p = exp(z) / <exp(z), 1>, from one max-shift of a finite z."""
-    zs = z - z.max()
-    e = np.exp(zs)
-    total = e.sum()
-    return zs - np.log(total), e / total
+    """log p and p for p = exp(z) / <exp(z), 1>, from one max-shift of a finite z.
+
+    Each row along the last axis is one softmax; a row of a 2-D ``z`` gives
+    bitwise the values of that row passed alone.
+    """
+    log_p = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(log_p)
+    total = p.sum(axis=-1, keepdims=True)
+    log_p -= np.log(total)
+    p /= total
+    return log_p, p
 
 
 def _log_f_and_f(inst: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
     """log f and f at x; raises OverflowError where A @ x is not finite."""
     z = logits(inst, x)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise OverflowError("A @ x overflows float64")
     return _log_p_and_p(z)
 
@@ -301,6 +307,36 @@ def loss_reg(inst: ProblemInstance, x) -> float:
     return 0.5 * float(wz @ wz)
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> per row along the last axis.
+
+    A stack of rows goes through one matmul of (1, n) by (n, 1) blocks, which
+    takes the same vector dot as ``x @ y`` on each row, so a row of a 2-D
+    ``x`` gives bitwise ``x_row @ y_row``; a gemv over the rows, or a sum of
+    the elementwise product, rounds differently.  One row skips the stacking.
+    """
+    if x.ndim == 1:
+        return x @ y
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def loss_terms(inst: ProblemInstance, log_f, f, z_reg):
+    """``(l_exp, l_cent, l_reg)`` per row of ``log f``, ``f`` and ``z_reg = A (x - x_ref)``.
+
+    One state gives three scalars and an ``(m, n)`` block three length-m
+    arrays, each row bitwise the value of that row alone.  A disabled term
+    is ``0.0``.
+    """
+    l_exp = l_cent = 0.0
+    if inst.use_exp:
+        r = f - inst.b
+        l_exp = 0.5 * _row_dot(r, r)
+    if inst.use_cent:
+        l_cent = -_row_dot(log_f, inst.b)
+    wz = inst.w * z_reg
+    return l_exp, l_cent, 0.5 * _row_dot(wz, wz)
+
+
 @dataclass(frozen=True)
 class LossBreakdown:
     """Values of the three loss terms and their sum at one point."""
@@ -316,10 +352,11 @@ class LossBreakdown:
 
 
 def state_losses(inst: ProblemInstance, state: ModelState) -> LossBreakdown:
-    """All loss terms at an evaluated state; disabled terms contribute 0."""
-    l_exp = loss_exp(state.f, inst.b) if inst.use_exp else 0.0
-    l_cent = -float(inst.b @ state.log_f) if inst.use_cent else 0.0
-    return LossBreakdown(l_exp=l_exp, l_cent=l_cent, l_reg=loss_reg(inst, state.x))
+    """All loss terms at an evaluated state, the one-row case of ``loss_terms``."""
+    l_exp, l_cent, l_reg = loss_terms(
+        inst, state.log_f, state.f, inst.a @ (state.x - inst.reg_center())
+    )
+    return LossBreakdown(l_exp=float(l_exp), l_cent=float(l_cent), l_reg=float(l_reg))
 
 
 def loss_total(inst: ProblemInstance, x) -> LossBreakdown:

@@ -33,7 +33,7 @@ class ObjectiveWeights:
                 raise DomainError(f"{name} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NceBatch:
     """One anchor, K candidate partners and the bilinear weight.
 
@@ -203,5 +203,7 @@ def paired_vs_shuffled_bounds(
 
 
 def _draw_negatives(rng, partners, positive_index: int, count: int) -> np.ndarray:
-    others = np.delete(np.arange(len(partners)), positive_index)
-    return partners[rng.choice(others, size=count, replace=False)]
+    # a draw of positions among the other len - 1 rows takes the same random
+    # stream as a draw from the array of their indices; skip the positive
+    idx = rng.choice(len(partners) - 1, size=count, replace=False)
+    return partners[idx + (idx >= positive_index)]

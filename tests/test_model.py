@@ -163,6 +163,49 @@ class TestLossTotal:
         assert lb.total == lb.l_exp + lb.l_cent + lb.l_reg
 
 
+class TestBatchedLossTerms:
+    """``loss_terms`` on a stack of states against one state at a time."""
+
+    @staticmethod
+    def _stack(inst, seed, m=7):
+        xs = np.random.default_rng(seed).standard_normal((m, inst.d))
+        z = np.array([inst.a @ x for x in xs])
+        z_reg = np.array([inst.a @ (x - inst.reg_center()) for x in xs])
+        return xs, z, z_reg
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_match_single_states_bitwise(self, seed):
+        inst, _ = random_instance(seed)
+        inst = dataclasses.replace(inst, use_exp=seed % 3 != 1, use_cent=seed % 3 != 2)
+        xs, z, z_reg = self._stack(inst, seed)
+        log_f, f = so.model._log_p_and_p(z)
+        terms = so.loss_terms(inst, log_f, f, z_reg)
+        for j, x in enumerate(xs):
+            state = so.make_state(inst, x)
+            assert log_f[j].tobytes() == state.log_f.tobytes()
+            assert f[j].tobytes() == state.f.tobytes()
+            lb = so.model.state_losses(inst, state)
+            got = [float(np.broadcast_to(t, (len(xs),))[j]) for t in terms]
+            assert got == [lb.l_exp, lb.l_cent, lb.l_reg]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_state_keeps_the_vector_dot(self, seed):
+        # trace losses stay byte-stable only while one state reduces by x @ y
+        inst, x = random_instance(seed)
+        state = so.make_state(inst, x)
+        lb = so.model.state_losses(inst, state)
+        assert lb.l_exp == so.loss_exp(state.f, inst.b)
+        assert lb.l_cent == -float(inst.b @ state.log_f)
+        assert lb.l_reg == so.loss_reg(inst, x)
+
+    def test_disabled_terms_are_zero(self):
+        inst, x = random_instance(5)
+        inst = dataclasses.replace(inst, use_exp=False, use_cent=False)
+        state = so.make_state(inst, x)
+        l_exp, l_cent, _ = so.loss_terms(inst, state.log_f, state.f, inst.a @ x)
+        assert l_exp == 0.0 and l_cent == 0.0
+
+
 class TestResiduals:
     def test_linear_exact_fit(self):
         inst = simple_instance(np.eye(2), b=[1.0, 1.0], use_cent=False)

@@ -235,6 +235,29 @@ class TestSampleNegatives:
             so.sample_negatives([np.zeros(1)], 2, seed=0)
 
 
+class TestNegativeDraw:
+    @pytest.mark.parametrize("pool_size", [1, 2, 5, 96])
+    def test_same_stream_as_a_draw_from_the_other_indices(self, pool_size):
+        partners = np.arange(float(pool_size))[:, None]
+        for seed in range(20):
+            rng = np.random.default_rng([pool_size, seed])
+            ref = np.random.default_rng([pool_size, seed])
+            for i in range(pool_size):
+                count = (i * 7 + seed) % pool_size  # 0 .. pool_size - 1
+                got = so.nce._draw_negatives(rng, partners, i, count)
+                others = np.delete(np.arange(pool_size), i)
+                want = partners[ref.choice(others, size=count, replace=False)]
+                assert np.array_equal(got, want)
+                assert i not in got
+
+
+class TestBatchEquality:
+    def test_comparing_batches_does_not_raise(self):
+        a, b = random_batch(3), random_batch(3)
+        assert a == a
+        assert a != b
+
+
 class TestPairedExperiment:
     def test_correlated_beats_shuffled(self):
         margins = []

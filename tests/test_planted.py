@@ -1,10 +1,17 @@
 """Planted-instance generator and landscape grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import softmaxopt as so
-from softmaxopt.exceptions import DimensionMismatch, DomainError, GenerationFailure
+from softmaxopt.exceptions import (
+    DimensionMismatch,
+    DomainError,
+    GenerationFailure,
+    NonFiniteInput,
+)
 
 
 class TestGeneratorSpec:
@@ -192,3 +199,91 @@ class TestLandscape:
         u, v, l_exp, l_cent, l_reg, total = (float(tok) for tok in lines[1].split(","))
         assert (u, v) == (-0.3, -0.3)
         assert total == l_exp + l_cent + l_reg
+
+
+def planted(n, d, seed=0):
+    return so.generate_planted(so.GeneratorSpec(n=n, d=d, ridge_l=0.5, seed=seed))[0]
+
+
+class TestBatchedLandscape:
+    """The batched grid against one ``loss_total`` call per cell."""
+
+    @staticmethod
+    def check_against_cells(inst, grid):
+        def cell(u, v):
+            lb = so.loss_total(inst, grid.center + u * grid.dir_u + v * grid.dir_v)
+            return lb.l_exp, lb.l_cent, lb.l_reg
+
+        offs = grid.offsets()
+        want = np.array([[cell(u, v) for v in offs] for u in offs])
+        np.testing.assert_allclose(grid.values, want, rtol=1e-12, atol=0.0)
+        mid = grid.resolution // 2
+        assert offs[mid] == 0.0
+        direct = so.loss_total(inst, grid.center)
+        assert grid.values[mid, mid].tolist() == [direct.l_exp, direct.l_cent, direct.l_reg]
+        assert grid.totals()[mid, mid] == direct.total
+
+    @pytest.mark.parametrize("n, d, resolution", [(8, 3, 7), (20, 5, 9), (1000, 20, 5)])
+    def test_planted_sizes(self, n, d, resolution):
+        inst = planted(n, d)
+        self.check_against_cells(inst, so.landscape_grid(inst, resolution=resolution))
+
+    @pytest.mark.parametrize("term", ["use_exp", "use_cent"])
+    def test_disabled_term(self, term):
+        inst = dataclasses.replace(planted(20, 5, seed=1), **{term: False})
+        grid = so.landscape_grid(inst, half_width=0.6, resolution=7)
+        self.check_against_cells(inst, grid)
+        assert not grid.values[..., 0 if term == "use_exp" else 1].any()
+
+    def test_paper_ridge_around_random_center(self):
+        inst = dataclasses.replace(planted(20, 5, seed=2), reg_mode="paper")
+        center = np.random.default_rng(2).standard_normal(5)
+        grid = so.landscape_grid(inst, center=center, half_width=0.8, resolution=7)
+        self.check_against_cells(inst, grid)
+        assert (grid.values[..., 2] > 0.0).all()
+
+    def test_user_directions(self):
+        inst = planted(20, 5, seed=3)
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 2)))
+        grid = so.landscape_grid(inst, dir_u=q[:, 0], dir_v=q[:, 1], half_width=0.5, resolution=5)
+        self.check_against_cells(inst, grid)
+
+    def test_zero_half_width_is_the_center_everywhere(self):
+        inst = planted(20, 5, seed=4)
+        grid = so.landscape_grid(inst, half_width=0.0, resolution=5)
+        self.check_against_cells(inst, grid)
+        assert (grid.values == grid.values[2, 2]).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_a_typed_error(self):
+        inst = planted(20, 5)
+        with pytest.raises(OverflowError, match="row u="):
+            so.landscape_grid(inst, half_width=1e300, resolution=5)
+        with pytest.raises(OverflowError, match="logits"):
+            so.landscape_grid(inst, center=np.full(5, 1e308), resolution=3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["center", "dir_u"])
+    def test_non_finite_input_is_named(self, name):
+        inst = planted(20, 5)
+        u, v = so.default_directions(inst)
+        args = {"center": np.zeros(5), "dir_u": u, "dir_v": v}
+        args[name] = np.array([0.0, np.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(NonFiniteInput, match=name):
+            so.landscape_grid(inst, **args)
+
+    def test_csv_blocks_match_whole_table_format(self, tmp_path):
+        grid = so.landscape_grid(planted(8, 3), half_width=0.4, resolution=6)
+        offs = grid.offsets()
+        table = np.column_stack([
+            np.repeat(offs, grid.resolution),
+            np.tile(offs, grid.resolution),
+            grid.values.reshape(-1, 3),
+            grid.totals().reshape(-1),
+        ])
+        lines = ["u,v,l_exp,l_cent,l_reg,total"]
+        lines += [",".join(map(repr, row)) for row in table.tolist()]
+        want = "\n".join(lines) + "\n"
+        assert grid.to_csv() == want
+        grid.write_csv(tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == want.encode()
