@@ -37,6 +37,15 @@ class TestGen:
         ref, _ = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=9))
         assert np.array_equal(inst.a, ref.a)
 
+    def test_pinned_values(self, capsys):
+        assert run(["gen", "--n", 20, "--d", 5, "--seed", 0]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["n"], data["d"], data["reg_mode"]) == (20, 5, "centered")
+        np.testing.assert_allclose(data["x_star"], PINNED_GEN["x_star"], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(data["A"][:5], PINNED_GEN["a_row_0"], rtol=1e-12, atol=0.0)
+        for key in ("b", "w"):
+            assert sum(data[key]) == pytest.approx(PINNED_GEN[f"{key}_sum"], rel=1e-12, abs=0.0)
+
 
 class TestSolve:
     def test_planted_roundtrip_converges(self, tmp_path):
@@ -108,6 +117,30 @@ class TestSolve:
             outs.append((trace.read_bytes(), summary.read_bytes()))
         assert outs[0] == outs[1]
 
+
+# `gen --n 20 --d 5 --seed 0`: the planted optimum, the first row of A and the
+# sums of b and w; later versions must stay within rtol 1e-12.
+PINNED_GEN = {
+    "x_star": [-0.8093129156278109, -1.49632408370849, 0.2718196260930174,
+               -0.5979540770129691, -1.0830645562014691],
+    "a_row_0": [-0.13538399477079927, -0.03026917478335956, -0.1850554886001589,
+                -0.06706749563154243, 0.21700120835768247],
+    "b_sum": 1.0000000000000002,
+    "w_sum": 100.9709916068868,
+}
+
+# Figures of the `verify --seed 0 --out` report, pinned exactly: the report is
+# byte-reproducible, and the finite-difference oracles must keep every bit of
+# the values they compare.
+PINNED_VERIFY = {
+    "max_rel_err": 6.414041520130809e-10,
+    "max_rel_err_fd": 3.1014835871062685e-07,
+    "max_rel_err_entry_formula": 2.220446049250313e-16,
+    "psd_eigmins": [12.340468029496199, 12.338944796812081, 12.333634454209843,
+                    8.353978441192114, 8.354961147717903, 8.352443262502458,
+                    20.21171580315886, 20.212052430637957, 20.20924551126788],
+    "max_spread": 1.003707821388007,
+}
 
 # `landscape --n 8 --d 3 --seed 3 --half-width 0.5 --resolution 5`, recorded
 # while cross entropy took the log of the normalised f; the log-space
@@ -244,6 +277,17 @@ class TestVerify:
 
     def test_unknown_check_is_error(self, capsys):
         assert run(["verify", "--checks", "nonsense"]) == 1
+
+    def test_pinned_report_figures(self, tmp_path):
+        report = tmp_path / "report.json"
+        assert run(["verify", "--seed", 0, "--out", report]) == 0
+        checks = {c["name"]: c["detail"] for c in json.loads(report.read_text())["checks"]}
+        assert checks["gradients"]["max_rel_err"] == PINNED_VERIFY["max_rel_err"]
+        for key in ("max_rel_err_fd", "max_rel_err_entry_formula"):
+            assert checks["hessians"][key] == PINNED_VERIFY[key]
+        eigmins = [r["eigmin"] for r in checks["psd"]["reports"]]
+        assert eigmins == PINNED_VERIFY["psd_eigmins"]
+        assert checks["lipschitz"]["max_spread"] == PINNED_VERIFY["max_spread"]
 
     def test_byte_reproducible(self, tmp_path):
         blobs = []
