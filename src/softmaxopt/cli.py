@@ -140,11 +140,7 @@ def _cmd_landscape(args) -> int:
         landscape_grid(inst, center=center, half_width=args.half_width, resolution=args.resolution)
         for inst in insts
     ]
-    grid = average_grids(grids)
-    if args.out:
-        grid.write_csv(args.out)
-    else:
-        sys.stdout.write(grid.to_csv())
+    average_grids(grids).write_csv(args.out or sys.stdout)
     return EXIT_OK
 
 

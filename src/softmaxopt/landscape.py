@@ -51,8 +51,12 @@ class LandscapeGrid:
     def to_csv(self) -> str:
         return "".join(self._csv_blocks())
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def write_csv(self, dest) -> None:
+        """Write the CSV to a path or an open text stream, one row of cells at a time."""
+        if hasattr(dest, "write"):
+            dest.writelines(self._csv_blocks())
+            return
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(self._csv_blocks())
 
 

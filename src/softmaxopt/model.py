@@ -14,6 +14,12 @@ Three loss terms are evaluated on top of that:
 ``x_ref`` is zero for ordinary instances; planted instances recenter the
 ridge term at their known optimum (``reg_mode == "centered"``) so the total
 gradient vanishes there exactly.
+
+``logits``, ``softmax``, ``log_softmax``, ``make_state``, the ``loss_*``
+functions and ``state_losses`` also take a stack of points along the leading
+axis, ``x`` of shape ``(m, d)`` or ``f`` of shape ``(m, n)``, and return one
+row (or one value) per point, each bitwise the value of that point alone.
+The residual norms take one point.
 """
 
 from __future__ import annotations
@@ -41,6 +47,32 @@ def _vector(v, name: str) -> np.ndarray:
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf")
+
+
+def _rows(arr, length: int, name: str) -> np.ndarray:
+    """One vector of ``length`` entries, or a stack of them along the leading axis."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise DimensionMismatch(f"{name} must be 1-d or 2-d, got shape {arr.shape}")
+    if arr.shape[-1] != length:
+        raise DimensionMismatch(f"{name} must have length {length}, got {arr.shape}")
+    return arr
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for one vector, one row per vector for a stack.
+
+    A stack goes through one broadcast matmul of ``a`` by (d, 1) blocks, which
+    gives bitwise ``a @ x_row`` on each row; ``x @ a.T`` rounds differently.
+    """
+    if x.ndim == 1:
+        return a @ x
+    return (a @ x[..., None])[..., 0]
+
+
+def _scalar_or_rows(value):
+    """A Python float for one point, the per-row array for a stack."""
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def hadamard(x, y) -> np.ndarray:
@@ -180,7 +212,10 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class ModelState:
-    """Cached per-point quantities: ``x``, ``log f`` and ``f``."""
+    """Cached per-point quantities: ``x``, ``log f`` and ``f``.
+
+    A state of a stack of points holds one row per point in each field.
+    """
 
     x: np.ndarray
     log_f: np.ndarray
@@ -188,12 +223,10 @@ class ModelState:
 
 
 def logits(inst: ProblemInstance, x) -> np.ndarray:
-    """A @ x with input validation."""
-    x = _vector(x, "x")
-    if x.shape != (inst.d,):
-        raise DimensionMismatch(f"x must have length {inst.d}, got {x.shape}")
+    """A @ x with input validation; one row of logits per point of a stack."""
+    x = _rows(x, inst.d, "x")
     _require_finite(x, "x")
-    return inst.a @ x
+    return _matvec(inst.a, x)
 
 
 def evaluate_u(inst: ProblemInstance, x) -> np.ndarray:
@@ -258,7 +291,7 @@ def _log_f_and_f(inst: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax(inst: ProblemInstance, x) -> np.ndarray:
-    """Prediction vector f, computed with max-subtraction."""
+    """Prediction vector f (one per point of a stack), computed with max-subtraction."""
     return _log_f_and_f(inst, x)[1]
 
 
@@ -268,43 +301,46 @@ def log_softmax(inst: ProblemInstance, x) -> np.ndarray:
 
 
 def make_state(inst: ProblemInstance, x) -> ModelState:
-    """Evaluate and cache log f and f at one parameter vector."""
-    x = _vector(x, "x").copy()
+    """Evaluate and cache log f and f at one parameter vector or a stack of them.
+
+    Raises ``OverflowError`` where any point's logits are not finite, as that
+    point alone would.
+    """
+    x = np.array(x, dtype=np.float64)  # a private copy, checked by logits
     log_f, f = _log_f_and_f(inst, x)
     for arr in (x, log_f, f):
         arr.setflags(write=False)
     return ModelState(x=x, log_f=log_f, f=f)
 
 
-def loss_exp(f, b) -> float:
-    """Squared-residual term 0.5 * ||f - b||^2."""
-    f = _vector(f, "f")
+def _f_and_b(f, b, name: str) -> tuple[np.ndarray, np.ndarray]:
     b = _vector(b, "b")
-    if f.shape != b.shape:
-        raise DimensionMismatch(f"loss_exp: {f.shape} vs {b.shape}")
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim not in (1, 2) or f.shape[-1:] != b.shape:
+        raise DimensionMismatch(f"{name}: {f.shape} vs {b.shape}")
+    return f, b
+
+
+def loss_exp(f, b):
+    """Squared-residual term 0.5 * ||f - b||^2, one value per row of a stack."""
+    f, b = _f_and_b(f, b, "loss_exp")
     r = f - b
-    return 0.5 * float(r @ r)
+    return _scalar_or_rows(0.5 * _row_dot(r, r))
 
 
-def loss_cent(f, b) -> float:
-    """Cross-entropy term -<b, log f>; requires strictly positive f."""
-    f = _vector(f, "f")
-    b = _vector(b, "b")
-    if f.shape != b.shape:
-        raise DimensionMismatch(f"loss_cent: {f.shape} vs {b.shape}")
+def loss_cent(f, b):
+    """Cross-entropy term -<b, log f>, one value per row; requires strictly positive f."""
+    f, b = _f_and_b(f, b, "loss_cent")
     if np.any(f <= 0.0):
         raise DomainError("loss_cent needs strictly positive f")
-    return -float(b @ np.log(f))
+    return _scalar_or_rows(-_row_dot(np.log(f), b))
 
 
-def loss_reg(inst: ProblemInstance, x) -> float:
-    """Ridge term 0.5 * ||W A (x - x_ref)||^2 with W = diag(w)."""
-    x = _vector(x, "x")
-    if x.shape != (inst.d,):
-        raise DimensionMismatch(f"x must have length {inst.d}")
-    z = inst.a @ (x - inst.reg_center())
-    wz = inst.w * z
-    return 0.5 * float(wz @ wz)
+def loss_reg(inst: ProblemInstance, x):
+    """Ridge term 0.5 * ||W A (x - x_ref)||^2 with W = diag(w), one value per point."""
+    x = _rows(x, inst.d, "x")
+    wz = inst.w * _matvec(inst.a, x - inst.reg_center())
+    return _scalar_or_rows(0.5 * _row_dot(wz, wz))
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -352,34 +388,45 @@ class LossBreakdown:
 
 
 def state_losses(inst: ProblemInstance, state: ModelState) -> LossBreakdown:
-    """All loss terms at an evaluated state, the one-row case of ``loss_terms``."""
-    l_exp, l_cent, l_reg = loss_terms(
-        inst, state.log_f, state.f, inst.a @ (state.x - inst.reg_center())
+    """All loss terms at an evaluated state, through ``loss_terms``.
+
+    One point gives floats; a stacked state gives one length-m array per
+    field, a disabled term included.
+    """
+    terms = loss_terms(
+        inst, state.log_f, state.f, _matvec(inst.a, state.x - inst.reg_center())
     )
-    return LossBreakdown(l_exp=float(l_exp), l_cent=float(l_cent), l_reg=float(l_reg))
+    if state.x.ndim == 1:
+        return LossBreakdown(*map(float, terms))
+    rows = state.x.shape[0]
+    return LossBreakdown(*(np.broadcast_to(t, (rows,)) for t in terms))
 
 
 def loss_total(inst: ProblemInstance, x) -> LossBreakdown:
-    """All loss terms from one shared state; disabled terms contribute 0."""
+    """All loss terms from one shared state (per point of a stack); disabled terms contribute 0."""
     return state_losses(inst, make_state(inst, x))
 
 
 def residual_linear(inst: ProblemInstance, x) -> float:
     """||A x - b||_2."""
+    x = _vector(x, "x")
     return float(np.linalg.norm(logits(inst, x) - inst.b))
 
 
 def residual_exponential(inst: ProblemInstance, x) -> float:
     """||exp(A x) - b||_2."""
+    x = _vector(x, "x")
     return float(np.linalg.norm(evaluate_u(inst, x) - inst.b))
 
 
 def residual_rescaled(inst: ProblemInstance, x) -> float:
     """||u - <u, 1> b||_2 for u = exp(A x)."""
+    x = _vector(x, "x")
     u = evaluate_u(inst, x)
     return float(np.linalg.norm(u - u.sum() * inst.b))
 
 
 def residual_softmax(inst: ProblemInstance, x) -> float:
     """||f - b||_2; its square is twice the squared-residual loss term."""
+    x = _vector(x, "x")
     return float(np.linalg.norm(softmax(inst, x) - inst.b))

@@ -28,8 +28,8 @@ from .model import (
     loss_cent,
     loss_exp,
     loss_reg,
-    loss_total,
     make_state,
+    state_losses,
 )
 from .newton import SolverConfig, solve
 from .planted import GeneratorSpec, basin_start, generate_planted
@@ -73,20 +73,40 @@ def random_instance(seed, n_max: int = 50, d_max: int = 10) -> tuple[ProblemInst
     return ProblemInstance(a=a, b=b, w=w), x
 
 
+def _term_losses(inst: ProblemInstance):
+    """Finite-difference evaluator: ``(l_exp, l_cent, l_reg, total)`` per point.
+
+    Every term of a stencil comes from one stacked state.
+    """
+
+    def evaluate(points):
+        st = make_state(inst, points)
+        terms = (
+            loss_exp(st.f, inst.b),
+            loss_cent(st.f, inst.b),
+            loss_reg(inst, points),
+            state_losses(inst, st).total,
+        )
+        return np.stack(terms, axis=-1)
+
+    return evaluate
+
+
 def check_gradients(seed: int, num_instances: int = 20) -> CheckResult:
     """Analytic gradients of every term against central finite differences."""
     worst = 0.0
     for i in range(num_instances):
         inst, x = random_instance([seed, i])
         state = make_state(inst, x)
-        pairs = [
-            (grad_exp(state, inst), lambda v: loss_exp(make_state(inst, v).f, inst.b)),
-            (grad_cent(state, inst), lambda v: loss_cent(make_state(inst, v).f, inst.b)),
-            (grad_reg(inst, x), lambda v: loss_reg(inst, v)),
-            (grad_total(inst, x), lambda v: loss_total(inst, v).total),
-        ]
-        for analytic, evaluator in pairs:
-            worst = max(worst, rel_err(analytic, fd_gradient(evaluator, x)))
+        fd = fd_gradient(_term_losses(inst), x)
+        analytic = (
+            grad_exp(state, inst),
+            grad_cent(state, inst),
+            grad_reg(inst, x),
+            grad_total(inst, x),
+        )
+        for k, grad in enumerate(analytic):
+            worst = max(worst, rel_err(grad, fd[:, k]))
     return CheckResult(
         name="gradients",
         passed=worst <= GRAD_TOL,
@@ -104,11 +124,12 @@ def check_hessians(seed: int, num_instances: int = 10) -> CheckResult:
         h_cent = hessian_cent(state, inst)
         h_exp = hessian_exp(state, inst)
         h_tot = hessian_total(state, inst).h_total
+        fd = fd_hessian(_term_losses(inst), x)
         worst_fd = max(
             worst_fd,
-            rel_err(h_cent, fd_hessian(lambda v: loss_cent(make_state(inst, v).f, inst.b), x)),
-            rel_err(h_exp, fd_hessian(lambda v: loss_exp(make_state(inst, v).f, inst.b), x)),
-            rel_err(h_tot, fd_hessian(lambda v: loss_total(inst, v).total, x)),
+            rel_err(h_cent, fd[..., 1]),
+            rel_err(h_exp, fd[..., 0]),
+            rel_err(h_tot, fd[..., 3]),
         )
         # Entrywise covariance formula, an independent path to A^T B A.
         f = state.f

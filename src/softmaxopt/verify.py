@@ -1,7 +1,10 @@
 """Independent numerical oracles and spectral checks.
 
-The finite-difference routines here deliberately evaluate only scalar loss
-callbacks, never the closed-form derivatives they are used to check.
+The finite-difference routines here deliberately evaluate only loss
+callbacks, never the closed-form derivatives they are used to check.  A
+callback takes the whole central-difference stencil as one ``(m, d)`` stack
+of points and returns one value per point, optionally with trailing axes,
+so that one evaluation serves several loss terms.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import scipy.linalg
 from .calculus import KernelParts, hessian_total_at, loss_kernel_parts
 from .exceptions import (
     AsymmetricMatrix,
+    DimensionMismatch,
     DomainError,
     MidNotPD,
     MissingPlantedOptimum,
     NonFiniteEvaluation,
     SamplingFailure,
 )
-from .model import ProblemInstance, make_state
+from .model import ProblemInstance, _vector, make_state
 
 FD_STEP = 1e-5
 # Second differences divide by h^2, so the Hessian stencil needs a larger
@@ -50,48 +54,81 @@ def rel_err(a, b) -> float:
     return float(np.max(np.abs(a - b))) / denom
 
 
+def _stencil(x, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float vector and the rows ``h e_i`` of its coordinate steps."""
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"step h must be finite and positive, got {h!r}")
+    x = _vector(x, "x")
+    return x, h * np.eye(x.size)
+
+
+def _evaluate(loss_evaluator, points: np.ndarray) -> np.ndarray:
+    """The evaluator's values at a stack of points, one leading row per point."""
+    values = np.asarray(loss_evaluator(points), dtype=np.float64)
+    if values.shape[:1] != points.shape[:1]:
+        raise DimensionMismatch(
+            f"loss_evaluator must return one value per point: {points.shape[0]} "
+            f"points gave shape {values.shape}"
+        )
+    return values
+
+
 def fd_gradient(loss_evaluator, x, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    if h <= 0:
-        raise DomainError("step h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (loss_evaluator(x + e) - loss_evaluator(x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(g)):
+    """Central-difference gradient, from one evaluation of the 2d-point stencil.
+
+    ``loss_evaluator`` maps an ``(m, d)`` stack of points to values of shape
+    ``(m, *t)``; the gradient has shape ``(d, *t)``.
+    """
+    x, e = _stencil(x, h)
+    d = x.size
+    values = _evaluate(loss_evaluator, np.concatenate([x + e, x - e]))
+    # a non-finite value is reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (values[:d] - values[d:]) / (2.0 * h)
+    if not np.isfinite(g).all():
         raise NonFiniteEvaluation("finite-difference gradient is not finite")
     return g
 
 
 def fd_hessian(loss_evaluator, x, h: float = FD_HESS_STEP) -> np.ndarray:
-    """Central second differences of a scalar function, symmetrized."""
-    if h <= 0:
-        raise DomainError("step h must be positive")
-    x = np.asarray(x, dtype=np.float64)
+    """Central second differences, symmetrized, from one evaluation of the stencil.
+
+    The stencil holds ``x``, ``x +- 2 h e_i`` and ``(x +- h e_i) +- h e_j``
+    for ``i < j``: ``1 + 2d + 2d(d - 1)`` points.  ``loss_evaluator`` maps
+    them to values of shape ``(m, *t)``; the Hessian has shape ``(d, d, *t)``.
+    """
+    x, e = _stencil(x, h)
     d = x.size
-    hess = np.zeros((d, d))
-    f0 = loss_evaluator(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        hess[i, i] = (
-            loss_evaluator(x + 2 * ei) - 2 * f0 + loss_evaluator(x - 2 * ei)
-        ) / (4.0 * h * h)
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            hess[i, j] = (
-                loss_evaluator(x + ei + ej)
-                - loss_evaluator(x + ei - ej)
-                - loss_evaluator(x - ei + ej)
-                + loss_evaluator(x - ei - ej)
-            ) / (4.0 * h * h)
-    hess = hess + np.triu(hess, 1).T
-    if not np.all(np.isfinite(hess)):
+    iu, ju = np.triu_indices(d, 1)
+    plus, minus = x + e, x - e
+    values = _evaluate(
+        loss_evaluator,
+        np.concatenate(
+            [
+                x[None],
+                x + 2 * e,
+                x - 2 * e,
+                plus[iu] + e[ju],
+                plus[iu] - e[ju],
+                minus[iu] + e[ju],
+                minus[iu] - e[ju],
+            ]
+        ),
+    )
+    f0, values = values[0], values[1:]
+    p2, m2, pp, pm, mp, mm = np.split(values, np.cumsum([d, d] + [iu.size] * 3))
+    hess = np.zeros((d, d) + f0.shape)
+    denom = 4.0 * h * h
+    # a non-finite value is reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        hess[np.diag_indices(d)] = (p2 - 2 * f0 + m2) / denom
+        hess[iu, ju] = (pp - pm - mp + mm) / denom
+    lower = np.zeros_like(hess)
+    lower[ju, iu] = hess[iu, ju]
+    hess = hess + lower
+    if not np.isfinite(hess).all():
         raise NonFiniteEvaluation("finite-difference Hessian is not finite")
-    return 0.5 * (hess + hess.T)
+    return 0.5 * (hess + hess.swapaxes(0, 1))
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:

@@ -207,7 +207,7 @@ class TestLogFHessianEntry:
     def test_matches_fd_on_single_coordinate(self):
         inst, x = random_instance(32, n_max=8, d_max=3)
         state = so.make_state(inst, x)
-        coord = so.fd_hessian(lambda v: so.log_softmax(inst, v)[0], x, h=1e-4)
+        coord = so.fd_hessian(lambda v: so.log_softmax(inst, v)[..., 0], x, h=1e-4)
         for i in range(inst.d):
             for j in range(inst.d):
                 assert so.hessian_log_f_entry(state, inst, i, j) == pytest.approx(
@@ -217,7 +217,7 @@ class TestLogFHessianEntry:
     def test_all_coordinates_share_the_value(self):
         inst, x = random_instance(33, n_max=6, d_max=2)
         per_coord = [
-            so.fd_hessian(lambda v, k=k: so.log_softmax(inst, v)[k], x, h=1e-4)
+            so.fd_hessian(lambda v, k=k: so.log_softmax(inst, v)[..., k], x, h=1e-4)
             for k in range(inst.n)
         ]
         for k in range(1, inst.n):

@@ -2,6 +2,8 @@
 
 import io
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +216,25 @@ class TestLandscape:
         inst = so.ProblemInstance.load(inst_path)
         grid = so.landscape_grid(inst, half_width=0.5, resolution=3)
         assert lines[1:] == grid.to_csv().strip().split("\n")[1:]
+
+    def test_stdout_streams_row_blocks(self, capsys, monkeypatch):
+        argv = ["landscape", "--n", 20, "--d", 5, "--resolution", 201]
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+
+        class Discard(io.TextIOBase):
+            def write(self, s):
+                return len(s)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid's values take 201^2 x 3 x 8 bytes (1 MB); the CSV text is over four times that
+        assert peak < len(text) / 2, peak
 
     def test_rejects_bad_resolution(self, tmp_path):
         assert run(["landscape", "--n", 8, "--d", 2, "--resolution", 1]) == 1

@@ -206,6 +206,107 @@ class TestBatchedLossTerms:
         assert l_exp == 0.0 and l_cent == 0.0
 
 
+def stack_instance(n, variant, d=4, seed=0):
+    """A planted-free instance of n rows with one term or the ridge center varied."""
+    rng = np.random.default_rng([n, seed])
+    kwargs = {
+        "no_exp": {"use_exp": False},
+        "no_cent": {"use_cent": False},
+        "centered": {"reg_mode": "centered", "x_star": rng.standard_normal(d)},
+    }.get(variant, {})
+    return so.ProblemInstance(
+        a=rng.standard_normal((n, d)) / math.sqrt(d),
+        b=rng.uniform(0.0, 1.0, n) / n,
+        w=rng.uniform(0.5, 1.5, n),
+        **kwargs,
+    )
+
+
+class TestStackedPoints:
+    """Every stack-aware model function against one point at a time, bitwise."""
+
+    @pytest.mark.parametrize("variant", ["both", "no_exp", "no_cent", "centered"])
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_rows_equal_one_point_calls(self, n, variant):
+        inst = stack_instance(n, variant)
+        xs = 2.0 * np.random.default_rng(n).standard_normal((9, inst.d))
+        st = so.make_state(inst, xs)
+        assert st.x.shape == xs.shape and st.f.shape == st.log_f.shape == (9, n)
+        stacked = {
+            "logits": so.model.logits(inst, xs),
+            "softmax": so.softmax(inst, xs),
+            "log_softmax": so.log_softmax(inst, xs),
+            "loss_exp": so.loss_exp(st.f, inst.b),
+            "loss_cent": so.loss_cent(st.f, inst.b),
+            "loss_reg": so.loss_reg(inst, xs),
+        }
+        breakdowns = {
+            "state_losses": so.model.state_losses(inst, st),
+            "loss_total": so.loss_total(inst, xs),
+        }
+        for j, x in enumerate(xs):
+            one = so.make_state(inst, x)
+            for field in ("x", "log_f", "f"):
+                assert getattr(st, field)[j].tobytes() == getattr(one, field).tobytes()
+            single = {
+                "logits": so.model.logits(inst, x),
+                "softmax": so.softmax(inst, x),
+                "log_softmax": so.log_softmax(inst, x),
+                "loss_exp": so.loss_exp(one.f, inst.b),
+                "loss_cent": so.loss_cent(one.f, inst.b),
+                "loss_reg": so.loss_reg(inst, x),
+            }
+            for name, value in single.items():
+                assert np.asarray(stacked[name][j]).tobytes() == np.asarray(value).tobytes(), name
+            lb = so.loss_total(inst, x)
+            assert isinstance(lb.total, float)
+            for name, got in breakdowns.items():
+                for field in ("l_exp", "l_cent", "l_reg", "total"):
+                    assert getattr(got, field).shape == (9,), (name, field)
+                    assert float(getattr(got, field)[j]) == getattr(lb, field), (name, field)
+
+    def test_overflowing_row_raises_as_alone(self):
+        inst = stack_instance(20, "both")
+        xs = np.zeros((5, inst.d))
+        xs[3] = 1e308
+        with np.errstate(over="ignore"):
+            with pytest.raises(OverflowError) as alone:
+                so.make_state(inst, xs[3])
+            with pytest.raises(OverflowError) as stacked:
+                so.make_state(inst, xs)
+            assert str(stacked.value) == str(alone.value)
+            for fn in (so.softmax, so.log_softmax, so.loss_total):
+                with pytest.raises(OverflowError):
+                    fn(inst, xs)
+
+    def test_bad_rows_raise_as_alone(self):
+        inst = stack_instance(20, "both")
+        xs = np.zeros((4, inst.d))
+        xs[1, 2] = np.nan
+        with pytest.raises(NonFiniteInput, match="x contains NaN"):
+            so.make_state(inst, xs)
+        f = np.full((3, 20), 1.0 / 20)
+        f[2, 5] = 0.0
+        with pytest.raises(DomainError, match="strictly positive"):
+            so.loss_cent(f, inst.b)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 4), (3, 5)])
+    def test_bad_point_shapes(self, shape):
+        inst = stack_instance(20, "both")
+        for fn in (so.make_state, so.loss_reg, so.loss_total):
+            with pytest.raises(DimensionMismatch):
+                fn(inst, np.zeros(shape))
+        with pytest.raises(DimensionMismatch):
+            so.loss_exp(np.zeros(shape), np.zeros(7))
+
+    def test_residuals_take_one_point(self):
+        inst = stack_instance(20, "both")
+        for fn in (so.residual_linear, so.residual_exponential, so.residual_rescaled,
+                   so.residual_softmax):
+            with pytest.raises(DimensionMismatch, match="x must be 1-d"):
+                fn(inst, np.zeros((3, inst.d)))
+
+
 class TestResiduals:
     def test_linear_exact_fit(self):
         inst = simple_instance(np.eye(2), b=[1.0, 1.0], use_cent=False)

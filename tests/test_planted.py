@@ -1,6 +1,7 @@
 """Planted-instance generator and landscape grids."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -287,3 +288,6 @@ class TestBatchedLandscape:
         assert grid.to_csv() == want
         grid.write_csv(tmp_path / "grid.csv")
         assert (tmp_path / "grid.csv").read_bytes() == want.encode()
+        stream = io.StringIO()
+        grid.write_csv(stream)
+        assert stream.getvalue() == want

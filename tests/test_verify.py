@@ -9,8 +9,11 @@ import pytest
 import softmaxopt as so
 from softmaxopt.exceptions import (
     AsymmetricMatrix,
+    DimensionMismatch,
+    DomainError,
     MidNotPD,
     MissingPlantedOptimum,
+    NonFiniteEvaluation,
     SamplingFailure,
 )
 from softmaxopt.newton import IterateRecord, SolveTrace
@@ -31,12 +34,12 @@ def synthetic_trace(errors, iterations=None):
 
 class TestFdGradient:
     def test_constant_function(self):
-        g = so.fd_gradient(lambda v: 3.0, np.ones(4))
+        g = so.fd_gradient(lambda v: np.full(len(v), 3.0), np.ones(4))
         np.testing.assert_array_equal(g, np.zeros(4))
 
     def test_linear_function_exact(self):
         c = np.array([2.0, -1.0, 0.5])
-        g = so.fd_gradient(lambda v: float(c @ v), np.array([0.3, 0.1, -0.9]))
+        g = so.fd_gradient(lambda v: v @ c, np.array([0.3, 0.1, -0.9]))
         np.testing.assert_allclose(g, c, atol=1e-10)
 
     def test_quadratic_soundness(self):
@@ -44,7 +47,7 @@ class TestFdGradient:
         for _ in range(10):
             x = rng.standard_normal(5)
             x *= rng.uniform(0, 10) / max(np.linalg.norm(x), 1e-300)
-            g = so.fd_gradient(lambda v: 0.5 * float(v @ v), x)
+            g = so.fd_gradient(lambda v: 0.5 * (v * v).sum(axis=-1), x)
             np.testing.assert_allclose(g, x, atol=1e-8)
 
     def test_cross_module_cent_gradient(self):
@@ -59,11 +62,11 @@ class TestFdHessian:
         rng = np.random.default_rng(2)
         q = rng.standard_normal((4, 4))
         q = 0.5 * (q + q.T)
-        h = so.fd_hessian(lambda v: 0.5 * float(v @ q @ v), rng.standard_normal(4))
+        h = so.fd_hessian(lambda v: 0.5 * ((v @ q) * v).sum(axis=-1), rng.standard_normal(4))
         np.testing.assert_allclose(h, q, atol=1e-6)
 
     def test_constant_function(self):
-        h = so.fd_hessian(lambda v: 1.0, np.zeros(3))
+        h = so.fd_hessian(lambda v: np.ones(len(v)), np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros((3, 3)))
 
     def test_output_symmetric(self):
@@ -75,6 +78,123 @@ class TestFdHessian:
         inst, x = random_instance(4, n_max=10, d_max=4)
         fd = so.fd_hessian(lambda v: so.loss_total(inst, v).total, x)
         assert so.rel_err(fd, so.hessian_total_at(inst, x)) <= 1e-4
+
+
+def loop_fd_gradient(evaluate_one, x, h=so.verify.FD_STEP):
+    """The per-point central-difference loop, kept as an oracle for the stencil."""
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        g[i] = (evaluate_one(x + e) - evaluate_one(x - e)) / (2.0 * h)
+    return g
+
+
+def loop_fd_hessian(evaluate_one, x, h=so.verify.FD_HESS_STEP):
+    """The per-point second-difference loop, kept as an oracle for the stencil."""
+    d = x.size
+    hess = np.zeros((d, d))
+    f0 = evaluate_one(x)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        hess[i, i] = (evaluate_one(x + 2 * ei) - 2 * f0 + evaluate_one(x - 2 * ei)) / (4.0 * h * h)
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            hess[i, j] = (
+                evaluate_one(x + ei + ej)
+                - evaluate_one(x + ei - ej)
+                - evaluate_one(x - ei + ej)
+                + evaluate_one(x - ei - ej)
+            ) / (4.0 * h * h)
+    hess = hess + np.triu(hess, 1).T
+    return 0.5 * (hess + hess.T)
+
+
+class CountingEvaluator:
+    """Records the shape of every stack of points it is called with."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, points):
+        self.calls.append(points.shape)
+        return self.fn(points)
+
+
+class TestStencilEvaluation:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_one_call_per_stencil(self, d):
+        x = np.linspace(-1.0, 1.0, d)
+        grad = CountingEvaluator(lambda v: 0.5 * (v * v).sum(axis=-1))
+        so.fd_gradient(grad, x)
+        assert grad.calls == [(2 * d, d)]
+        hess = CountingEvaluator(lambda v: 0.5 * (v * v).sum(axis=-1))
+        so.fd_hessian(hess, x)
+        assert hess.calls == [(1 + 2 * d + 2 * d * (d - 1), d)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_model_losses_keep_the_per_point_bits(self, seed):
+        inst, x = random_instance([77, seed], n_max=30, d_max=6)
+        losses = {
+            "l_exp": lambda v: so.loss_exp(so.make_state(inst, v).f, inst.b),
+            "l_cent": lambda v: so.loss_cent(so.make_state(inst, v).f, inst.b),
+            "l_reg": lambda v: so.loss_reg(inst, v),
+            "total": lambda v: so.loss_total(inst, v).total,
+        }
+        for loss in losses.values():
+            assert so.fd_gradient(loss, x).tobytes() == loop_fd_gradient(loss, x).tobytes()
+            assert so.fd_hessian(loss, x).tobytes() == loop_fd_hessian(loss, x).tobytes()
+
+    def test_trailing_value_axes(self):
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((4, 4))
+        c = rng.standard_normal(4)
+        parts = [
+            lambda v: v @ c,
+            lambda v: 0.5 * ((v @ q) * v).sum(axis=-1),
+            lambda v: np.sin(v).sum(axis=-1),
+            lambda v: np.exp(0.3 * v[..., 0]) * v[..., 1],
+            lambda v: np.full(len(v), 2.0),
+            lambda v: (v ** 3).sum(axis=-1),
+        ]
+
+        def stacked(v):
+            return np.stack([p(v) for p in parts], axis=-1).reshape(len(v), 2, 3)
+
+        x = rng.standard_normal(4)
+        g = so.fd_gradient(stacked, x)
+        h = so.fd_hessian(stacked, x)
+        assert g.shape == (4, 2, 3) and h.shape == (4, 4, 2, 3)
+        for k, part in enumerate(parts):
+            i, j = divmod(k, 3)
+            assert g[:, i, j].tobytes() == so.fd_gradient(part, x).tobytes()
+            assert h[:, :, i, j].tobytes() == so.fd_hessian(part, x).tobytes()
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-5])
+    def test_bad_step_is_named(self, h):
+        for oracle in (so.fd_gradient, so.fd_hessian):
+            with pytest.raises(DomainError, match="step h"):
+                oracle(lambda v: v.sum(axis=-1), np.zeros(2), h=h)
+
+    def test_one_value_per_point_required(self):
+        for oracle in (so.fd_gradient, so.fd_hessian):
+            with pytest.raises(DimensionMismatch, match="one value per point"):
+                oracle(lambda v: 3.0, np.zeros(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_value_is_reported(self):
+        def blows_up(v):
+            out = v.sum(axis=-1)
+            out[0] = np.inf
+            return out
+
+        with pytest.raises(NonFiniteEvaluation, match="gradient"):
+            so.fd_gradient(blows_up, np.zeros(3))
+        with pytest.raises(NonFiniteEvaluation, match="Hessian"):
+            so.fd_hessian(blows_up, np.zeros(3))
 
 
 class TestPsdCheck:
