@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .landscape import average_grids, landscape_grid
-from .model import ProblemInstance
+from .model import ProblemInstance, _write_text
 from .nce import paired_vs_shuffled_bounds
 from .newton import SolverConfig, solve
 from .planted import GeneratorSpec, basin_start, generate_planted
@@ -72,20 +72,12 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _write_json(path, payload) -> None:
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(path or sys.stdout, (json.dumps(payload, sort_keys=True), "\n"))
 
 
 def _cmd_gen(args) -> int:
     inst, _ = generate_planted(_spec_from_args(args))
-    if args.out:
-        inst.save(args.out)
-    else:
-        sys.stdout.write(json.dumps(inst.to_dict(), sort_keys=True) + "\n")
+    inst.save(args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -117,9 +109,7 @@ def _cmd_solve(args) -> int:
         "final_err": last.err_to_opt,
     }
     _write_json(args.summary, summary)
-    if trace.converged:
-        return EXIT_OK
-    return EXIT_MAX_ITERS if trace.max_iters_exceeded else EXIT_ERROR
+    return EXIT_OK if trace.converged else EXIT_MAX_ITERS
 
 
 def _cmd_landscape(args) -> int:
@@ -186,14 +176,10 @@ def _cmd_nce(args) -> int:
             learning_rate=args.learning_rate,
         )
         rows.append((args.seed + i, corr, shuf))
-    csv_text = "seed,bound_correlated,bound_shuffled\n" + "".join(
-        f"{s},{c!r},{u!r}\n" for s, c, u in rows
+    _write_text(
+        args.out or sys.stdout,
+        ["seed,bound_correlated,bound_shuffled\n"] + [f"{s},{c!r},{u!r}\n" for s, c, u in rows],
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
     mean_corr = float(np.mean([c for _, c, _ in rows]))
     mean_shuf = float(np.mean([u for _, _, u in rows]))
     _write_json(

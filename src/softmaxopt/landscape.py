@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError
-from .model import ProblemInstance, _log_p_and_p, _require_finite, loss_terms
+from .model import ProblemInstance, _log_p_and_p, _require_finite, _write_text, loss_terms
 
 _ORTHO_TOL = 1e-12
 
@@ -53,11 +53,7 @@ class LandscapeGrid:
 
     def write_csv(self, dest) -> None:
         """Write the CSV to a path or an open text stream, one row of cells at a time."""
-        if hasattr(dest, "write"):
-            dest.writelines(self._csv_blocks())
-            return
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(self._csv_blocks())
+        _write_text(dest, self._csv_blocks())
 
 
 def average_grids(grids) -> LandscapeGrid:

@@ -75,6 +75,19 @@ def _scalar_or_rows(value):
     return value if isinstance(value, np.ndarray) else float(value)
 
 
+def _write_text(dest, chunks) -> None:
+    """Write text chunks in order to an open text stream or to a path.
+
+    A path is opened as UTF-8 with LF line ends.  Every artifact goes through
+    here, so a file and stdout carry the same bytes.
+    """
+    if hasattr(dest, "write"):
+        dest.writelines(chunks)
+        return
+    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
 def hadamard(x, y) -> np.ndarray:
     """Entrywise product of two equal-length vectors."""
     x = _vector(x, "x")
@@ -200,9 +213,8 @@ class ProblemInstance:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        """Write the instance JSON to a path or an open text stream."""
+        _write_text(path, (json.dumps(self.to_dict(), sort_keys=True), "\n"))
 
     @classmethod
     def load(cls, path) -> "ProblemInstance":
@@ -373,7 +385,7 @@ def loss_terms(inst: ProblemInstance, log_f, f, z_reg):
     return l_exp, l_cent, 0.5 * _row_dot(wz, wz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossBreakdown:
     """Values of the three loss terms and their sum at one point."""
 

@@ -36,7 +36,7 @@ from .exceptions import (
     SamplingDegenerate,
     SingularHessian,
 )
-from .model import ModelState, ProblemInstance, make_state, state_losses
+from .model import ModelState, ProblemInstance, _write_text, make_state, state_losses
 
 MODES = ("exact", "sampled")
 SAMPLE_OVERSAMPLING = 10.0
@@ -93,8 +93,7 @@ class SolveTrace:
         return bool(np.all(np.diff(losses) <= 1e-12 * np.maximum(1.0, np.abs(losses[:-1]))))
 
     def write_csv(self, path, include_timings: bool = False) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv(include_timings=include_timings))
+        _write_text(path, (self.to_csv(include_timings=include_timings),))
 
     def to_csv(self, include_timings: bool = False) -> str:
         """CSV text with header t,loss,grad_norm,err_to_opt,step_seconds.
@@ -128,10 +127,15 @@ def approx_hessian(
 ) -> np.ndarray:
     """Row-sampled spectral approximation of the total Hessian.
 
-    Satisfies (1 - eps0) H <= H_approx <= (1 + eps0) H with probability at
-    least 1 - delta for the conservative sample count used here.  ``seed``
-    may be an integer or a numpy Generator.  With every row kept the
-    estimate is H, and a singular H is the caller's to report.
+    The target is the window (1 - eps0) H <= H_approx <= (1 + eps0) H.  It is
+    checked empirically, not proven: acceptance criterion 6 asks for it on
+    at least 95 of 100 seeds, and ``TestSampledAtScale`` on 19 of 20 seeds
+    where rows are dropped.  The count c = ceil(10 d log(d / delta) / eps0^2)
+    is a leverage-score bound, but rows are drawn by squared row norms of C,
+    so the probability 1 - delta does not follow from it.  Sampling by
+    leverage scores, or a count proven for row norms, is an open choice.
+    ``seed`` may be an integer or a numpy Generator.  With every row kept
+    the estimate is H, and a singular H is the caller's to report.
 
     Rows are sampled from ``KernelParts.factor`` of the total kernel
     diag(c) + kappa f f^T - g f^T - f g^T.  A row with c_i = 0 and

@@ -405,3 +405,24 @@ class TestNceCommand:
         assert run(["nce", "--seeds", 0, "--summary", summary]) == 1
         assert "DomainError" in capsys.readouterr().err
         assert not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--n", 6, "--d", 2, "--seed", 1], "--out"),
+        (["nce", "--seeds", 2, "--pool-size", 24, "--epochs", 3, "--summary", "{tmp}/s.json"],
+         "--out"),
+        (["landscape", "--n", 8, "--d", 3, "--seed", 3, "--resolution", 5], "--out"),
+        (["solve", "--n", 12, "--d", 3, "--seed", 2], "--summary"),
+    ],
+    ids=["gen", "nce", "landscape", "solve-summary"],
+)
+def test_stdout_bytes_equal_file_bytes(tmp_path, capsys, argv, flag):
+    argv = [str(a).format(tmp=tmp_path) for a in argv]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "artifact"
+    assert run(argv + [flag, path]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode("utf-8") == path.read_bytes()

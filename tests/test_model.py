@@ -265,6 +265,13 @@ class TestStackedPoints:
                     assert getattr(got, field).shape == (9,), (name, field)
                     assert float(getattr(got, field)[j]) == getattr(lb, field), (name, field)
 
+    def test_stacked_breakdowns_compare_without_raising(self):
+        inst = stack_instance(20, "both")
+        xs = np.zeros((3, inst.d))
+        lb = so.loss_total(inst, xs)
+        assert lb == lb
+        assert lb != so.loss_total(inst, xs)
+
     def test_overflowing_row_raises_as_alone(self):
         inst = stack_instance(20, "both")
         xs = np.zeros((5, inst.d))
