@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -194,7 +195,13 @@ def _cmd_nce(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` returns a fresh namespace on every call, so sharing the
+    parser cannot carry one call's options into the next.
+    """
     parser = argparse.ArgumentParser(
         prog="softmaxopt",
         description="Softmax-regression objectives, Newton solver and NCE demos",

@@ -2,10 +2,10 @@
 
 ``solve`` and ``gradient_descent_baseline`` run one iteration loop that
 records each iterate and applies the stop rules; only the step differs.  A
-Newton step, shared by ``solve`` and ``newton_step``, takes the spectrum of
-H once, for the stop rule ||g|| <= epsilon * eigmin(H) and the singularity
-guard, then solves the symmetric positive-definite system H s = g by one
-Cholesky factorization and updates x <- x - s.  In exact mode H is one
+Newton step, shared by ``solve`` and ``newton_step``, takes one
+eigendecomposition H = V diag(lam) V^T, which serves the stop rule
+||g|| <= epsilon * eigmin(H), the singularity guard and the solve
+s = V ((V^T g) / lam), then updates x <- x - s.  In exact mode H is one
 congruence A^T D(x) A of the combined curvature kernel, in O(n d^2)
 (``KernelParts.congruence``).  In sampled mode
 the Hessian is replaced by an unbiased row-sampling estimate built from a
@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import gradient_bundle, total_kernel_parts
 from .exceptions import (
@@ -173,17 +172,18 @@ def approx_hessian(
 
 
 def _newton_update(inst, state, g, mode, sample_epsilon, delta, seed, epsilon=None):
-    """x - H^{-1} g from one spectrum and one Cholesky factorization of H.
+    """x - H^{-1} g from one eigendecomposition H = V diag(lam) V^T.
 
-    The spectrum serves, in this order, the stop rule (None when epsilon is
-    given and ||g|| <= epsilon * eigmin(H)) and the SingularHessian guard
-    (eigmin(H) below 1e-12 of the spectral radius).
+    The decomposition serves, in this order, the stop rule (None when
+    epsilon is given and ||g|| <= epsilon * eigmin(H)), the SingularHessian
+    guard (eigmin(H) below 1e-12 of the spectral radius) and the step
+    x - V ((V^T g) / lam).
     """
     if mode == "sampled":
         hess = approx_hessian(inst, state, sample_epsilon, seed, delta=delta)
     else:
         hess = total_kernel_parts(state, inst).congruence(inst.a)
-    evs = np.linalg.eigvalsh(hess)
+    evs, vecs = np.linalg.eigh(hess)
     if epsilon is not None and float(np.linalg.norm(g)) <= epsilon * max(float(evs[0]), 0.0):
         return None
     scale = float(np.max(np.abs(evs)))
@@ -191,11 +191,7 @@ def _newton_update(inst, state, g, mode, sample_epsilon, delta, seed, epsilon=No
         raise SingularHessian(
             f"Hessian eigmin {evs[0]:.3g} below tolerance {1e-12 * scale:.3g}"
         )
-    try:
-        factor = scipy.linalg.cho_factor(hess)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by eig check
-        raise SingularHessian(str(exc)) from exc
-    x_next = state.x - scipy.linalg.cho_solve(factor, g)
+    x_next = state.x - vecs @ ((vecs.T @ g) / evs)
     if not np.all(np.isfinite(x_next)):
         raise NonFiniteIterate("Newton step produced NaN or Inf")
     return x_next
@@ -270,8 +266,8 @@ def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
     Stops when the planted error ||x - x_star|| reaches cfg.epsilon (when the
     instance carries a planted optimum) or when ||grad|| falls below
     cfg.epsilon times the smallest eigenvalue of the step's Hessian.  Each
-    step takes that Hessian's spectrum once, for this stop rule and then
-    the SingularHessian guard, and solves by one Cholesky factorization.
+    step takes one eigendecomposition of that Hessian, for this stop rule,
+    then the SingularHessian guard, then the solve.
     The loop is the one gradient_descent_baseline runs.  Hitting
     cfg.max_iters sets a flag on the trace rather than raising.
     """

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import KernelParts, hessian_total_at, loss_kernel_parts
 from .exceptions import (
@@ -173,16 +172,23 @@ def psd_check(h, l: float) -> SpectralReport:
 def sandwich_check(lhs, mid, lo: float = 0.99, hi: float = 1.01) -> bool:
     """True iff lo * mid <= lhs <= hi * mid in the semidefinite order.
 
-    Decided through the generalized eigenvalues of (lhs, mid), which
-    requires mid to be positive definite.
+    Decided through the generalized eigenvalues of (lhs, mid): with the
+    Cholesky factor mid = L L^T, they are the eigenvalues of the whitened
+    L^-1 lhs L^-T, formed by two linear solves with L and symmetrised.
+    mid must be positive definite; MidNotPD is raised when its Cholesky
+    factorization fails.
     """
     lhs = _check_symmetric(lhs, "lhs")
     mid = _check_symmetric(mid, "mid")
     if lhs.shape != mid.shape:
         raise AsymmetricMatrix(f"shape mismatch: {lhs.shape} vs {mid.shape}")
-    if float(np.linalg.eigvalsh(mid)[0]) <= 0.0:
-        raise MidNotPD("mid must be positive definite")
-    gen = scipy.linalg.eigh(lhs, mid, eigvals_only=True)
+    try:
+        chol = np.linalg.cholesky(mid)
+    except np.linalg.LinAlgError as exc:
+        raise MidNotPD("mid must be positive definite") from exc
+    half = np.linalg.solve(chol, lhs)
+    whitened = np.linalg.solve(chol, half.T)
+    gen = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
     slack = _SPECTRAL_SLACK * max(1.0, float(np.max(np.abs(gen))))
     return bool(gen[0] >= lo - slack and gen[-1] <= hi + slack)
 

@@ -2,15 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import softmaxopt as so
 from softmaxopt import suite
-from softmaxopt.cli import main
+from softmaxopt.cli import build_parser, main
 from softmaxopt.exceptions import DomainError
 
 
@@ -426,3 +429,53 @@ def test_stdout_bytes_equal_file_bytes(tmp_path, capsys, argv, flag):
     assert run(argv + [flag, path]) == 0
     assert capsys.readouterr().out == ""
     assert printed.encode("utf-8") == path.read_bytes()
+
+
+class TestParserPerProcess:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_do_not_leak_options(self, tmp_path):
+        def plain_solve(tag):
+            trace, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            assert run(["solve", "--out", trace, "--summary", summary]) == 0
+            return trace.read_bytes(), summary.read_bytes()
+
+        first = plain_solve("first")
+        assert run(
+            ["solve", "--x0-offset", 2, "--mode", "sampled",
+             "--out", tmp_path / "other.csv", "--summary", tmp_path / "other.json"]
+        ) == 0
+        assert plain_solve("second") == first
+        fresh = build_parser.__wrapped__().parse_args(["solve"])
+        assert vars(build_parser().parse_args(["solve"])) == vars(fresh)
+
+
+def test_desk_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter, so that modules the test session imported do not count
+    script = """
+import sys
+import softmaxopt.cli
+from softmaxopt.cli import main
+out = sys.argv[1]
+runs = [
+    ["gen", "--out", f"{out}/inst.json"],
+    ["solve", "--out", f"{out}/exact.csv", "--summary", f"{out}/exact.json"],
+    ["solve", "--mode", "sampled", "--out", f"{out}/sampled.csv",
+     "--summary", f"{out}/sampled.json"],
+    ["landscape", "--n", "20", "--d", "5", "--out", f"{out}/grid.csv"],
+    ["nce", "--seeds", "1", "--out", f"{out}/nce.csv", "--summary", f"{out}/nce.json"],
+    ["verify", "--seed", "0", "--out", f"{out}/verify.json"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    src = str(Path(so.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

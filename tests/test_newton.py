@@ -441,17 +441,65 @@ class TestPinnedValues:
 class TestOneSpectrumPerStep:
     @pytest.mark.parametrize("mode, per_step", [("exact", 1), ("sampled", 1)])
     def test_eigvalsh_calls(self, monkeypatch, mode, per_step):
-        # every row is kept here, so approx_hessian adds no rank check
+        # every row is kept here, so approx_hessian adds no rank check; eigh
+        # and eigvalsh count together, so a step takes one d-by-d
+        # decomposition of either kind (the 2-by-2 eigh inside
+        # KernelParts.factor is not a spectrum of H)
         inst, x0 = TestPinnedValues.start()
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+
+        def counting(decompose):
+            def wrapped(m):
+                calls.extend([1] if np.shape(m) == (inst.d, inst.d) else [])
+                return decompose(m)
+
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         so.newton_step(inst, x0, mode, seed=0)
         assert len(calls) == per_step
         calls.clear()
         trace = so.solve(inst, x0, so.SolverConfig(mode=mode, seed=0))
         assert trace.iterations_run == 2
         assert len(calls) == per_step * trace.iterations_run
+
+
+def keeps_every_row(inst, state, sample_epsilon=0.1, delta=0.05):
+    """True when approx_hessian keeps each nonzero row of C with probability 1."""
+    count = math.ceil(
+        so.newton.SAMPLE_OVERSAMPLING * inst.d * math.log(inst.d / delta) / sample_epsilon**2
+    )
+    c_mat = so.total_kernel_parts(state, inst).factor(inst.a)
+    row2 = np.einsum("ij,ij->i", c_mat, c_mat)
+    return bool(np.all(count * row2[row2 > 0.0] >= row2.sum()))
+
+
+class TestStepAgainstDenseSolve:
+    @pytest.mark.parametrize("draw", range(60))
+    def test_matches_dense_solve(self, draw):
+        inst, x = random_instance(draw)
+        state = so.make_state(inst, x)
+        hess = so.hessian_total(state, inst).h_total
+        # with every row kept the sampled estimate is H, so both modes share the oracle
+        modes = ["exact", "sampled"] if keeps_every_row(inst, state) else ["exact"]
+        evs = np.linalg.eigvalsh(hess)
+        if evs[0] < 1e-12 * np.max(np.abs(evs)):
+            for mode in modes:
+                with pytest.raises(SingularHessian):
+                    so.newton_step(inst, x, mode, seed=draw)
+            return
+        step = np.linalg.solve(hess, so.gradient_bundle(state, inst).g_total)
+        for mode in modes:
+            got = x - so.newton_step(inst, x, mode, seed=draw)
+            assert np.linalg.norm(got - step) <= 1e-12 * np.linalg.norm(step), mode
+
+    def test_most_draws_compare_sampled_mode(self):
+        kept = 0
+        for draw in range(60):
+            inst, x = random_instance(draw)
+            kept += keeps_every_row(inst, so.make_state(inst, x))
+        assert kept >= 50
 
 
 class TestSingularHessianReport:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import softmaxopt as so
 from softmaxopt.exceptions import (
@@ -248,6 +249,66 @@ class TestSandwichCheck:
         w2 = 100.0 * np.linalg.norm(kernel, 2) + 1.0
         shifted = kernel + w2 * np.eye(inst.n)
         assert so.sandwich_check(w2 * np.eye(inst.n), shifted, 0.99, 1.01)
+
+
+def spd(rng, k, floor=0.5):
+    m = rng.standard_normal((k, k))
+    return m @ m.T + floor * np.eye(k)
+
+
+class TestSandwichAgainstGeneralizedEigh:
+    """sandwich_check against scipy's generalized eigh, a test-only oracle."""
+
+    @staticmethod
+    def oracle(lhs, mid, lo, hi):
+        gen = scipy.linalg.eigh(lhs, mid, eigvals_only=True)
+        slack = 1e-10 * max(1.0, float(np.max(np.abs(gen))))
+        return bool(gen[0] >= lo - slack and gen[-1] <= hi + slack)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_spd_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 9))
+        lhs, mid = spd(rng, k), spd(rng, k)
+        gen = scipy.linalg.eigh(lhs, mid, eigvals_only=True)
+        windows = [(0.99, 1.01), (gen[0] * 0.5, gen[-1] * 2.0), (gen[0] * 1.1, gen[-1] * 2.0)]
+        for lo, hi in windows:
+            assert so.sandwich_check(lhs, mid, lo, hi) == self.oracle(lhs, mid, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_pairs_at_the_window_edges(self, seed, edge, offset):
+        # lhs = L Q diag(t) Q^T L^T has generalized eigenvalues t against
+        # mid = L L^T; one extreme of t sits 1e-6 inside or outside the window
+        lo, hi = 0.9, 1.1
+        rng = np.random.default_rng(100 + seed)
+        k = int(rng.integers(2, 9))
+        mid = spd(rng, k, floor=1.0)
+        chol = np.linalg.cholesky(mid)
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        t = rng.uniform(lo + 0.01, hi - 0.01, k)
+        t[0] = (lo if edge == "lo" else hi) + offset
+        lhs = chol @ (q * t) @ q.T @ chol.T
+        lhs = 0.5 * (lhs + lhs.T)
+        inside = offset > 0 if edge == "lo" else offset < 0
+        assert self.oracle(lhs, mid, lo, hi) == inside
+        assert so.sandwich_check(lhs, mid, lo, hi) == inside
+
+    @pytest.mark.parametrize(
+        "mid",
+        [
+            np.diag([2.0, 1.0, 0.0]),
+            np.ones((3, 3)),
+            np.array([[1.0, 1.0], [1.0, 1.0]]),
+            np.diag([1.0, -1.0]),
+            spd(np.random.default_rng(7), 4) - 50.0 * np.eye(4),
+        ],
+        ids=["zero-diagonal", "rank-one", "singular-2x2", "indefinite", "negative-definite"],
+    )
+    def test_singular_or_indefinite_mid(self, mid):
+        with pytest.raises(MidNotPD):
+            so.sandwich_check(np.eye(len(mid)), mid)
 
 
 class TestRidgeRecipe:
