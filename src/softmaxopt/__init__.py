@@ -5,8 +5,6 @@ from .calculus import (
     GradientBundle,
     HessianBundle,
     KernelParts,
-    b_matrix,
-    exp_kernel,
     grad_cent,
     grad_exp,
     grad_f_dir,
@@ -22,7 +20,6 @@ from .calculus import (
     hessian_total,
     hessian_total_at,
     loss_kernel_parts,
-    total_kernel,
     total_kernel_parts,
 )
 from .landscape import (

@@ -21,10 +21,9 @@ so the kernel is held as ``KernelParts`` in O(n) memory and the Hessian is
 ``A^T diag(c) A + kappa a a^T - gamma a^T - a gamma^T`` with ``a = A^T f`` and
 ``gamma = A^T g``, in O(n d^2) time and no n-by-n array.  The same parts
 give a factor C with ``C^T C = A^T D A`` in O(n d) (``KernelParts.factor``),
-whose rows sampled Newton samples.  The dense kernels
-``b_matrix``, ``exp_kernel`` and ``total_kernel`` build the same matrices
-directly (``exp_kernel`` as ``P^2`` plus the residual-weighted curvature of f)
-and serve as independent oracles.
+whose rows sampled Newton samples.  ``KernelParts.dense`` is the one
+n-by-n kernel in the package; the tests check the parts against dense
+kernels built directly from their formulas (``tests/kernel_oracles.py``).
 
 Index arguments are 0-based columns of A.
 """
@@ -214,41 +213,6 @@ def hessian_log_f_entry(state: ModelState, inst: ProblemInstance, i: int, j: int
     return -grad_f_inner(state, inst, i, j)
 
 
-def softmax_kernel(f: np.ndarray) -> np.ndarray:
-    """diag(f) - f f^T, the Jacobian kernel of the prediction map."""
-    return np.diag(f) - np.outer(f, f)
-
-
-def b_matrix(state: ModelState, b) -> np.ndarray:
-    """Cross-entropy curvature kernel <1, b> (diag(f) - f f^T); row sums are 0."""
-    b = _vector(b, "b")
-    if b.shape != state.f.shape:
-        raise DimensionMismatch(f"b must have length {state.f.shape[0]}")
-    return float(b.sum()) * softmax_kernel(state.f)
-
-
-def exp_kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """n-by-n kernel B_exp with hessian of 0.5||f - b||^2 equal to A^T B_exp A.
-
-    Sum of the Gauss-Newton part P^2 and the residual-weighted curvature of
-    f itself (q = f o r, s = <f, r>):
-
-        B_exp = P^2 + diag(q) - s diag(f) - q f^T - f q^T + 2 s f f^T
-    """
-    f = state.f
-    r = f - inst.b
-    q = f * r
-    s = float(f @ r)
-    p = softmax_kernel(f)
-    return (
-        p @ p
-        + np.diag(q - s * f)
-        - np.outer(q, f)
-        - np.outer(f, q)
-        + 2.0 * s * np.outer(f, f)
-    )
-
-
 def _cent_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
     beta = float(inst.b.sum())
     f = state.f
@@ -281,7 +245,7 @@ def loss_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
 
 
 def total_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
-    """Structured form of ``total_kernel``: the loss kernel plus W^2."""
+    """The total curvature kernel: the loss kernel plus W^2."""
     parts = loss_kernel_parts(state, inst)
     return replace(parts, c=parts.c + inst.w**2)
 
@@ -299,16 +263,6 @@ def hessian_exp(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 def hessian_reg(inst: ProblemInstance) -> np.ndarray:
     """Ridge Hessian A^T W^2 A (independent of x)."""
     return inst.a.T @ (inst.w[:, None] ** 2 * inst.a)
-
-
-def total_kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """n-by-n kernel D with total Hessian A^T D A; disabled terms excluded."""
-    d = np.diag(inst.w**2)
-    if inst.use_cent:
-        d = d + b_matrix(state, inst.b)
-    if inst.use_exp:
-        d = d + exp_kernel(state, inst)
-    return d
 
 
 def hessian_total(state: ModelState, inst: ProblemInstance) -> HessianBundle:

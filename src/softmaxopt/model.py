@@ -25,6 +25,7 @@ The residual norms take one point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,13 @@ def _vector(v, name: str) -> np.ndarray:
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf")
+
+
+def _require_finite_fields(config) -> None:
+    """Raise DomainError at the first float field of a dataclass that is NaN or Inf."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _rows(arr, length: int, name: str) -> np.ndarray:

@@ -35,7 +35,14 @@ from .exceptions import (
     SamplingDegenerate,
     SingularHessian,
 )
-from .model import ModelState, ProblemInstance, _write_text, make_state, state_losses
+from .model import (
+    ModelState,
+    ProblemInstance,
+    _require_finite_fields,
+    _write_text,
+    make_state,
+    state_losses,
+)
 
 MODES = ("exact", "sampled")
 SAMPLE_OVERSAMPLING = 10.0
@@ -53,6 +60,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta < 0.1:

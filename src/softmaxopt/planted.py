@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, GenerationFailure
-from .model import ProblemInstance, softmax
+from .model import ProblemInstance, _require_finite_fields, softmax
 from .verify import ridge_weights
 
 _COND_TOL = 1e-9
@@ -34,6 +34,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
         if self.n < self.d:

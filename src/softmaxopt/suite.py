@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    b_matrix,
-    exp_kernel,
     grad_cent,
     grad_exp,
     grad_f_inner,
     grad_reg,
     grad_total,
     hessian_total,
+    hessian_total_at,
+    loss_kernel_parts,
 )
 from .model import (
     ProblemInstance,
@@ -36,6 +36,7 @@ from .verify import (
     convergence_audit,
     fd_gradient,
     fd_hessian,
+    kernel_bound,
     lipschitz_probe,
     psd_check,
     rel_err,
@@ -157,19 +158,21 @@ def check_psd_recipe(seed: int, levels=(0.1, 1.0, 10.0)) -> CheckResult:
         inst, x_star = generate_planted(spec)
         rng = np.random.default_rng([seed, k])
         for probe in (x_star, basin_start(x_star, 0.3, rng), basin_start(x_star, 1.0, rng)):
-            state = make_state(inst, probe)
-            report = psd_check(hessian_total(state, inst).h_total, 0.99 * level)
+            report = psd_check(hessian_total_at(inst, probe), 0.99 * level)
             reports.append(report.to_dict())
             passed = passed and report.passed
     return CheckResult(name="psd", passed=passed, detail={"reports": reports})
 
 
 def check_sandwich(seed: int) -> CheckResult:
-    """Dominant ridge weights push W^2 within 1% of the shifted kernel."""
+    """Dominant ridge weights push W^2 within 1% of the shifted kernel.
+
+    W^2 = 100 K + 1, with the kernel norm K from ``kernel_bound``, the path
+    the ridge recipe takes.
+    """
     inst0, x = random_instance(seed, n_max=20, d_max=5)
-    state = make_state(inst0, x)
-    kernel = b_matrix(state, inst0.b) + exp_kernel(state, inst0)
-    w2 = 100.0 * float(np.linalg.norm(kernel, 2)) + 1.0
+    kernel = loss_kernel_parts(make_state(inst0, x), inst0).dense()
+    w2 = 100.0 * kernel_bound(inst0, [x]) + 1.0
     shifted = kernel + w2 * np.eye(inst0.n)
     ok = sandwich_check(w2 * np.eye(inst0.n), shifted, 0.99, 1.01)
     return CheckResult(name="sandwich", passed=ok, detail={"w_squared": w2, "lo": 0.99, "hi": 1.01})

@@ -235,10 +235,15 @@ def lipschitz_probe(
     each ladder distance.  Only finiteness and cross-scale stability are
     meaningful; no absolute constant is asserted.
     """
-    if radius_r <= 0:
-        raise DomainError("radius_r must be positive")
+    if not (math.isfinite(radius_r) and radius_r > 0):
+        raise DomainError(f"radius_r must be finite and positive, got {radius_r!r}")
+    if num_pairs < 1:
+        raise DomainError(f"num_pairs must be >= 1, got {num_pairs!r}")
     if not distances:
         raise DomainError("need at least one probe distance")
+    for dist in distances:
+        if not (math.isfinite(dist) and dist > 0):
+            raise DomainError(f"probe distances must be finite and positive, got {dist!r}")
     rng = np.random.default_rng(seed)
     max_dist = max(distances)
     pairs = []
@@ -276,8 +281,11 @@ def convergence_audit(trace, epsilon: float) -> bool:
     """True iff the trace reaches error <= epsilon within the step budget.
 
     The budget is ceil(log2(initial error / epsilon)) + 5, with slack for
-    the constant-factor difference between error metrics.
+    the constant-factor difference between error metrics.  epsilon must be
+    finite and positive.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon!r}")
     errs = [rec.err_to_opt for rec in trace.iterates]
     if any(e is None for e in errs) or not errs:
         raise MissingPlantedOptimum("trace has no error-to-optimum data")

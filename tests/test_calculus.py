@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import softmaxopt as so
+from kernel_oracles import b_matrix, exp_kernel, total_kernel
 from softmaxopt.exceptions import IndexOutOfRange
 from softmaxopt.suite import random_instance
 
@@ -229,7 +230,7 @@ class TestCrossEntropyKernel:
         inst, x = random_instance(34)
         state = so.make_state(inst, x)
         np.testing.assert_array_equal(
-            so.b_matrix(state, np.zeros(inst.n)), np.zeros((inst.n, inst.n))
+            b_matrix(state, np.zeros(inst.n)), np.zeros((inst.n, inst.n))
         )
 
     def test_uniform_two_point_hand_values(self):
@@ -238,20 +239,20 @@ class TestCrossEntropyKernel:
         )
         state = so.make_state(inst, np.zeros(1))  # f = (1/2, 1/2), <1, b> = 1
         np.testing.assert_allclose(
-            so.b_matrix(state, inst.b), [[0.25, -0.25], [-0.25, 0.25]], rtol=1e-15
+            b_matrix(state, inst.b), [[0.25, -0.25], [-0.25, 0.25]], rtol=1e-15
         )
 
     def test_rows_sum_to_zero_and_symmetric(self):
         inst, x = random_instance(35)
         state = so.make_state(inst, x)
-        mat = so.b_matrix(state, inst.b)
+        mat = b_matrix(state, inst.b)
         np.testing.assert_allclose(mat @ np.ones(inst.n), np.zeros(inst.n), atol=1e-12)
         np.testing.assert_array_equal(mat, mat.T)
 
     def test_kernel_is_psd_for_nonnegative_target(self):
         inst, x = random_instance(36)
         state = so.make_state(inst, x)
-        mat = so.b_matrix(state, inst.b)
+        mat = b_matrix(state, inst.b)
         scale = np.linalg.norm(mat, 2)
         assert np.linalg.eigvalsh(mat)[0] >= -1e-10 * max(scale, 1e-300)
 
@@ -284,7 +285,7 @@ class TestHessians:
     def test_hessian_cent_is_kernel_congruence(self):
         inst, x = random_instance(41)
         state = so.make_state(inst, x)
-        expected = inst.a.T @ so.b_matrix(state, inst.b) @ inst.a
+        expected = inst.a.T @ b_matrix(state, inst.b) @ inst.a
         assert so.rel_err(so.hessian_cent(state, inst), expected) <= 1e-10
 
     def test_hessian_exp_zero_for_constant_columns(self):
@@ -344,7 +345,7 @@ class TestHessians:
     def test_total_kernel_congruence(self):
         inst, x = random_instance(46, n_max=15, d_max=4)
         state = so.make_state(inst, x)
-        via_kernel = inst.a.T @ so.total_kernel(state, inst) @ inst.a
+        via_kernel = inst.a.T @ total_kernel(state, inst) @ inst.a
         assert so.rel_err(via_kernel, so.hessian_total(state, inst).h_total) <= 1e-12
 
 
@@ -365,7 +366,7 @@ class TestStructuredKernel:
     def test_materialised_kernel_matches_dense_oracles(self):
         for inst, x in flagged_instances(60):
             state = so.make_state(inst, x)
-            oracle = so.total_kernel(state, inst)  # b_matrix + exp_kernel + W^2
+            oracle = total_kernel(state, inst)  # b_matrix + exp_kernel + W^2
             parts = so.total_kernel_parts(state, inst)
             assert so.rel_err(parts.dense(), oracle) <= 1e-12
             v = np.random.default_rng(inst.n).standard_normal(inst.n)
@@ -379,13 +380,13 @@ class TestStructuredKernel:
             a = inst.a
             bundle = so.hessian_total(state, inst)
             assert so.rel_err(
-                so.hessian_cent(state, inst), a.T @ so.b_matrix(state, inst.b) @ a
+                so.hessian_cent(state, inst), a.T @ b_matrix(state, inst.b) @ a
             ) <= 1e-12
             assert so.rel_err(
-                so.hessian_exp(state, inst), a.T @ so.exp_kernel(state, inst) @ a
+                so.hessian_exp(state, inst), a.T @ exp_kernel(state, inst) @ a
             ) <= 1e-12
             assert so.rel_err(
-                bundle.h_total, a.T @ so.total_kernel(state, inst) @ a
+                bundle.h_total, a.T @ total_kernel(state, inst) @ a
             ) <= 1e-12
 
 
@@ -414,7 +415,7 @@ class TestKernelFactor:
             c_mat = so.total_kernel_parts(state, inst).factor(inst.a)
             assert c_mat.shape == inst.a.shape
             gram = c_mat.T @ c_mat
-            assert so.rel_err(gram, inst.a.T @ so.total_kernel(state, inst) @ inst.a) <= 1e-12
+            assert so.rel_err(gram, inst.a.T @ total_kernel(state, inst) @ inst.a) <= 1e-12
             assert so.rel_err(gram, so.hessian_total(state, inst).h_total) <= 1e-12
 
     def test_gram_matches_dense_symmetric_root(self):

@@ -192,6 +192,17 @@ PINNED_NCE_SUMMARY = {
 }
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["gen", "--ridge-l", "nan"], "ridge_l"), (["solve", "--epsilon", "nan"], "epsilon")],
+)
+def test_non_finite_flag_is_domain_error(capsys, argv, name):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: DomainError: {name} must be finite")
+    assert captured.out == ""
+
+
 class TestLandscape:
     def test_pinned_values(self, capsys):
         argv = ["landscape", "--n", 8, "--d", 3, "--seed", 3, "--half-width", 0.5,

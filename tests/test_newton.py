@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import softmaxopt as so
+from kernel_oracles import total_kernel
 from softmaxopt.exceptions import (
     DomainError,
     KernelNotPSD,
@@ -126,7 +127,7 @@ class TestKernelNotPSD:
             a=5.0 * base.a, b=base.b, w=np.zeros(base.n), use_cent=False
         )
         state = so.make_state(inst, x)
-        evals = np.linalg.eigvalsh(so.total_kernel(state, inst))
+        evals = np.linalg.eigvalsh(total_kernel(state, inst))
         assert evals[0] < -1e-8 * max(1.0, evals[-1])
         with pytest.raises(KernelNotPSD):
             so.approx_hessian(inst, state, 0.1, seed=0)
@@ -136,7 +137,7 @@ class TestKernelNotPSD:
         inst = so.ProblemInstance(a=base.a, b=base.b, w=base.w, use_cent=False)
         state = so.make_state(inst, x)
         assert so.total_kernel_parts(state, inst).c.min() > 0
-        assert np.linalg.eigvalsh(so.total_kernel(state, inst))[0] < -1e-2
+        assert np.linalg.eigvalsh(total_kernel(state, inst))[0] < -1e-2
         with pytest.raises(KernelNotPSD, match="indefinite"):
             so.approx_hessian(inst, state, 0.1, seed=0)
 
@@ -146,7 +147,7 @@ class TestKernelNotPSD:
         inst, x = random_instance(859)
         state = so.make_state(inst, x)
         assert so.total_kernel_parts(state, inst).c[1] < 0
-        assert np.linalg.eigvalsh(so.total_kernel(state, inst))[0] > 1e-2
+        assert np.linalg.eigvalsh(total_kernel(state, inst))[0] > 1e-2
         with pytest.raises(KernelNotPSD, match="kernel diagonal"):
             so.approx_hessian(inst, state, 0.1, seed=0)
 
@@ -274,6 +275,14 @@ class TestSolverConfig:
             so.SolverConfig(sample_epsilon=0.2)
         with pytest.raises(DomainError):
             so.SolverConfig(max_iters=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["epsilon", "delta", "sample_epsilon", "max_iters", "seed"]
+    )
+    def test_non_finite_field_is_domain_error(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            so.SolverConfig(**{name: value})
 
 
 class TestBaseline:

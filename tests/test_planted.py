@@ -24,6 +24,12 @@ class TestGeneratorSpec:
         with pytest.raises(DomainError):
             so.GeneratorSpec(n=5, d=2, conditioning=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["n", "d", "conditioning", "norm_cap_r", "ridge_l", "seed"])
+    def test_non_finite_field_is_domain_error(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            so.GeneratorSpec(**{"n": 5, "d": 2, name: value})
+
 
 class TestGeneratePlanted:
     def test_gradient_vanishes_without_ridge(self):

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import softmaxopt as so
+from kernel_oracles import b_matrix, exp_kernel
 from softmaxopt.exceptions import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -18,7 +19,7 @@ from softmaxopt.exceptions import (
     SamplingFailure,
 )
 from softmaxopt.newton import IterateRecord, SolveTrace
-from softmaxopt.suite import random_instance
+from softmaxopt.suite import check_sandwich, random_instance
 
 
 def synthetic_trace(errors, iterations=None):
@@ -245,10 +246,16 @@ class TestSandwichCheck:
     def test_dominant_ridge_instance(self):
         inst, x = random_instance(7, n_max=12, d_max=4)
         state = so.make_state(inst, x)
-        kernel = so.b_matrix(state, inst.b) + so.exp_kernel(state, inst)
+        kernel = b_matrix(state, inst.b) + exp_kernel(state, inst)
         w2 = 100.0 * np.linalg.norm(kernel, 2) + 1.0
         shifted = kernel + w2 * np.eye(inst.n)
         assert so.sandwich_check(w2 * np.eye(inst.n), shifted, 0.99, 1.01)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_suite_weight_is_the_ridge_recipe_bound(self, seed):
+        inst, x = random_instance(seed, n_max=20, d_max=5)
+        result = check_sandwich(seed)
+        assert result.detail["w_squared"] == 100.0 * so.kernel_bound(inst, [x]) + 1.0
 
 
 def spd(rng, k, floor=0.5):
@@ -347,7 +354,7 @@ class TestKernelBound:
         expected = 0.0
         for x in probes:
             state = so.make_state(inst, x)
-            kernel = so.b_matrix(state, inst.b) + so.exp_kernel(state, inst)
+            kernel = b_matrix(state, inst.b) + exp_kernel(state, inst)
             expected = max(expected, float(np.linalg.norm(kernel, 2)))
         assert so.kernel_bound(inst, probes) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -416,6 +423,24 @@ class TestLipschitzProbe:
         with pytest.raises(SamplingFailure):
             so.lipschitz_probe(inst, radius_r=4.0, num_pairs=1, seed=0, distances=(1e-2,))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_pairs": 0},
+            {"distances": (0.0,)},
+            {"distances": (-1e-3,)},
+            {"distances": (1e-2, float("nan"))},
+            {"distances": (float("inf"),)},
+            {"radius_r": float("nan")},
+            {"radius_r": float("inf")},
+        ],
+    )
+    def test_bad_input_is_domain_error(self, kwargs):
+        inst, _ = so.generate_planted(so.GeneratorSpec(n=15, d=4, ridge_l=1.0, seed=0))
+        args = {"radius_r": 4.0, "num_pairs": 2, "seed": 0, **kwargs}
+        with pytest.raises(DomainError):
+            so.lipschitz_probe(inst, **args)
+
     def test_report_serializes(self):
         inst, _ = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=13))
         probe = so.lipschitz_probe(inst, 4.0, 2, seed=3)
@@ -451,6 +476,14 @@ class TestConvergenceAudit:
         )
         with pytest.raises(MissingPlantedOptimum):
             so.convergence_audit(trace, 1e-10)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=9))
+        trace = so.solve(inst, x_star, so.SolverConfig(epsilon=1e-10))
+        assert trace.iterates[-1].err_to_opt == 0.0
+        with pytest.raises(DomainError, match="epsilon"):
+            so.convergence_audit(trace, epsilon)
 
 
 class TestRelErr:
