@@ -78,12 +78,6 @@ class KernelParts:
         out[np.diag_indices_from(out)] += self.c
         return out
 
-    def matvec(self, v) -> np.ndarray:
-        """D v in O(n)."""
-        v = np.ravel(v)
-        fv = float(self.f @ v)
-        return self.c * v + (self.kappa * fv - float(self.g @ v)) * self.f - fv * self.g
-
     def congruence(self, a: np.ndarray) -> np.ndarray:
         """A^T D A = A^T diag(c) A + kappa a a^T - gamma a^T - a gamma^T.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,14 @@ def _require_finite_fields(config) -> None:
     for name, value in vars(config).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _require_int_fields(config, *names: str) -> None:
+    """Raise DomainError at the first named field that is not an integer; a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _rows(arr, length: int, name: str) -> np.ndarray:

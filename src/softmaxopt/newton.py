@@ -39,6 +39,7 @@ from .model import (
     ModelState,
     ProblemInstance,
     _require_finite_fields,
+    _require_int_fields,
     _write_text,
     make_state,
     state_losses,
@@ -61,6 +62,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_finite_fields(self)
+        _require_int_fields(self, "max_iters")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta < 0.1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, GenerationFailure
-from .model import ProblemInstance, _require_finite_fields, softmax
+from .model import ProblemInstance, _require_finite_fields, _require_int_fields, softmax
 from .verify import ridge_weights
 
 _COND_TOL = 1e-9
@@ -35,6 +35,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         _require_finite_fields(self)
+        _require_int_fields(self, "n", "d")
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
         if self.n < self.d:

@@ -36,7 +36,7 @@ from .verify import (
     convergence_audit,
     fd_gradient,
     fd_hessian,
-    kernel_bound,
+    kernel_norm,
     lipschitz_probe,
     psd_check,
     rel_err,
@@ -167,13 +167,14 @@ def check_psd_recipe(seed: int, levels=(0.1, 1.0, 10.0)) -> CheckResult:
 def check_sandwich(seed: int) -> CheckResult:
     """Dominant ridge weights push W^2 within 1% of the shifted kernel.
 
-    W^2 = 100 K + 1, with the kernel norm K from ``kernel_bound``, the path
-    the ridge recipe takes.
+    W^2 = 100 K + 1, with the kernel norm K from ``kernel_norm`` of the
+    parts that also give the dense kernel, the path ``kernel_bound`` and the
+    ridge recipe take.
     """
     inst0, x = random_instance(seed, n_max=20, d_max=5)
-    kernel = loss_kernel_parts(make_state(inst0, x), inst0).dense()
-    w2 = 100.0 * kernel_bound(inst0, [x]) + 1.0
-    shifted = kernel + w2 * np.eye(inst0.n)
+    parts = loss_kernel_parts(make_state(inst0, x), inst0)
+    w2 = 100.0 * kernel_norm([parts]) + 1.0
+    shifted = parts.dense() + w2 * np.eye(inst0.n)
     ok = sandwich_check(w2 * np.eye(inst0.n), shifted, 0.99, 1.01)
     return CheckResult(name="sandwich", passed=ok, detail={"w_squared": w2, "lo": 0.99, "hi": 1.01})
 

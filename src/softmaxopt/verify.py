@@ -10,6 +10,7 @@ so that one evaluation serves several loss terms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +36,21 @@ FD_HESS_STEP = 1e-4
 # fail on eigensolver rounding of an exactly-PSD matrix.
 _SPECTRAL_SLACK = 1e-10
 
-# kernel_bound takes the 2-norm by eigvalsh of the materialised kernel up to
-# this many rows, and by Lanczos on the structured operator above it, where
-# Lanczos is the faster of the two (one BLAS thread on a 2-core Xeon, per
-# kernel: 0.04 ms against 0.6 ms at n = 20, 1.5 ms against 0.5 ms at n = 200,
-# 101 ms against 1.2 ms at n = 1000).
+# kernel_norm takes the 2-norm by eigvalsh of the materialised kernel up to
+# this many rows, and by inertia bisection on the structured parts above it.
+# For the 11 probe kernels of a planted instance (one BLAS thread, 2-core
+# Xeon), eigvalsh takes 0.5 ms at n = 20, 7.4 ms at n = 100, 13 ms at
+# n = 150 and 1.35 s at n = 1000; the batched bisection costs about 2-4 ms
+# at any small n (64 steps of a few numpy calls each), 4.5 ms at n = 150
+# and 8.4 ms at n = 1000.  Bisection wins above about n = 80, but the cutoff
+# stays at 150, so that every desk instance keeps its eigvalsh norm, and
+# with it the pinned gen and verify figures, bit for bit.
 DENSE_NORM_MAX_N = 150
-# Seed of the Lanczos start vector, fixed so that reruns are bitwise equal.
-_LANCZOS_SEED = 0
+# Each bisection step halves a bracket that starts at +-1.001 R, where
+# R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g|| bounds the norm, so 64 steps
+# leave each extreme eigenvalue inside an interval of about 2^-63 R, below
+# the eps R to which the parts determine it.
+_BISECTION_STEPS = 64
 
 
 def rel_err(a, b) -> float:
@@ -295,40 +303,122 @@ def convergence_audit(trace, epsilon: float) -> bool:
     return trace.iterations_run <= budget
 
 
-def _kernel_norm(parts: KernelParts) -> float:
-    n = parts.f.size
-    if n <= DENSE_NORM_MAX_N:
-        evals = np.linalg.eigvalsh(parts.dense())
-        return float(max(-evals[0], evals[-1]))
-    if parts.kappa == 0.0 and not (parts.c.any() or parts.g.any()):
-        return 0.0  # ARPACK rejects the zero operator
-    # Imported here so that runs which never reach large n do not pay its memory.
-    import scipy.sparse.linalg
+def _count_above(c, w, kappa, lam, out):
+    """Eigenvalues above ``lam`` of each kernel, and the points to move.
 
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=parts.matvec, dtype=np.float64)
-    # D 1 = 0 for every loss kernel, so a constant start vector would lie in
-    # the null space.
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    top = scipy.sparse.linalg.eigsh(
-        op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False
-    )
-    return float(abs(top[0]))
+    Kernel p is D = diag(c_p) + U S U^T with U = [f, g] and S = [[kappa, -1],
+    [-1, 0]]; ``w`` holds its rows (f_i^2, f_i g_i, g_i^2) and ``lam[p]`` two
+    points.  det S = -1, so S^-1 exists, and Haynsworth inertia additivity on
+    the bordered matrix [[diag(c) - lam, U], [U^T, -S^-1]] gives
+
+        #{eig(D) > lam} = #{c_i > lam} + pos(T) - 1,
+        T = -S^-1 - U^T (diag(c) - lam)^-1 U,  -S^-1 = [[0, 1], [1, kappa]],
+
+    with pos(T) read off the trace and determinant of the 2x2 T, whose
+    entries come from one batched matmul.  A point on a pole c_i, or so near
+    one that 1 / (c_i - lam) overflows, gives a non-finite T and is flagged.
+    ``out`` is an (m, 2, n) scratch array.
+    """
+    np.subtract(c[:, None, :], lam[:, :, None], out=out)
+    above = np.count_nonzero(out > 0.0, axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(1.0, out, out=out)
+        sums = out @ w
+        t11 = -sums[..., 0]
+        t12 = 1.0 - sums[..., 1]
+        t22 = kappa[:, None] - sums[..., 2]
+        det = t11 * t22 - t12 * t12
+        trace = t11 + t22
+    pos = np.where(det > 0.0, 2 * (trace > 0.0), np.where(det < 0.0, 1, trace > 0.0))
+    return above + pos - 1, ~np.isfinite(det)
+
+
+def _bisection_norms(parts: list[KernelParts]) -> np.ndarray:
+    """Spectral norms of structured kernels of one size, in O(m n) memory.
+
+    Bisects on the count of ``_count_above`` for lam_max and lam_min of every
+    kernel together: column 0 of the bracket keeps >= 1 eigenvalue above
+    ``lo`` and none above ``hi``, column 1 keeps all n above ``lo`` and fewer
+    above ``hi``.  A midpoint on a pole moves towards ``hi``.  The bracket
+    starts just outside +-R, R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g||,
+    which bounds ||D||; a kernel with R = 0 is the zero kernel, of norm 0.0.
+    """
+    c = np.stack([p.c for p in parts])
+    f = np.stack([p.f for p in parts])
+    g = np.stack([p.g for p in parts])
+    kappa = np.array([p.kappa for p in parts])
+    f_norm = np.linalg.norm(f, axis=1)
+    g_norm = np.linalg.norm(g, axis=1)
+    radius = np.abs(c).max(axis=1) + np.abs(kappa) * f_norm**2 + 2.0 * f_norm * g_norm
+    if not np.isfinite(radius).all():
+        raise NonFiniteEvaluation("curvature kernel is not finite")
+    norms = np.zeros(len(parts))
+    live = radius > 0.0
+    if not live.any():
+        return norms
+    c, f, g, kappa = c[live], f[live], g[live], kappa[live]
+    w = np.stack([f * f, f * g, g * g], axis=-1)
+    # a little above R, so that rounding in R cannot cut off an eigenvalue
+    hi = np.repeat(1.001 * radius[live, None], 2, axis=1)
+    lo = -hi
+    target = np.array([1, c.shape[1]])
+    out = np.empty(c.shape[:1] + (2,) + c.shape[1:])
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        count, redo = _count_above(c, w, kappa, mid, out)
+        for _ in range(_BISECTION_STEPS):
+            if not redo.any():
+                break
+            # off the pole: halfway towards hi, or onto hi once the bracket
+            # is too narrow for a point in between
+            step = mid + 0.5 * (hi - mid)
+            mid = np.where(redo, np.where(step > mid, step, hi), mid)
+            count, redo = _count_above(c, w, kappa, mid, out)
+        else:
+            raise NonFiniteEvaluation("kernel eigenvalue count is not finite")
+        up = count >= target
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    lam = 0.5 * (lo + hi)
+    norms[live] = np.maximum(lam[:, 0], -lam[:, 1])
+    return norms
+
+
+def kernel_norm(parts: Iterable[KernelParts]) -> float:
+    """Largest spectral norm over structured kernels of one size; 0.0 for none.
+
+    Up to ``DENSE_NORM_MAX_N`` rows each norm comes from eigvalsh of the
+    materialised n-by-n kernel.  Above it the kernels stay as their parts,
+    and lam_max and lam_min of all of them come from one batched bisection
+    on the eigenvalue count of ``_count_above`` in O(m n) memory; the norm
+    is max(lam_max, -lam_min), and exactly 0.0 for the zero kernel.
+    """
+    parts = list(parts)
+    if not parts:
+        return 0.0
+    n = parts[0].f.size
+    if any(p.f.size != n for p in parts):
+        raise DimensionMismatch("kernels must all have the same number of rows")
+    if n > DENSE_NORM_MAX_N:
+        return float(_bisection_norms(parts).max())
+    worst = 0.0
+    for p in parts:
+        evals = np.linalg.eigvalsh(p.dense())
+        worst = max(worst, float(max(-evals[0], evals[-1])))
+    return worst
 
 
 def kernel_bound(inst: ProblemInstance, probe_points) -> float:
     """Largest spectral norm of the enabled curvature kernels over probe points.
 
-    Each kernel is held in its structured form (``KernelParts``), so memory
-    stays O(n) above ``DENSE_NORM_MAX_N`` rows, where the norm is the
-    largest-magnitude eigenvalue found by Lanczos (ARPACK) from a fixed
-    seeded start vector; up to that size it comes from eigvalsh of the
-    materialised n-by-n kernel.
+    The loss kernel (ridge excluded) at each probe point is built as
+    ``KernelParts`` and all of them go to one ``kernel_norm`` call: eigvalsh
+    of the dense kernel up to ``DENSE_NORM_MAX_N`` rows, and above it a
+    numpy-only inertia bisection on the parts that finds lam_max and lam_min
+    of every probe's kernel together, over one (m, 2, n) stack, in O(m n)
+    memory and with no n-by-n array.  Reruns are bitwise equal.
     """
-    worst = 0.0
-    for x in probe_points:
-        parts = loss_kernel_parts(make_state(inst, x), inst)
-        worst = max(worst, _kernel_norm(parts))
-    return worst
+    return kernel_norm(loss_kernel_parts(make_state(inst, x), inst) for x in probe_points)
 
 
 def ridge_weights(inst: ProblemInstance, level: float, probe_points) -> np.ndarray:

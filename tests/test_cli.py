@@ -477,6 +477,7 @@ runs = [
     ["landscape", "--n", "20", "--d", "5", "--out", f"{out}/grid.csv"],
     ["nce", "--seeds", "1", "--out", f"{out}/nce.csv", "--summary", f"{out}/nce.json"],
     ["verify", "--seed", "0", "--out", f"{out}/verify.json"],
+    ["gen", "--n", "400", "--d", "20", "--ridge-l", "1", "--out", f"{out}/tall.json"],
 ]
 codes = [main(argv) for argv in runs]
 print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
@@ -489,4 +490,4 @@ print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
         [sys.executable, "-c", script, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"

@@ -284,6 +284,16 @@ class TestSolverConfig:
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             so.SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 50.0, True, "50"])
+    def test_non_integer_max_iters_is_domain_error(self, value):
+        with pytest.raises(DomainError, match="^max_iters must be an integer"):
+            so.SolverConfig(max_iters=value)
+
+    def test_numpy_integer_max_iters_is_accepted(self):
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=15))
+        trace = so.solve(inst, x_star + 0.1, so.SolverConfig(max_iters=np.int64(2)))
+        assert trace.iterations_run <= 2
+
 
 class TestBaseline:
     def test_stationary_at_zero_gradient(self):

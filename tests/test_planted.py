@@ -30,6 +30,17 @@ class TestGeneratorSpec:
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             so.GeneratorSpec(**{"n": 5, "d": 2, name: value})
 
+    @pytest.mark.parametrize("value", [5.5, 4.0, True, "5"])
+    @pytest.mark.parametrize("name", ["n", "d"])
+    def test_non_integer_size_is_domain_error(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            so.GeneratorSpec(**{"n": 5, "d": 2, name: value})
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        spec = so.GeneratorSpec(n=np.int64(6), d=np.int32(2), seed=3)
+        inst, _ = so.generate_planted(spec)
+        assert (inst.n, inst.d) == (6, 2)
+
 
 class TestGeneratePlanted:
     def test_gradient_vanishes_without_ridge(self):

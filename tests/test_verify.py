@@ -1,5 +1,6 @@
 """Soundness of the oracles themselves, spectral checks and audits."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import softmaxopt as so
-from kernel_oracles import b_matrix, exp_kernel
+from kernel_oracles import b_matrix, exp_kernel, total_kernel
 from softmaxopt.exceptions import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -374,7 +375,8 @@ class TestKernelBound:
         n = 3000
         inst, probes = kernel_instance(n)
         state = so.make_state(inst, probes[0])
-        so.kernel_bound(inst, probes[:1])  # imports the Lanczos solver untraced
+        # a first call outside the trace, so that one-time set-up does not count
+        so.kernel_bound(inst, probes[:1])
         tracemalloc.start()
         try:
             so.hessian_total(state, inst)
@@ -386,6 +388,142 @@ class TestKernelBound:
             tracemalloc.stop()
         assert hessian_peak < n * n * 8
         assert bound_peak < n * n * 8
+
+
+def loss_kernel_spectrum(inst, x):
+    """Dense loss kernel at x from the oracle formulas (w = 0), its eigenvalues and its parts."""
+    state = so.make_state(inst, x)
+    kernel = total_kernel(state, inst)
+    return kernel, np.linalg.eigvalsh(kernel), so.loss_kernel_parts(state, inst)
+
+
+def first_probe(inst, rng, holds):
+    """The first of 20 seeded probes whose dense loss kernel satisfies ``holds``."""
+    for _ in range(20):
+        x = rng.standard_normal(inst.d)
+        if holds(*loss_kernel_spectrum(inst, x)[1:]):
+            return x
+    raise AssertionError("no probe with the property in 20 draws")
+
+
+def structured_case(case, n, d=4):
+    """An instance and probes whose loss kernels have the named structure."""
+    rng = np.random.default_rng([71, n])
+    a = rng.standard_normal((n, d))
+    b = rng.uniform(0.0, 3.0 / n, n)
+    if case == "cross-entropy-only":
+        inst = so.ProblemInstance(a=a, b=b, w=np.zeros(n), use_exp=False)
+        return inst, [rng.standard_normal(d) for _ in range(3)]
+    if case == "residual-only":
+        inst = so.ProblemInstance(a=a, b=b, w=np.zeros(n), use_cent=False)
+        return inst, [rng.standard_normal(d) for _ in range(3)]
+    if case == "lam-max-between-poles":
+        inst = so.ProblemInstance(a=a, b=b, w=np.zeros(n))
+        return inst, [first_probe(inst, rng, lambda e, p: e[-1] < p.c.max())]
+    if case == "lam-max-above-poles":
+        b = np.zeros(n)
+        b[:3] = -2.0  # residual only, so b may be negative
+        inst = so.ProblemInstance(a=a, b=b, w=np.zeros(n), use_cent=False)
+        return inst, [first_probe(inst, rng, lambda e, p: e[-1] > p.c.max())]
+    if case == "lam-min-dominates":
+        b = np.zeros(n)
+        b[:3] = 2.0
+        inst = so.ProblemInstance(a=a, b=b, w=np.zeros(n), use_cent=False)
+        return inst, [first_probe(inst, rng, lambda e, p: -e[0] > e[-1])]
+    if case == "underflowed-f":
+        # five rows share the top logit; the others sit 1500 below it, so
+        # their f_i (and c_i, g_i) are exactly 0
+        a[:, 0] = -1.0
+        a[:5, 0] = 0.5 + 1e-3 * rng.standard_normal(5)
+        inst = so.ProblemInstance(a=a, b=b, w=np.zeros(n))
+        return inst, [rng.standard_normal(d) + np.eye(d)[0] * 1000.0 for _ in range(3)]
+    raise ValueError(case)
+
+
+KERNEL_CASES = [
+    "cross-entropy-only",
+    "residual-only",
+    "lam-max-between-poles",
+    "lam-max-above-poles",
+    "lam-min-dominates",
+    "underflowed-f",
+]
+
+
+class TestKernelNorm:
+    """The structured bisection above DENSE_NORM_MAX_N against the dense 2-norm."""
+
+    @pytest.mark.parametrize("n", [151, 400, 1000])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_matches_dense_two_norm(self, case, n):
+        inst, probes = structured_case(case, n)
+        expected = 0.0
+        for x in probes:
+            kernel, evals, parts = loss_kernel_spectrum(inst, x)
+            expected = max(expected, float(np.linalg.norm(kernel, 2)))
+            if case == "cross-entropy-only":
+                assert not parts.g.any()
+            if case == "underflowed-f":
+                dead = parts.f == 0.0
+                assert dead.sum() == n - 5
+                assert not (parts.c[dead].any() or parts.g[dead].any())
+        bound = so.kernel_bound(inst, probes)
+        assert bound == pytest.approx(expected, rel=1e-12)
+        assert so.kernel_bound(inst, probes) == bound
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_midpoint_on_a_coupled_pole(self, sign):
+        # The first midpoint of the symmetric bracket is exactly 0.0, the
+        # pole c_0 of a row with f_0 != 0.  With every other c_i < 0 and a
+        # large rank-one term, the one eigenvalue above 0 is lam_max, which
+        # a count taken on the pole would miss.
+        n = 400
+        rng = np.random.default_rng(73)
+        c = -1e-3 * rng.uniform(0.5, 1.0, n)
+        c[0] = 0.0
+        f = rng.uniform(0.5, 1.0, n) / n
+        parts = so.KernelParts(c=sign * c, g=np.zeros(n), kappa=sign * 1e3, f=f)
+        expected = float(np.linalg.norm(parts.dense(), 2))
+        assert expected > 10 * abs(c).max()
+        assert so.kernel_norm([parts]) == pytest.approx(expected, rel=1e-12)
+
+    def test_midpoint_on_an_eigenvalue(self):
+        # D = diag(c) + f f^T with f = e_0 and c_0 = -1 has the eigenvalue 0
+        # at the first midpoint, where T = [[1, 1], [1, 1]] is singular with
+        # one positive eigenvalue; the top eigenvalue 2 lies above it.
+        n = 200
+        c = np.full(n, -0.5)
+        c[:2] = (-1.0, 2.0)
+        f = np.zeros(n)
+        f[0] = 1.0
+        parts = so.KernelParts(c=c, g=np.zeros(n), kappa=1.0, f=f)
+        assert so.kernel_norm([parts]) == pytest.approx(2.0, rel=1e-12)
+
+    def test_parts_entry_point_matches_kernel_bound(self):
+        for n in (20, 400):
+            inst, probes = kernel_instance(n)
+            parts = [so.loss_kernel_parts(so.make_state(inst, x), inst) for x in probes]
+            assert so.kernel_norm(parts) == so.kernel_bound(inst, probes)
+            assert so.kernel_norm(iter(parts)) == so.kernel_bound(inst, probes)
+
+    def test_no_kernels_and_mixed_sizes(self):
+        assert so.kernel_norm([]) == 0.0
+        small, x_small = kernel_instance(20)
+        large, x_large = kernel_instance(400)
+        mixed = [
+            so.loss_kernel_parts(so.make_state(small, x_small[0]), small),
+            so.loss_kernel_parts(so.make_state(large, x_large[0]), large),
+        ]
+        with pytest.raises(DimensionMismatch):
+            so.kernel_norm(mixed)
+
+    def test_non_finite_kernel_above_cutoff(self):
+        inst, probes = kernel_instance(400)
+        parts = so.loss_kernel_parts(so.make_state(inst, probes[0]), inst)
+        c = parts.c.copy()
+        c[7] = np.nan
+        with pytest.raises(NonFiniteEvaluation):
+            so.kernel_norm([dataclasses.replace(parts, c=c)])
 
 
 class TestLipschitzProbe:
