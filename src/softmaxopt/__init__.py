@@ -2,8 +2,6 @@
 solver, InfoNCE lower-bound estimators and independent verification oracles."""
 
 from .calculus import (
-    GradientBundle,
-    HessianBundle,
     KernelParts,
     grad_cent,
     grad_exp,
@@ -12,13 +10,11 @@ from .calculus import (
     grad_log_f_dir,
     grad_reg,
     grad_total,
-    gradient_bundle,
     hessian_cent,
     hessian_exp,
     hessian_log_f_entry,
     hessian_reg,
     hessian_total,
-    hessian_total_at,
     loss_kernel_parts,
     total_kernel_parts,
 )

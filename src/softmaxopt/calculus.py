@@ -25,7 +25,9 @@ whose rows sampled Newton samples.  ``KernelParts.dense`` is the one
 n-by-n kernel in the package; the tests check the parts against dense
 kernels built directly from their formulas (``tests/kernel_oracles.py``).
 
-Index arguments are 0-based columns of A.
+Every gradient and Hessian takes ``(state, inst)``: a ``ModelState`` of one
+point and its instance.  ``hessian_reg(inst)`` is the exception, as it does
+not depend on x.  Index arguments are 0-based columns of A.
 """
 
 from __future__ import annotations
@@ -34,33 +36,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IndexOutOfRange, KernelNotPSD, NonFiniteInput
-from .model import ModelState, ProblemInstance, _vector, make_state
+from .exceptions import IndexOutOfRange, KernelNotPSD, NonFiniteInput
+from .model import ModelState, ProblemInstance
 
 
 def _check_col(inst: ProblemInstance, i: int) -> None:
     if not 0 <= i < inst.d:
         raise IndexOutOfRange(f"column index {i} outside [0, {inst.d})")
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    """Per-term gradients and their sum at one point."""
-
-    g_exp: np.ndarray
-    g_cent: np.ndarray
-    g_reg: np.ndarray
-    g_total: np.ndarray
-
-
-@dataclass(frozen=True)
-class HessianBundle:
-    """Per-term and total Hessians at one point."""
-
-    h_exp: np.ndarray
-    h_cent: np.ndarray
-    h_reg: np.ndarray
-    h_total: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -172,29 +154,21 @@ def grad_cent(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     return inst.a.T @ (float(b.sum()) * state.f - b)
 
 
-def grad_reg(inst: ProblemInstance, x) -> np.ndarray:
+def grad_reg(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     """Gradient of the ridge term: A^T W^2 A (x - x_ref)."""
-    x = _vector(x, "x")
-    if x.shape != (inst.d,):
-        raise DimensionMismatch(f"x must have length {inst.d}")
-    z = inst.a @ (x - inst.reg_center())
+    z = inst.a @ (state.x - inst.reg_center())
     return inst.a.T @ (inst.w**2 * z)
 
 
-def gradient_bundle(state: ModelState, inst: ProblemInstance) -> GradientBundle:
-    """All enabled per-term gradients; disabled terms contribute zero."""
+def grad_total(state: ModelState, inst: ProblemInstance) -> np.ndarray:
+    """Sum of the per-term gradients in (exp, cent, reg) order; disabled terms contribute zero."""
     zero = np.zeros(inst.d)
     g_exp = grad_exp(state, inst) if inst.use_exp else zero
     g_cent = grad_cent(state, inst) if inst.use_cent else zero
-    g_reg = grad_reg(inst, state.x)
-    g_total = g_exp + g_cent + g_reg
+    g_total = g_exp + g_cent + grad_reg(state, inst)
     if not np.all(np.isfinite(g_total)):
         raise NonFiniteInput("gradient is not finite")
-    return GradientBundle(g_exp=g_exp, g_cent=g_cent, g_reg=g_reg, g_total=g_total)
-
-
-def grad_total(inst: ProblemInstance, x) -> np.ndarray:
-    return gradient_bundle(make_state(inst, x), inst).g_total
+    return g_total
 
 
 def hessian_log_f_entry(state: ModelState, inst: ProblemInstance, i: int, j: int) -> float:
@@ -259,21 +233,10 @@ def hessian_reg(inst: ProblemInstance) -> np.ndarray:
     return inst.a.T @ (inst.w[:, None] ** 2 * inst.a)
 
 
-def hessian_total(state: ModelState, inst: ProblemInstance) -> HessianBundle:
-    """Per-term Hessians and the total; disabled terms contribute zero.
+def hessian_total(state: ModelState, inst: ProblemInstance) -> np.ndarray:
+    """Total Hessian: one congruence of ``total_kernel_parts``.
 
-    ``h_total`` is the one congruence of ``total_kernel_parts`` that the
-    Newton step factors, equal to the sum of the terms up to rounding.
+    It is the matrix the Newton step decomposes, and equals the sum of the
+    enabled terms' Hessians up to rounding.
     """
-    zero = np.zeros((inst.d, inst.d))
-    return HessianBundle(
-        h_exp=hessian_exp(state, inst) if inst.use_exp else zero,
-        h_cent=hessian_cent(state, inst) if inst.use_cent else zero,
-        h_reg=hessian_reg(inst),
-        h_total=total_kernel_parts(state, inst).congruence(inst.a),
-    )
-
-
-def hessian_total_at(inst: ProblemInstance, x) -> np.ndarray:
-    """Total Hessian at x: one congruence of ``total_kernel_parts``."""
-    return total_kernel_parts(make_state(inst, x), inst).congruence(inst.a)
+    return total_kernel_parts(state, inst).congruence(inst.a)

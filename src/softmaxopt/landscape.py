@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError
-from .model import ProblemInstance, _log_p_and_p, _require_finite, _write_text, loss_terms
+from .model import (
+    ProblemInstance,
+    _log_p_and_p,
+    _require_finite,
+    _require_ints,
+    _write_text,
+    loss_terms,
+)
 
 _ORTHO_TOL = 1e-12
 
@@ -101,6 +108,7 @@ def landscape_grid(
     rounding.  Raises ``OverflowError`` at the first row of cells whose logits,
     loss terms or totals are not finite.
     """
+    _require_ints(resolution=resolution)
     if resolution < 2:
         raise DomainError("resolution must be >= 2")
     if not np.isfinite(half_width) or half_width < 0:

@@ -58,10 +58,9 @@ def _require_finite_fields(config) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def _require_int_fields(config, *names: str) -> None:
-    """Raise DomainError at the first named field that is not an integer; a bool is not one."""
-    for name in names:
-        value = getattr(config, name)
+def _require_ints(**values) -> None:
+    """Raise DomainError at the first named value that is not an integer; a bool is not one."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
@@ -192,12 +191,12 @@ class ProblemInstance:
         out = {
             "n": self.n,
             "d": self.d,
-            "A": [float(v) for v in self.a.ravel()],
-            "b": [float(v) for v in self.b],
-            "w": [float(v) for v in self.w],
+            "A": self.a.ravel().tolist(),
+            "b": self.b.tolist(),
+            "w": self.w.tolist(),
         }
         if self.x_star is not None:
-            out["x_star"] = [float(v) for v in self.x_star]
+            out["x_star"] = self.x_star.tolist()
         if self.reg_mode != "paper":
             out["reg_mode"] = self.reg_mode
         if not self.use_exp:

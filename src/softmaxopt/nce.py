@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError, NonFiniteInput, PoolTooSmall
-from .model import _log_p_and_p
+from .model import _log_p_and_p, _require_ints
 
 MI_KINDS = ("head", "representation")
 
@@ -167,6 +167,9 @@ def paired_vs_shuffled_bounds(
     mean representation bound of each variant after training.  A working
     estimator separates the two: correlated > shuffled.
     """
+    _require_ints(
+        dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
+    )
     if k < 1 or k > pool_size:
         raise DomainError("need 1 <= k <= pool_size")
     if dim_anchor < 1 or dim_partner < 1:

@@ -7,7 +7,7 @@ eigendecomposition H = V diag(lam) V^T, which serves the stop rule
 ||g|| <= epsilon * eigmin(H), the singularity guard and the solve
 s = V ((V^T g) / lam), then updates x <- x - s.  In exact mode H is one
 congruence A^T D(x) A of the combined curvature kernel, in O(n d^2)
-(``KernelParts.congruence``).  In sampled mode
+(``hessian_total``).  In sampled mode
 the Hessian is replaced by an unbiased row-sampling estimate built from a
 factored form H = C^T C, where C is built from the structured parts of the
 combined curvature kernel D(x) in O(n d) with no n-by-n array
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import gradient_bundle, total_kernel_parts
+from .calculus import grad_total, hessian_total, total_kernel_parts
 from .exceptions import (
     DomainError,
     NonFiniteIterate,
@@ -39,7 +39,7 @@ from .model import (
     ModelState,
     ProblemInstance,
     _require_finite_fields,
-    _require_int_fields,
+    _require_ints,
     _write_text,
     make_state,
     state_losses,
@@ -62,7 +62,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_finite_fields(self)
-        _require_int_fields(self, "max_iters")
+        _require_ints(max_iters=self.max_iters)
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta < 0.1:
@@ -192,7 +192,7 @@ def _newton_update(inst, state, g, mode, sample_epsilon, delta, seed, epsilon=No
     if mode == "sampled":
         hess = approx_hessian(inst, state, sample_epsilon, seed, delta=delta)
     else:
-        hess = total_kernel_parts(state, inst).congruence(inst.a)
+        hess = hessian_total(state, inst)
     evs, vecs = np.linalg.eigh(hess)
     if epsilon is not None and float(np.linalg.norm(g)) <= epsilon * max(float(evs[0]), 0.0):
         return None
@@ -223,7 +223,7 @@ def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
         state = _state_or_nonfinite(inst, x)
         with np.errstate(over="ignore"):  # an overflow is reported just below
             loss = state_losses(inst, state).total
-            g = gradient_bundle(state, inst).g_total
+            g = grad_total(state, inst)
             grad_norm = float(np.linalg.norm(g))
         if not (math.isfinite(loss) and math.isfinite(grad_norm)):
             raise NonFiniteIterate(
@@ -266,7 +266,7 @@ def newton_step(
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
     state = _state_or_nonfinite(inst, x_t)
-    g = gradient_bundle(state, inst).g_total
+    g = grad_total(state, inst)
     return _newton_update(inst, state, g, mode, sample_epsilon, delta, seed)
 
 
@@ -307,6 +307,7 @@ def gradient_descent_baseline(
     """
     if step_size <= 0:
         raise DomainError("step_size must be positive")
+    _require_ints(iters=iters)
     if iters < 0:
         raise DomainError("iters must be >= 0")
 

@@ -11,12 +11,13 @@ total Hessian stays above the requested strong-convexity level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, GenerationFailure
-from .model import ProblemInstance, _require_finite_fields, _require_int_fields, softmax
+from .model import ProblemInstance, _require_finite_fields, _require_ints, softmax
 from .verify import ridge_weights
 
 _COND_TOL = 1e-9
@@ -35,7 +36,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         _require_finite_fields(self)
-        _require_int_fields(self, "n", "d")
+        _require_ints(n=self.n, d=self.d)
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
         if self.n < self.d:
@@ -112,7 +113,7 @@ def _unit(rng, d: int) -> np.ndarray:
 
 def basin_start(x_star, offset: float, seed) -> np.ndarray:
     """x_star plus an offset-length random unit direction."""
-    if offset < 0:
-        raise DomainError("offset must be >= 0")
+    if not math.isfinite(offset) or offset < 0:
+        raise DomainError(f"offset must be finite and >= 0, got {offset!r}")
     x_star = np.asarray(x_star, dtype=np.float64)
     return x_star + offset * _unit(np.random.default_rng(seed), x_star.size)

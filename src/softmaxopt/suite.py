@@ -18,8 +18,9 @@ from .calculus import (
     grad_f_inner,
     grad_reg,
     grad_total,
+    hessian_cent,
+    hessian_exp,
     hessian_total,
-    hessian_total_at,
     loss_kernel_parts,
 )
 from .model import (
@@ -102,8 +103,8 @@ def check_gradients(seed: int, num_instances: int = 20) -> CheckResult:
         analytic = (
             grad_exp(state, inst),
             grad_cent(state, inst),
-            grad_reg(inst, x),
-            grad_total(inst, x),
+            grad_reg(state, inst),
+            grad_total(state, inst),
         )
         for k, grad in enumerate(analytic):
             worst = max(worst, rel_err(grad, fd[:, k]))
@@ -121,20 +122,20 @@ def check_hessians(seed: int, num_instances: int = 10) -> CheckResult:
     for i in range(num_instances):
         inst, x = random_instance([seed, i], n_max=30, d_max=6)
         state = make_state(inst, x)
-        hess = hessian_total(state, inst)
+        h_cent = hessian_cent(state, inst)
         fd = fd_hessian(_term_losses(inst), x)
         worst_fd = max(
             worst_fd,
-            rel_err(hess.h_cent, fd[..., 1]),
-            rel_err(hess.h_exp, fd[..., 0]),
-            rel_err(hess.h_total, fd[..., 3]),
+            rel_err(h_cent, fd[..., 1]),
+            rel_err(hessian_exp(state, inst), fd[..., 0]),
+            rel_err(hessian_total(state, inst), fd[..., 3]),
         )
         # Entrywise covariance formula, an independent path to A^T B A.
         bsum = float(inst.b.sum())
         entry = np.array(
             [[bsum * grad_f_inner(state, inst, r, c) for c in range(inst.d)] for r in range(inst.d)]
         )
-        worst_form = max(worst_form, rel_err(hess.h_cent, entry))
+        worst_form = max(worst_form, rel_err(h_cent, entry))
     passed = worst_fd <= HESS_TOL and worst_form <= CENT_FORM_TOL
     return CheckResult(
         name="hessians",
@@ -158,7 +159,7 @@ def check_psd_recipe(seed: int, levels=(0.1, 1.0, 10.0)) -> CheckResult:
         inst, x_star = generate_planted(spec)
         rng = np.random.default_rng([seed, k])
         for probe in (x_star, basin_start(x_star, 0.3, rng), basin_start(x_star, 1.0, rng)):
-            report = psd_check(hessian_total_at(inst, probe), 0.99 * level)
+            report = psd_check(hessian_total(make_state(inst, probe), inst), 0.99 * level)
             reports.append(report.to_dict())
             passed = passed and report.passed
     return CheckResult(name="psd", passed=passed, detail={"reports": reports})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import KernelParts, hessian_total_at, loss_kernel_parts
+from .calculus import KernelParts, hessian_total, loss_kernel_parts
 from .exceptions import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -25,7 +25,7 @@ from .exceptions import (
     NonFiniteEvaluation,
     SamplingFailure,
 )
-from .model import ProblemInstance, _vector, make_state
+from .model import ProblemInstance, _require_ints, _vector, make_state
 
 FD_STEP = 1e-5
 # Second differences divide by h^2, so the Hessian stencil needs a larger
@@ -245,6 +245,7 @@ def lipschitz_probe(
     """
     if not (math.isfinite(radius_r) and radius_r > 0):
         raise DomainError(f"radius_r must be finite and positive, got {radius_r!r}")
+    _require_ints(num_pairs=num_pairs)
     if num_pairs < 1:
         raise DomainError(f"num_pairs must be >= 1, got {num_pairs!r}")
     if not distances:
@@ -273,10 +274,10 @@ def lipschitz_probe(
             if float(np.linalg.norm(x + max_dist * u)) > radius_r:
                 continue
             break
-        h_x = hessian_total_at(inst, x)
+        h_x = hessian_total(make_state(inst, x), inst)
         for dist in distances:
             y = x + dist * u
-            h_y = hessian_total_at(inst, y)
+            h_y = hessian_total(make_state(inst, y), inst)
             ratio = float(np.linalg.norm(h_x - h_y, 2)) / dist
             pairs.append(LipschitzPair(x=x, y=y, dist=float(dist), ratio=ratio))
     max_ratio = max(p.ratio for p in pairs)
@@ -428,8 +429,8 @@ def ridge_weights(inst: ProblemInstance, level: float, probe_points) -> np.ndarr
     w with w_i^2 = 100 K + level / sigma_min(A)^2, which dominates the
     possibly-indefinite kernels with two orders of headroom.
     """
-    if level < 0:
-        raise DomainError("level must be >= 0")
+    if not math.isfinite(level) or level < 0:
+        raise DomainError(f"level must be finite and >= 0, got {level!r}")
     smin = float(np.linalg.svd(inst.a, compute_uv=False)[-1])
     if level > 0 and smin <= 0:
         raise DomainError("A is rank deficient; no ridge weight plants a positive level")

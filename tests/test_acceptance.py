@@ -46,8 +46,8 @@ def test_criterion_1_gradient_fidelity():
         checks = [
             (so.grad_exp(state, inst), lambda v: so.loss_exp(so.make_state(inst, v).f, inst.b)),
             (so.grad_cent(state, inst), lambda v: so.loss_cent(so.make_state(inst, v).f, inst.b)),
-            (so.grad_reg(inst, x), lambda v: so.loss_reg(inst, v)),
-            (so.grad_total(inst, x), lambda v: so.loss_total(inst, v).total),
+            (so.grad_reg(state, inst), lambda v: so.loss_reg(inst, v)),
+            (so.grad_total(state, inst), lambda v: so.loss_total(inst, v).total),
         ]
         for analytic, evaluator in checks:
             worst = max(worst, so.rel_err(analytic, so.fd_gradient(evaluator, x, h=1e-5)))
@@ -121,7 +121,8 @@ def test_criterion_4_psd_recipe():
         )
         rng = np.random.default_rng([4001, i])
         for probe in (x_star, so.basin_start(x_star, 0.3, rng), so.basin_start(x_star, 1.0, rng)):
-            eigmin = float(np.linalg.eigvalsh(so.hessian_total_at(inst, probe))[0])
+            hess = so.hessian_total(so.make_state(inst, probe), inst)
+            eigmin = float(np.linalg.eigvalsh(hess)[0])
             worst_margin = min(worst_margin, eigmin / level)
             ok = ok and eigmin >= 0.99 * level
     verdict(4, "PSD ridge recipe", ok,
@@ -156,7 +157,7 @@ def test_criterion_6_sampled_hessian_guarantee():
     started = time.perf_counter()
     inst, x_star = so.generate_planted(so.GeneratorSpec(n=200, d=5, ridge_l=1.0, seed=6000))
     state = so.make_state(inst, so.basin_start(x_star, 0.05, 60))
-    exact = so.hessian_total(state, inst).h_total
+    exact = so.hessian_total(state, inst)
     inside = 0
     for s in range(100):
         approx = so.approx_hessian(inst, state, 0.1, seed=s)
@@ -273,7 +274,7 @@ def test_criterion_9_baseline_separation():
     tightest = None
     for inst, x_star, x0 in planted_suite():
         newton = so.solve(inst, x0, so.SolverConfig(epsilon=eps, max_iters=50))
-        step = 1.0 / float(np.linalg.eigvalsh(so.hessian_total_at(inst, x0))[-1])
+        step = 1.0 / float(np.linalg.eigvalsh(so.hessian_total(so.make_state(inst, x0), inst))[-1])
         baseline = so.gradient_descent_baseline(inst, x0, step, 5000, epsilon=eps)
 
         def first_reach(trace):

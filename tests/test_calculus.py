@@ -164,31 +164,40 @@ class TestLossGradients:
     def test_grad_reg_trivial_zeros(self):
         inst, _ = random_instance(28)
         np.testing.assert_array_equal(
-            so.grad_reg(inst, np.zeros(inst.d)) if inst.w.any() else np.zeros(inst.d),
+            so.grad_reg(so.make_state(inst, np.zeros(inst.d)), inst)
+            if inst.w.any()
+            else np.zeros(inst.d),
             np.zeros(inst.d),
         )
         no_w = so.ProblemInstance(a=inst.a, b=inst.b, w=np.zeros(inst.n))
         x = np.random.default_rng(28).standard_normal(inst.d)
-        np.testing.assert_array_equal(so.grad_reg(no_w, x), np.zeros(inst.d))
+        np.testing.assert_array_equal(
+            so.grad_reg(so.make_state(no_w, x), no_w), np.zeros(inst.d)
+        )
 
     def test_grad_reg_matches_finite_differences(self):
         inst, x = random_instance(29, n_max=10, d_max=4)
         inst = so.ProblemInstance(a=inst.a, b=inst.b, w=np.abs(inst.a[:, 0]) + 0.5)
         fd = so.fd_gradient(lambda v: so.loss_reg(inst, v), x)
-        assert so.rel_err(so.grad_reg(inst, x), fd) <= 1e-8
+        assert so.rel_err(so.grad_reg(so.make_state(inst, x), inst), fd) <= 1e-8
 
-    def test_gradient_bundle_sums_and_flags(self):
+    def test_grad_total_sums_terms_and_flags(self):
         inst, x = random_instance(30)
         state = so.make_state(inst, x)
-        gb = so.gradient_bundle(state, inst)
-        np.testing.assert_array_equal(gb.g_total, gb.g_exp + gb.g_cent + gb.g_reg)
-        off = so.ProblemInstance(
-            a=inst.a, b=inst.b, w=inst.w, use_exp=False, use_cent=False
+        g_exp, g_cent, g_reg = (
+            grad(state, inst) for grad in (so.grad_exp, so.grad_cent, so.grad_reg)
         )
-        gb_off = so.gradient_bundle(so.make_state(off, x), off)
-        np.testing.assert_array_equal(gb_off.g_exp, np.zeros(inst.d))
-        np.testing.assert_array_equal(gb_off.g_cent, np.zeros(inst.d))
-        np.testing.assert_array_equal(gb_off.g_total, gb_off.g_reg)
+        np.testing.assert_array_equal(so.grad_total(state, inst), g_exp + g_cent + g_reg)
+        zero = np.zeros(inst.d)
+        for use_exp, use_cent, want in (
+            (False, False, zero + zero + g_reg),
+            (False, True, zero + g_cent + g_reg),
+            (True, False, g_exp + zero + g_reg),
+        ):
+            off = so.ProblemInstance(
+                a=inst.a, b=inst.b, w=inst.w, use_exp=use_exp, use_cent=use_cent
+            )
+            np.testing.assert_array_equal(so.grad_total(so.make_state(off, x), off), want)
 
 
 class TestLogFHessianEntry:
@@ -313,32 +322,34 @@ class TestHessians:
         inst, x = random_instance(43, n_max=10, d_max=3)
         heavy = so.ProblemInstance(a=inst.a, b=np.zeros(inst.n), w=np.full(inst.n, 50.0))
         state = so.make_state(heavy, x)
-        bundle = so.hessian_total(state, heavy)
         ridge = heavy.a.T @ (heavy.w[:, None] ** 2 * heavy.a)
-        assert so.rel_err(bundle.h_total, ridge) <= 1e-3
-        np.testing.assert_array_equal(bundle.h_reg, ridge)
+        assert so.rel_err(so.hessian_total(state, heavy), ridge) <= 1e-3
+        np.testing.assert_array_equal(so.hessian_reg(heavy), ridge)
 
     def test_hessian_total_zero_inputs(self):
         inst = so.ProblemInstance(a=np.zeros((3, 2)), b=np.zeros(3), w=np.zeros(3))
         state = so.make_state(inst, np.zeros(2))
         np.testing.assert_array_equal(
-            so.hessian_total(state, inst).h_total, np.zeros((2, 2))
+            so.hessian_total(state, inst), np.zeros((2, 2))
         )
 
     def test_hessian_total_matches_finite_differences(self):
         inst, x = random_instance(44, n_max=12, d_max=4)
         state = so.make_state(inst, x)
         fd = so.fd_hessian(lambda v: so.loss_total(inst, v).total, x)
-        assert so.rel_err(so.hessian_total(state, inst).h_total, fd) <= 1e-5
+        assert so.rel_err(so.hessian_total(state, inst), fd) <= 1e-5
 
     def test_component_sum_and_symmetry(self):
         inst, x = random_instance(45)
         state = so.make_state(inst, x)
-        bundle = so.hessian_total(state, inst)
+        h_exp = so.hessian_exp(state, inst)
+        h_cent = so.hessian_cent(state, inst)
+        h_reg = so.hessian_reg(inst)
+        h_total = so.hessian_total(state, inst)
         # h_total is one congruence of the combined kernel, so it equals the
         # per-term sum up to rounding, not bit for bit.
-        assert so.rel_err(bundle.h_total, bundle.h_exp + bundle.h_cent + bundle.h_reg) <= 1e-12
-        for mat in (bundle.h_exp, bundle.h_cent, bundle.h_reg, bundle.h_total):
+        assert so.rel_err(h_total, h_exp + h_cent + h_reg) <= 1e-12
+        for mat in (h_exp, h_cent, h_reg, h_total):
             scale = max(np.linalg.norm(mat, 2), 1e-300)
             assert np.linalg.norm(mat - mat.T, 2) <= 1e-12 * scale
 
@@ -346,7 +357,7 @@ class TestHessians:
         inst, x = random_instance(46, n_max=15, d_max=4)
         state = so.make_state(inst, x)
         via_kernel = inst.a.T @ total_kernel(state, inst) @ inst.a
-        assert so.rel_err(via_kernel, so.hessian_total(state, inst).h_total) <= 1e-12
+        assert so.rel_err(via_kernel, so.hessian_total(state, inst)) <= 1e-12
 
 
 FLAG_SETS = ((True, True), (False, True), (True, False))  # (use_exp, use_cent)
@@ -376,7 +387,6 @@ class TestStructuredKernel:
         for inst, x in flagged_instances(61):
             state = so.make_state(inst, x)
             a = inst.a
-            bundle = so.hessian_total(state, inst)
             assert so.rel_err(
                 so.hessian_cent(state, inst), a.T @ b_matrix(state, inst.b) @ a
             ) <= 1e-12
@@ -384,7 +394,7 @@ class TestStructuredKernel:
                 so.hessian_exp(state, inst), a.T @ exp_kernel(state, inst) @ a
             ) <= 1e-12
             assert so.rel_err(
-                bundle.h_total, a.T @ total_kernel(state, inst) @ a
+                so.hessian_total(state, inst), a.T @ total_kernel(state, inst) @ a
             ) <= 1e-12
 
 
@@ -414,7 +424,7 @@ class TestKernelFactor:
             assert c_mat.shape == inst.a.shape
             gram = c_mat.T @ c_mat
             assert so.rel_err(gram, inst.a.T @ total_kernel(state, inst) @ inst.a) <= 1e-12
-            assert so.rel_err(gram, so.hessian_total(state, inst).h_total) <= 1e-12
+            assert so.rel_err(gram, so.hessian_total(state, inst)) <= 1e-12
 
     def test_gram_matches_dense_symmetric_root(self):
         for inst, x in positive_diagonal_instances(63):
@@ -430,7 +440,7 @@ class TestConsistencySweeps:
         for i in range(30):
             inst, x = random_instance([50, i])
             fd = so.fd_gradient(lambda v: so.loss_total(inst, v).total, x)
-            worst = max(worst, so.rel_err(so.grad_total(inst, x), fd))
+            worst = max(worst, so.rel_err(so.grad_total(so.make_state(inst, x), inst), fd))
         assert worst <= 1e-6
 
     def test_hessian_sweep(self):
@@ -439,5 +449,5 @@ class TestConsistencySweeps:
             inst, x = random_instance([51, i], n_max=25, d_max=6)
             state = so.make_state(inst, x)
             fd = so.fd_hessian(lambda v: so.loss_total(inst, v).total, x)
-            worst = max(worst, so.rel_err(so.hessian_total(state, inst).h_total, fd))
+            worst = max(worst, so.rel_err(so.hessian_total(state, inst), fd))
         assert worst <= 1e-4

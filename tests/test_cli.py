@@ -194,7 +194,11 @@ PINNED_NCE_SUMMARY = {
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(["gen", "--ridge-l", "nan"], "ridge_l"), (["solve", "--epsilon", "nan"], "epsilon")],
+    [
+        (["gen", "--ridge-l", "nan"], "ridge_l"),
+        (["solve", "--epsilon", "nan"], "epsilon"),
+        (["solve", "--x0-offset", "nan"], "offset"),
+    ],
 )
 def test_non_finite_flag_is_domain_error(capsys, argv, name):
     assert run(argv) == 1

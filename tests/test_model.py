@@ -483,3 +483,24 @@ class TestInstanceJson:
             so.ProblemInstance.from_dict(
                 {"n": 2, "d": 2, "A": [1.0, 2.0, 3.0], "b": [0.0, 0.0], "w": [0.0, 0.0]}
             )
+
+
+# One call per integer count of the public API, each with the named count set to v.
+COUNT_CALLS = {
+    "num_pairs": lambda inst, v: so.lipschitz_probe(inst, 1.0, num_pairs=v, seed=0),
+    "resolution": lambda inst, v: so.landscape_grid(inst, resolution=v),
+    "iters": lambda inst, v: so.gradient_descent_baseline(inst, inst.x_star, 0.1, iters=v),
+    "k": lambda inst, v: so.paired_vs_shuffled_bounds(0, k=v),
+    "pool_size": lambda inst, v: so.paired_vs_shuffled_bounds(0, pool_size=v),
+    "epochs": lambda inst, v: so.paired_vs_shuffled_bounds(0, epochs=v),
+    "dim_anchor": lambda inst, v: so.paired_vs_shuffled_bounds(0, dim_anchor=v),
+    "dim_partner": lambda inst, v: so.paired_vs_shuffled_bounds(0, dim_partner=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_non_integer_count_is_domain_error(name, value):
+    inst, _ = so.generate_planted(so.GeneratorSpec(n=6, d=3, ridge_l=1.0, seed=0))
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+        COUNT_CALLS[name](inst, value)

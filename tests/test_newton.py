@@ -72,14 +72,14 @@ class TestApproxHessian:
     def test_saturated_sampling_reproduces_exact(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=50, d=4, ridge_l=1.0, seed=5))
         state = so.make_state(inst, x_star)
-        exact = so.hessian_total(state, inst).h_total
+        exact = so.hessian_total(state, inst)
         approx = so.approx_hessian(inst, state, 0.1, seed=0)
         np.testing.assert_allclose(approx, exact, rtol=1e-12)
 
     def test_spectral_sandwich_across_seeds(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=100, d=4, ridge_l=1.0, seed=6))
         state = so.make_state(inst, so.basin_start(x_star, 0.1, 0))
-        exact = so.hessian_total(state, inst).h_total
+        exact = so.hessian_total(state, inst)
         hits = 0
         for s in range(40):
             approx = so.approx_hessian(inst, state, 0.1, seed=s)
@@ -91,7 +91,7 @@ class TestApproxHessian:
         # Large sample_epsilon/delta force row-drop probabilities below one.
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=150, d=3, ridge_l=1.0, seed=7))
         state = so.make_state(inst, x_star)
-        exact = so.hessian_total(state, inst).h_total
+        exact = so.hessian_total(state, inst)
         draws = [so.approx_hessian(inst, state, 0.9, seed=s, delta=0.5) for s in range(300)]
         spread = max(np.linalg.norm(h - exact, 2) for h in draws)
         assert spread > 1e-8  # genuinely random draws
@@ -162,7 +162,7 @@ class TestKernelNotPSD:
         assert parts.c[3] == parts.f[3] == parts.g[3] == 0.0
         np.testing.assert_array_equal(parts.factor(inst.a)[3], np.zeros(2))
         approx = so.approx_hessian(inst, state, 0.1, seed=0)
-        assert so.rel_err(approx, so.hessian_total(state, inst).h_total) <= 1e-12
+        assert so.rel_err(approx, so.hessian_total(state, inst)) <= 1e-12
 
 
 class TestSampledAtScale:
@@ -193,7 +193,7 @@ class TestSampledAtScale:
         state = so.make_state(inst, rng.standard_normal(d))
         parts = so.total_kernel_parts(state, inst)
         assert parts.c.min() > 0
-        exact = so.hessian_total(state, inst).h_total
+        exact = so.hessian_total(state, inst)
         c_mat = parts.factor(inst.a)
         row2 = np.einsum("ij,ij->i", c_mat, c_mat)
         probs = np.minimum(1.0, count * row2 / row2.sum())
@@ -304,7 +304,7 @@ class TestBaseline:
 
     def test_monotone_loss_on_quadratic_with_safe_step(self):
         inst = quadratic_instance(seed=16)
-        hess = so.hessian_total_at(inst, np.zeros(inst.d))
+        hess = so.hessian_total(so.make_state(inst, np.zeros(inst.d)), inst)
         step = 1.0 / float(np.linalg.eigvalsh(hess)[-1])
         x0 = np.random.default_rng(17).standard_normal(inst.d)
         trace = so.gradient_descent_baseline(inst, x0, step, 50)
@@ -316,7 +316,7 @@ class TestBaseline:
         x0 = so.basin_start(x_star, 1e-3, 4)
         eps = 1e-6
         newton = so.solve(inst, x0, so.SolverConfig(epsilon=eps, max_iters=50))
-        step = 1.0 / float(np.linalg.eigvalsh(so.hessian_total_at(inst, x0))[-1])
+        step = 1.0 / float(np.linalg.eigvalsh(so.hessian_total(so.make_state(inst, x0), inst))[-1])
         baseline = so.gradient_descent_baseline(inst, x0, step, 3000, epsilon=eps)
         assert baseline.converged
         assert baseline.iterations_run > newton.iterations_run
@@ -363,7 +363,8 @@ class TestStopBranchesWithoutPlantedOptimum:
         assert trace.converged and not trace.max_iters_exceeded
         assert trace.iterations_run == 2
         assert all(rec.err_to_opt is None for rec in trace.iterates)
-        eigmin = float(np.linalg.eigvalsh(so.hessian_total_at(inst, trace.iterates[-1].x))[0])
+        last = so.make_state(inst, trace.iterates[-1].x)
+        eigmin = float(np.linalg.eigvalsh(so.hessian_total(last, inst))[0])
         # the last gradient passes only the eigmin-scaled test, not ||g|| <= eps
         assert eps < trace.iterates[-1].grad_norm <= eps * eigmin
         assert trace.iterates[-2].grad_norm > eps * eigmin
@@ -441,7 +442,7 @@ class TestPinnedValues:
 
     def test_gradient_descent_trace_values(self):
         inst, x0 = self.start()
-        step = 1.0 / float(np.linalg.eigvalsh(so.hessian_total_at(inst, x0))[-1])
+        step = 1.0 / float(np.linalg.eigvalsh(so.hessian_total(so.make_state(inst, x0), inst))[-1])
         assert step == pytest.approx(PINNED_GD_STEP, rel=1e-12)
         trace = so.gradient_descent_baseline(inst, x0, PINNED_GD_STEP, 8)
         assert not trace.converged and trace.max_iters_exceeded
@@ -499,7 +500,7 @@ class TestStepAgainstDenseSolve:
     def test_matches_dense_solve(self, draw):
         inst, x = random_instance(draw)
         state = so.make_state(inst, x)
-        hess = so.hessian_total(state, inst).h_total
+        hess = so.hessian_total(state, inst)
         # with every row kept the sampled estimate is H, so both modes share the oracle
         modes = ["exact", "sampled"] if keeps_every_row(inst, state) else ["exact"]
         evs = np.linalg.eigvalsh(hess)
@@ -508,7 +509,7 @@ class TestStepAgainstDenseSolve:
                 with pytest.raises(SingularHessian):
                     so.newton_step(inst, x, mode, seed=draw)
             return
-        step = np.linalg.solve(hess, so.gradient_bundle(state, inst).g_total)
+        step = np.linalg.solve(hess, so.grad_total(state, inst))
         for mode in modes:
             got = x - so.newton_step(inst, x, mode, seed=draw)
             assert np.linalg.norm(got - step) <= 1e-12 * np.linalg.norm(step), mode

@@ -46,11 +46,11 @@ class TestGeneratePlanted:
     def test_gradient_vanishes_without_ridge(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=0.0, seed=0))
         assert np.all(inst.w == 0.0)
-        assert np.linalg.norm(so.grad_total(inst, x_star)) <= 1e-10
+        assert np.linalg.norm(so.grad_total(so.make_state(inst, x_star), inst)) <= 1e-10
 
     def test_gradient_vanishes_with_ridge(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=1))
-        assert np.linalg.norm(so.grad_total(inst, x_star)) <= 1e-10
+        assert np.linalg.norm(so.grad_total(so.make_state(inst, x_star), inst)) <= 1e-10
 
     def test_deterministic(self):
         spec = so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=2)
@@ -80,7 +80,7 @@ class TestGeneratePlanted:
             inst, x_star = so.generate_planted(
                 so.GeneratorSpec(n=20, d=5, ridge_l=level, seed=5)
             )
-            h = so.hessian_total_at(inst, x_star)
+            h = so.hessian_total(so.make_state(inst, x_star), inst)
             assert so.psd_check(h, 0.99 * level).passed
 
     def test_unreachable_conditioning_fails(self):
@@ -91,6 +91,11 @@ class TestGeneratePlanted:
         x_star = np.array([1.0, -2.0, 0.5])
         x0 = so.basin_start(x_star, 1e-3, seed=7)
         assert np.linalg.norm(x0 - x_star) == pytest.approx(1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -1.0])
+    def test_basin_start_rejects_bad_offset(self, offset):
+        with pytest.raises(DomainError, match="^offset must be finite and >= 0"):
+            so.basin_start(np.zeros(3), offset, seed=7)
 
 
 class TestLandscape:

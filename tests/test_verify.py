@@ -80,7 +80,7 @@ class TestFdHessian:
     def test_cross_module_total_hessian(self):
         inst, x = random_instance(4, n_max=10, d_max=4)
         fd = so.fd_hessian(lambda v: so.loss_total(inst, v).total, x)
-        assert so.rel_err(fd, so.hessian_total_at(inst, x)) <= 1e-4
+        assert so.rel_err(fd, so.hessian_total(so.make_state(inst, x), inst)) <= 1e-4
 
 
 def loop_fd_gradient(evaluate_one, x, h=so.verify.FD_STEP):
@@ -328,7 +328,7 @@ class TestRidgeRecipe:
         w = so.ridge_weights(inst, level, probes)
         sized = so.ProblemInstance(a=inst.a, b=inst.b, w=w)
         for probe in probes:
-            h = so.hessian_total_at(sized, probe)
+            h = so.hessian_total(so.make_state(sized, probe), sized)
             assert so.psd_check(h, level).passed
 
     def test_zero_level_zero_kernel_gives_zero_weights(self):
@@ -337,6 +337,12 @@ class TestRidgeRecipe:
         )
         w = so.ridge_weights(inst, 0.0, [np.zeros(3)])
         np.testing.assert_array_equal(w, np.zeros(3))
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), -1.0])
+    def test_bad_level_is_domain_error(self, level):
+        inst, x = random_instance(8, n_max=15, d_max=4)
+        with pytest.raises(DomainError, match="^level must be finite and >= 0"):
+            so.ridge_weights(inst, level, [x])
 
 
 def kernel_instance(n, d=4):
