@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import IndexOutOfRange, KernelNotPSD, NonFiniteInput
-from .model import ModelState, ProblemInstance
+from .exceptions import DimensionMismatch, IndexOutOfRange, KernelNotPSD, NonFiniteInput
+from .model import ModelState, ProblemInstance, _row_dot
 
 
 def _check_col(inst: ProblemInstance, i: int) -> None:
@@ -45,26 +45,39 @@ def _check_col(inst: ProblemInstance, i: int) -> None:
         raise IndexOutOfRange(f"column index {i} outside [0, {inst.d})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelParts:
-    """Curvature kernel D = diag(c) + kappa f f^T - g f^T - f g^T in O(n) memory."""
+    """Curvature kernel D = diag(c) + kappa f f^T - g f^T - f g^T in O(n) memory.
+
+    A stack of m kernels holds ``c``, ``g``, ``f`` as (m, n) and ``kappa`` as
+    (m,); ``congruence`` and ``factor`` take one kernel and reject a stack.
+    """
 
     c: np.ndarray
     g: np.ndarray
-    kappa: float
+    kappa: float | np.ndarray
     f: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """The n-by-n kernel itself: O(n^2) time and memory."""
-        out = np.outer(self.kappa * self.f - self.g, self.f) - np.outer(self.f, self.g)
-        out[np.diag_indices_from(out)] += self.c
+        """The n-by-n kernel itself (m of them for a stack): O(m n^2) time and memory."""
+        f, g = self.f, self.g
+        u = np.expand_dims(self.kappa, -1) * f - g
+        out = u[..., :, None] * f[..., None, :] - f[..., :, None] * g[..., None, :]
+        diag = np.arange(f.shape[-1])
+        out[..., diag, diag] += self.c
         return out
+
+    def _require_one(self) -> None:
+        # a stack would broadcast through A^T f silently when m == n
+        if self.f.ndim != 1:
+            raise DimensionMismatch(f"needs one kernel, got a stack of shape {self.f.shape}")
 
     def congruence(self, a: np.ndarray) -> np.ndarray:
         """A^T D A = A^T diag(c) A + kappa a a^T - gamma a^T - a gamma^T.
 
         With a = A^T f and gamma = A^T g; O(n d^2) time, no n-by-n array.
         """
+        self._require_one()
         a_f = a.T @ self.f
         gamma = a.T @ self.g
         return (
@@ -88,6 +101,7 @@ class KernelParts:
         weight) is a zero row of D and gets a zero row of C; any other
         c_i <= 0 raises KernelNotPSD.
         """
+        self._require_one()
         c = self.c
         u = np.column_stack((self.f, self.g))
         flat = c <= 0.0
@@ -191,13 +205,13 @@ def _exp_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
     f = state.f
     r = f - inst.b
     q = f * r
-    s = float(f @ r)
+    s = _row_dot(f, r)
     g = f * f + q
-    return KernelParts(c=g - s * f, g=g, kappa=float(f @ f) + 2.0 * s, f=f)
+    return KernelParts(c=g - s[..., None] * f, g=g, kappa=_row_dot(f, f) + 2.0 * s, f=f)
 
 
 def loss_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
-    """Structured kernel of the enabled loss terms, ridge excluded."""
+    """Structured kernel of the enabled loss terms, ridge excluded; a stack for a stacked state."""
     f = state.f
     terms = []
     if inst.use_cent:
@@ -207,7 +221,7 @@ def loss_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
     return KernelParts(
         c=sum((t.c for t in terms), np.zeros_like(f)),
         g=sum((t.g for t in terms), np.zeros_like(f)),
-        kappa=float(sum(t.kappa for t in terms)),
+        kappa=sum((t.kappa for t in terms), np.zeros(f.shape[:-1])),
         f=f,
     )
 

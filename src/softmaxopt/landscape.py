@@ -26,7 +26,7 @@ from .model import (
 _ORTHO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandscapeGrid:
     """Loss values on a resolution-by-resolution grid around ``center``."""
 

@@ -207,8 +207,12 @@ class ProblemInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemInstance":
-        n = int(data["n"])
-        d = int(data["d"])
+        n, d = data["n"], data["d"]
+        _require_ints(n=n, d=d)
+        flags = {key: data.get(key, True) for key in ("use_exp", "use_cent")}
+        for key, value in flags.items():
+            if not isinstance(value, bool):
+                raise DomainError(f"{key} must be true or false, got {value!r}")
         flat = np.asarray(data["A"], dtype=np.float64)
         if flat.shape != (n * d,):
             raise DimensionMismatch(
@@ -218,8 +222,7 @@ class ProblemInstance:
             a=flat.reshape(n, d),
             b=np.asarray(data["b"], dtype=np.float64),
             w=np.asarray(data["w"], dtype=np.float64),
-            use_exp=bool(data.get("use_exp", True)),
-            use_cent=bool(data.get("use_cent", True)),
+            **flags,
             x_star=(
                 np.asarray(data["x_star"], dtype=np.float64)
                 if "x_star" in data

@@ -136,6 +136,7 @@ def overall_objective(
 
 def sample_negatives(pool, k_minus_1: int, seed) -> list:
     """Uniform sample of k_minus_1 pool vectors without replacement."""
+    _require_ints(k_minus_1=k_minus_1)
     if k_minus_1 < 0:
         raise DomainError("k_minus_1 must be >= 0")
     if k_minus_1 > len(pool):

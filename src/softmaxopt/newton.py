@@ -62,7 +62,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_finite_fields(self)
-        _require_ints(max_iters=self.max_iters)
+        _require_ints(max_iters=self.max_iters, seed=self.seed)
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta < 0.1:
@@ -75,7 +75,7 @@ class SolverConfig:
             raise DomainError("max_iters must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterateRecord:
     t: int
     x: np.ndarray
@@ -85,7 +85,7 @@ class IterateRecord:
     step_seconds: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveTrace:
     """Per-iteration records plus the final convergence verdict."""
 
@@ -305,8 +305,8 @@ def gradient_descent_baseline(
     planted error (or, without a planted optimum, the gradient norm) falls
     below it.
     """
-    if step_size <= 0:
-        raise DomainError("step_size must be positive")
+    if not (math.isfinite(step_size) and step_size > 0):
+        raise DomainError(f"step_size must be finite and positive, got {step_size!r}")
     _require_ints(iters=iters)
     if iters < 0:
         raise DomainError("iters must be >= 0")

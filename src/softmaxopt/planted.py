@@ -36,7 +36,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         _require_finite_fields(self)
-        _require_ints(n=self.n, d=self.d)
+        _require_ints(n=self.n, d=self.d, seed=self.seed)
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
         if self.n < self.d:

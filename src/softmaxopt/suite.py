@@ -174,7 +174,7 @@ def check_sandwich(seed: int) -> CheckResult:
     """
     inst0, x = random_instance(seed, n_max=20, d_max=5)
     parts = loss_kernel_parts(make_state(inst0, x), inst0)
-    w2 = 100.0 * kernel_norm([parts]) + 1.0
+    w2 = 100.0 * kernel_norm(parts) + 1.0
     shifted = parts.dense() + w2 * np.eye(inst0.n)
     ok = sandwich_check(w2 * np.eye(inst0.n), shifted, 0.99, 1.01)
     return CheckResult(name="sandwich", passed=ok, detail={"w_squared": w2, "lo": 0.99, "hi": 1.01})

@@ -10,7 +10,6 @@ so that one evaluation serves several loss terms.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +35,15 @@ FD_HESS_STEP = 1e-4
 # fail on eigensolver rounding of an exactly-PSD matrix.
 _SPECTRAL_SLACK = 1e-10
 
-# kernel_norm takes the 2-norm by eigvalsh of the materialised kernel up to
+# kernel_norm takes the 2-norm by eigvalsh of the materialised kernels up to
 # this many rows, and by inertia bisection on the structured parts above it.
-# For the 11 probe kernels of a planted instance (one BLAS thread, 2-core
-# Xeon), eigvalsh takes 0.5 ms at n = 20, 7.4 ms at n = 100, 13 ms at
-# n = 150 and 1.35 s at n = 1000; the batched bisection costs about 2-4 ms
-# at any small n (64 steps of a few numpy calls each), 4.5 ms at n = 150
-# and 8.4 ms at n = 1000.  Bisection wins above about n = 80, but the cutoff
-# stays at 150, so that every desk instance keeps its eigvalsh norm, and
-# with it the pinned gen and verify figures, bit for bit.
+# For the stack of 11 probe kernels of a planted instance (one BLAS thread,
+# 2-core Xeon, numpy 2.4.6, best of 30 calls), one eigvalsh takes 0.3 ms at
+# n = 20, 4.2-4.5 ms at n = 80, 13-15 ms at n = 150 and 1.23 s at n = 1000;
+# the bisection takes 2.7-4.3 ms at any n up to 150 and 8-9 ms at n = 1000.
+# Bisection wins above about n = 80, but the cutoff stays at 150, so that
+# every desk instance keeps its eigvalsh norm, and with it the pinned gen
+# and verify figures, bit for bit.
 DENSE_NORM_MAX_N = 150
 # Each bisection step halves a bracket that starts at +-1.001 R, where
 # R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g|| bounds the norm, so 64 steps
@@ -201,7 +200,7 @@ def sandwich_check(lhs, mid, lo: float = 0.99, hi: float = 1.01) -> bool:
     return bool(gen[0] >= lo - slack and gen[-1] <= hi + slack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LipschitzPair:
     x: np.ndarray
     y: np.ndarray
@@ -209,7 +208,7 @@ class LipschitzPair:
     ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LipschitzProbe:
     """Hessian-difference ratios ||H(x) - H(y)|| / ||x - y|| over sampled pairs.
 
@@ -334,8 +333,8 @@ def _count_above(c, w, kappa, lam, out):
     return above + pos - 1, ~np.isfinite(det)
 
 
-def _bisection_norms(parts: list[KernelParts]) -> np.ndarray:
-    """Spectral norms of structured kernels of one size, in O(m n) memory.
+def _bisection_norm(parts: KernelParts) -> float:
+    """Largest spectral norm in a stack of structured kernels (or of one), in O(m n) memory.
 
     Bisects on the count of ``_count_above`` for lam_max and lam_min of every
     kernel together: column 0 of the bracket keeps >= 1 eigenvalue above
@@ -344,19 +343,16 @@ def _bisection_norms(parts: list[KernelParts]) -> np.ndarray:
     starts just outside +-R, R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g||,
     which bounds ||D||; a kernel with R = 0 is the zero kernel, of norm 0.0.
     """
-    c = np.stack([p.c for p in parts])
-    f = np.stack([p.f for p in parts])
-    g = np.stack([p.g for p in parts])
-    kappa = np.array([p.kappa for p in parts])
+    c, f, g = (np.atleast_2d(v) for v in (parts.c, parts.f, parts.g))
+    kappa = np.atleast_1d(parts.kappa)
     f_norm = np.linalg.norm(f, axis=1)
     g_norm = np.linalg.norm(g, axis=1)
     radius = np.abs(c).max(axis=1) + np.abs(kappa) * f_norm**2 + 2.0 * f_norm * g_norm
     if not np.isfinite(radius).all():
         raise NonFiniteEvaluation("curvature kernel is not finite")
-    norms = np.zeros(len(parts))
     live = radius > 0.0
     if not live.any():
-        return norms
+        return 0.0
     c, f, g, kappa = c[live], f[live], g[live], kappa[live]
     w = np.stack([f * f, f * g, g * g], axis=-1)
     # a little above R, so that rounding in R cannot cut off an eigenvalue
@@ -381,45 +377,29 @@ def _bisection_norms(parts: list[KernelParts]) -> np.ndarray:
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
     lam = 0.5 * (lo + hi)
-    norms[live] = np.maximum(lam[:, 0], -lam[:, 1])
-    return norms
+    return float(np.maximum(lam[:, 0], -lam[:, 1]).max())
 
 
-def kernel_norm(parts: Iterable[KernelParts]) -> float:
-    """Largest spectral norm over structured kernels of one size; 0.0 for none.
+def kernel_norm(parts: KernelParts) -> float:
+    """Largest spectral norm over one structured kernel or a stack; 0.0 for an empty stack.
 
-    Up to ``DENSE_NORM_MAX_N`` rows each norm comes from eigvalsh of the
-    materialised n-by-n kernel.  Above it the kernels stay as their parts,
-    and lam_max and lam_min of all of them come from one batched bisection
-    on the eigenvalue count of ``_count_above`` in O(m n) memory; the norm
-    is max(lam_max, -lam_min), and exactly 0.0 for the zero kernel.
+    Up to ``DENSE_NORM_MAX_N`` rows it is one eigvalsh of the dense stack,
+    and above it ``_bisection_norm`` of the parts, in O(m n) memory.
     """
-    parts = list(parts)
-    if not parts:
-        return 0.0
-    n = parts[0].f.size
-    if any(p.f.size != n for p in parts):
-        raise DimensionMismatch("kernels must all have the same number of rows")
-    if n > DENSE_NORM_MAX_N:
-        return float(_bisection_norms(parts).max())
-    worst = 0.0
-    for p in parts:
-        evals = np.linalg.eigvalsh(p.dense())
-        worst = max(worst, float(max(-evals[0], evals[-1])))
-    return worst
+    if parts.f.shape[-1] > DENSE_NORM_MAX_N:
+        return _bisection_norm(parts)
+    return float(np.abs(np.linalg.eigvalsh(parts.dense())).max(initial=0.0))
 
 
 def kernel_bound(inst: ProblemInstance, probe_points) -> float:
-    """Largest spectral norm of the enabled curvature kernels over probe points.
+    """Largest spectral norm of the loss kernels (ridge excluded) over probe points.
 
-    The loss kernel (ridge excluded) at each probe point is built as
-    ``KernelParts`` and all of them go to one ``kernel_norm`` call: eigvalsh
-    of the dense kernel up to ``DENSE_NORM_MAX_N`` rows, and above it a
-    numpy-only inertia bisection on the parts that finds lam_max and lam_min
-    of every probe's kernel together, over one (m, 2, n) stack, in O(m n)
-    memory and with no n-by-n array.  Reruns are bitwise equal.
+    ``kernel_norm`` of the kernel stack of one stacked state of the points,
+    of which there must be at least one.  Reruns are bitwise equal.
     """
-    return kernel_norm(loss_kernel_parts(make_state(inst, x), inst) for x in probe_points)
+    if len(probe_points) == 0:
+        raise DomainError("probe_points must hold at least one point")
+    return kernel_norm(loss_kernel_parts(make_state(inst, probe_points), inst))
 
 
 def ridge_weights(inst: ProblemInstance, level: float, probe_points) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 import softmaxopt as so
 from kernel_oracles import b_matrix, exp_kernel, total_kernel
-from softmaxopt.exceptions import IndexOutOfRange
+from softmaxopt.exceptions import DimensionMismatch, IndexOutOfRange
 from softmaxopt.suite import random_instance
 
 
@@ -396,6 +396,37 @@ class TestStructuredKernel:
             assert so.rel_err(
                 so.hessian_total(state, inst), a.T @ total_kernel(state, inst) @ a
             ) <= 1e-12
+
+    def test_stacked_rows_are_the_one_point_parts(self):
+        for k, (inst, x) in enumerate(flagged_instances(64, count=10)):
+            points = x + np.random.default_rng([64, k]).standard_normal((5, inst.d))
+            stack = so.loss_kernel_parts(so.make_state(inst, points), inst)
+            assert stack.kappa.shape == (5,)
+            dense = stack.dense()
+            for row, point in enumerate(points):
+                one = so.loss_kernel_parts(so.make_state(inst, point), inst)
+                for name in ("c", "g", "kappa", "f"):
+                    alone = np.asarray(getattr(one, name))
+                    stacked = getattr(stack, name)[row]
+                    assert stacked.shape == alone.shape and stacked.tobytes() == alone.tobytes()
+                assert dense[row].tobytes() == one.dense().tobytes()
+
+    def test_dense_forms_the_outer_products(self):
+        for inst, x in flagged_instances(65, count=5):
+            parts = so.loss_kernel_parts(so.make_state(inst, x), inst)
+            f, g = parts.f, parts.g
+            expected = np.outer(parts.kappa * f - g, f) - np.outer(f, g)
+            expected[np.diag_indices_from(expected)] += parts.c
+            assert parts.dense().tobytes() == expected.tobytes()
+
+    def test_congruence_and_factor_take_one_kernel(self):
+        inst, x = random_instance(66)
+        # a stack of n kernels, where A^T f would broadcast without the check
+        parts = so.total_kernel_parts(so.make_state(inst, np.tile(x, (inst.n, 1))), inst)
+        with pytest.raises(DimensionMismatch, match="one kernel"):
+            parts.congruence(inst.a)
+        with pytest.raises(DimensionMismatch, match="one kernel"):
+            parts.factor(inst.a)
 
 
 def positive_diagonal_instances(tag, count=20):

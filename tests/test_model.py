@@ -484,6 +484,16 @@ class TestInstanceJson:
                 {"n": 2, "d": 2, "A": [1.0, 2.0, 3.0], "b": [0.0, 0.0], "w": [0.0, 0.0]}
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("use_cent", "false"), ("use_exp", 0), ("use_cent", None), ("n", 2.7), ("d", 2.0)],
+    )
+    def test_uncoerced_fields(self, key, value):
+        data = {"n": 2, "d": 2, "A": [1.0, 2.0, 3.0, 4.0], "b": [0.5, 0.5], "w": [0.0, 0.0]}
+        so.ProblemInstance.from_dict(data)
+        with pytest.raises(DomainError, match=f"^{key} must be"):
+            so.ProblemInstance.from_dict({**data, key: value})
+
 
 # One call per integer count of the public API, each with the named count set to v.
 COUNT_CALLS = {
@@ -495,6 +505,7 @@ COUNT_CALLS = {
     "epochs": lambda inst, v: so.paired_vs_shuffled_bounds(0, epochs=v),
     "dim_anchor": lambda inst, v: so.paired_vs_shuffled_bounds(0, dim_anchor=v),
     "dim_partner": lambda inst, v: so.paired_vs_shuffled_bounds(0, dim_partner=v),
+    "k_minus_1": lambda inst, v: so.sample_negatives([np.zeros(2)] * 4, v, seed=0),
 }
 
 
@@ -504,3 +515,32 @@ def test_non_integer_count_is_domain_error(name, value):
     inst, _ = so.generate_planted(so.GeneratorSpec(n=6, d=3, ridge_l=1.0, seed=0))
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
         COUNT_CALLS[name](inst, value)
+
+
+# One value per dataclass that holds arrays, each call a new object with new arrays.
+ARRAY_DATACLASSES = {
+    "KernelParts": lambda: so.KernelParts(
+        c=np.ones(3), g=np.zeros(3), kappa=1.0, f=np.full(3, 1.0 / 3.0)
+    ),
+    "LandscapeGrid": lambda: so.LandscapeGrid(
+        center=np.zeros(2), dir_u=np.eye(2)[0], dir_v=np.eye(2)[1],
+        half_width=1.0, resolution=2, values=np.zeros((2, 2, 3)),
+    ),
+    "IterateRecord": lambda: so.newton.IterateRecord(
+        t=0, x=np.zeros(2), loss=0.0, grad_norm=0.0, err_to_opt=None, step_seconds=0.0
+    ),
+    "SolveTrace": lambda: so.newton.SolveTrace(iterates=[ARRAY_DATACLASSES["IterateRecord"]()]),
+    "LipschitzPair": lambda: so.verify.LipschitzPair(
+        x=np.zeros(2), y=np.ones(2), dist=1.0, ratio=1.0
+    ),
+    "LipschitzProbe": lambda: so.verify.LipschitzProbe(
+        pairs=[ARRAY_DATACLASSES["LipschitzPair"]()], max_ratio=1.0, radius_r=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_DATACLASSES))
+def test_array_dataclasses_compare_by_identity(name):
+    first, second = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+    assert first == first
+    assert first != second

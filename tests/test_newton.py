@@ -289,6 +289,11 @@ class TestSolverConfig:
         with pytest.raises(DomainError, match="^max_iters must be an integer"):
             so.SolverConfig(max_iters=value)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_non_integer_seed_is_domain_error(self, value):
+        with pytest.raises(DomainError, match="^seed must be an integer"):
+            so.SolverConfig(seed=value)
+
     def test_numpy_integer_max_iters_is_accepted(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=15))
         trace = so.solve(inst, x_star + 0.1, so.SolverConfig(max_iters=np.int64(2)))
@@ -347,6 +352,12 @@ class TestBaseline:
         inst, _ = random_instance(61)
         with pytest.raises(DomainError):
             so.gradient_descent_baseline(inst, np.zeros(inst.d), 0.0, 5)
+
+    @pytest.mark.parametrize("step_size", [float("nan"), float("inf")])
+    def test_non_finite_step_size_is_domain_error(self, step_size):
+        inst, _ = random_instance(61)
+        with pytest.raises(DomainError, match="^step_size must be finite and positive"):
+            so.gradient_descent_baseline(inst, np.zeros(inst.d), step_size, 5)
 
 
 def no_planted_instance():

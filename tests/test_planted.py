@@ -31,7 +31,7 @@ class TestGeneratorSpec:
             so.GeneratorSpec(**{"n": 5, "d": 2, name: value})
 
     @pytest.mark.parametrize("value", [5.5, 4.0, True, "5"])
-    @pytest.mark.parametrize("name", ["n", "d"])
+    @pytest.mark.parametrize("name", ["n", "d", "seed"])
     def test_non_integer_size_is_domain_error(self, name, value):
         with pytest.raises(DomainError, match=f"^{name} must be an integer"):
             so.GeneratorSpec(**{"n": 5, "d": 2, name: value})

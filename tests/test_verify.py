@@ -344,6 +344,11 @@ class TestRidgeRecipe:
         with pytest.raises(DomainError, match="^level must be finite and >= 0"):
             so.ridge_weights(inst, level, [x])
 
+    def test_no_probe_points_is_domain_error(self):
+        inst, _ = random_instance(8, n_max=15, d_max=4)
+        with pytest.raises(DomainError, match="probe_points"):
+            so.ridge_weights(inst, 1.0, [])
+
 
 def kernel_instance(n, d=4):
     """Instance with n rows, a non-normalised target and three probe points."""
@@ -394,6 +399,24 @@ class TestKernelBound:
             tracemalloc.stop()
         assert hessian_peak < n * n * 8
         assert bound_peak < n * n * 8
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_one_state_per_call(self, n, monkeypatch):
+        inst, probes = kernel_instance(n)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return so.make_state(*args)
+
+        monkeypatch.setattr(so.verify, "make_state", counting)
+        so.kernel_bound(inst, probes)
+        assert len(calls) == 1
+
+    def test_no_probe_points_is_domain_error(self):
+        inst, _ = kernel_instance(20)
+        with pytest.raises(DomainError, match="probe_points"):
+            so.kernel_bound(inst, [])
 
 
 def loss_kernel_spectrum(inst, x):
@@ -491,7 +514,7 @@ class TestKernelNorm:
         parts = so.KernelParts(c=sign * c, g=np.zeros(n), kappa=sign * 1e3, f=f)
         expected = float(np.linalg.norm(parts.dense(), 2))
         assert expected > 10 * abs(c).max()
-        assert so.kernel_norm([parts]) == pytest.approx(expected, rel=1e-12)
+        assert so.kernel_norm(parts) == pytest.approx(expected, rel=1e-12)
 
     def test_midpoint_on_an_eigenvalue(self):
         # D = diag(c) + f f^T with f = e_0 and c_0 = -1 has the eigenvalue 0
@@ -503,25 +526,30 @@ class TestKernelNorm:
         f = np.zeros(n)
         f[0] = 1.0
         parts = so.KernelParts(c=c, g=np.zeros(n), kappa=1.0, f=f)
-        assert so.kernel_norm([parts]) == pytest.approx(2.0, rel=1e-12)
+        assert so.kernel_norm(parts) == pytest.approx(2.0, rel=1e-12)
 
     def test_parts_entry_point_matches_kernel_bound(self):
         for n in (20, 400):
             inst, probes = kernel_instance(n)
-            parts = [so.loss_kernel_parts(so.make_state(inst, x), inst) for x in probes]
+            parts = so.loss_kernel_parts(so.make_state(inst, probes), inst)
             assert so.kernel_norm(parts) == so.kernel_bound(inst, probes)
-            assert so.kernel_norm(iter(parts)) == so.kernel_bound(inst, probes)
 
-    def test_no_kernels_and_mixed_sizes(self):
-        assert so.kernel_norm([]) == 0.0
-        small, x_small = kernel_instance(20)
-        large, x_large = kernel_instance(400)
-        mixed = [
-            so.loss_kernel_parts(so.make_state(small, x_small[0]), small),
-            so.loss_kernel_parts(so.make_state(large, x_large[0]), large),
-        ]
-        with pytest.raises(DimensionMismatch):
-            so.kernel_norm(mixed)
+    @pytest.mark.parametrize("n", [20, so.verify.DENSE_NORM_MAX_N + 1, 400])
+    def test_stack_norm_is_the_largest_one_kernel_norm(self, n):
+        inst, _ = kernel_instance(n)
+        rng = np.random.default_rng([72, n])
+        probes = 2.0 * rng.standard_normal((11, inst.d))
+        stack = so.loss_kernel_parts(so.make_state(inst, probes), inst)
+        norms = [so.kernel_norm(so.loss_kernel_parts(so.make_state(inst, x), inst)) for x in probes]
+        assert len(set(norms)) > 1
+        assert so.kernel_norm(stack) == max(norms)
+
+    def test_empty_stack(self):
+        for n in (20, 400):
+            inst, _ = kernel_instance(n)
+            parts = so.loss_kernel_parts(so.make_state(inst, np.empty((0, inst.d))), inst)
+            assert parts.f.shape == (0, n)
+            assert so.kernel_norm(parts) == 0.0
 
     def test_non_finite_kernel_above_cutoff(self):
         inst, probes = kernel_instance(400)
@@ -529,7 +557,7 @@ class TestKernelNorm:
         c = parts.c.copy()
         c[7] = np.nan
         with pytest.raises(NonFiniteEvaluation):
-            so.kernel_norm([dataclasses.replace(parts, c=c)])
+            so.kernel_norm(dataclasses.replace(parts, c=c))
 
 
 class TestLipschitzProbe:
