@@ -5,14 +5,11 @@ from .calculus import (
     KernelParts,
     grad_cent,
     grad_exp,
-    grad_f_dir,
     grad_f_inner,
-    grad_log_f_dir,
     grad_reg,
     grad_total,
     hessian_cent,
     hessian_exp,
-    hessian_log_f_entry,
     hessian_reg,
     hessian_total,
     loss_kernel_parts,
@@ -28,10 +25,6 @@ from .model import (
     LossBreakdown,
     ModelState,
     ProblemInstance,
-    evaluate_alpha,
-    evaluate_f,
-    evaluate_u,
-    hadamard,
     log_softmax,
     loss_cent,
     loss_exp,
@@ -39,22 +32,14 @@ from .model import (
     loss_terms,
     loss_total,
     make_state,
-    residual_exponential,
-    residual_linear,
-    residual_rescaled,
-    residual_softmax,
     softmax,
 )
 from .nce import (
     NceBatch,
-    ObjectiveWeights,
-    bilinear_score,
     mi_lower_bound,
     nce_gradients,
     nce_loss,
-    overall_objective,
     paired_vs_shuffled_bounds,
-    sample_negatives,
 )
 from .newton import (
     SolveTrace,

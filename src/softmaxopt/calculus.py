@@ -130,14 +130,6 @@ class KernelParts:
         return ra + q @ ((p * shift) @ p.T @ (q.T @ ra))
 
 
-def grad_f_dir(state: ModelState, inst: ProblemInstance, i: int) -> np.ndarray:
-    """Derivative of the prediction vector along column i: -<f, A_i> f + f o A_i."""
-    _check_col(inst, i)
-    f = state.f
-    col = inst.a[:, i]
-    return -(f @ col) * f + f * col
-
-
 def grad_f_inner(state: ModelState, inst: ProblemInstance, i: int, j: int) -> float:
     """<df/dx_i, A_j> in closed form: -<f, A_i><f, A_j> + <f, A_i o A_j>."""
     _check_col(inst, i)
@@ -146,13 +138,6 @@ def grad_f_inner(state: ModelState, inst: ProblemInstance, i: int, j: int) -> fl
     ci = inst.a[:, i]
     cj = inst.a[:, j]
     return float(-(f @ ci) * (f @ cj) + f @ (ci * cj))
-
-
-def grad_log_f_dir(state: ModelState, inst: ProblemInstance, i: int) -> np.ndarray:
-    """Derivative of log f along column i: -<f, A_i> 1 + A_i."""
-    _check_col(inst, i)
-    col = inst.a[:, i]
-    return col - float(state.f @ col)
 
 
 def grad_exp(state: ModelState, inst: ProblemInstance) -> np.ndarray:
@@ -183,16 +168,6 @@ def grad_total(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     if not np.all(np.isfinite(g_total)):
         raise NonFiniteInput("gradient is not finite")
     return g_total
-
-
-def hessian_log_f_entry(state: ModelState, inst: ProblemInstance, i: int, j: int) -> float:
-    """Common value of all coordinates of d^2 log f / dx_i dx_j.
-
-    The second derivative of log f is a constant vector; the constant is
-    <f, A_i><f, A_j> - <f, A_i o A_j>, the negated covariance of columns
-    i and j under the probability weights f.
-    """
-    return -grad_f_inner(state, inst, i, j)
 
 
 def _cent_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:

@@ -68,8 +68,11 @@ def _load_or_generate(args) -> ProblemInstance:
     return inst
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+def _parse_vector(text: str, flag: str) -> np.ndarray:
+    try:
+        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    except ValueError as exc:
+        raise DomainError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
 
 
 def _write_json(path, payload) -> None:
@@ -93,7 +96,7 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
     )
     if args.x0 is not None:
-        x0 = _parse_vector(args.x0)
+        x0 = _parse_vector(args.x0, "--x0")
     elif inst.x_star is not None:
         x0 = basin_start(inst.x_star, args.x0_offset, [args.seed, 101])
     else:
@@ -114,12 +117,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    center = _parse_vector(args.center) if args.center is not None else None
+    center = _parse_vector(args.center, "--center") if args.center is not None else None
     if args.avg_seeds < 1:
         raise DomainError("--avg-seeds must be >= 1")
     if args.instance:
         if args.avg_seeds > 1:
-            raise ValueError("--avg-seeds only applies to generated instances")
+            raise DomainError("--avg-seeds only applies to generated instances")
         insts = [ProblemInstance.load(args.instance)]
     else:
         spec = _spec_from_args(args)

@@ -42,10 +42,6 @@ class KernelNotPSD(SoftmaxOptError):
     """
 
 
-class PoolTooSmall(SoftmaxOptError, ValueError):
-    """A negative-sample pool has fewer entries than requested."""
-
-
 class MidNotPD(SoftmaxOptError, ValueError):
     """The reference matrix of a two-sided spectral bound is not positive definite."""
 

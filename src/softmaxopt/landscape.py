@@ -1,10 +1,10 @@
 """2D loss surfaces over a plane in parameter space.
 
-The plane is spanned by two orthonormal directions, by default the top two
-right singular vectors of A, evaluated on a square grid of offsets around a
-center point.  The logits are affine in the offsets, so a grid takes four
-matrix-vector products, ``A c``, ``A (c - x_ref)``, ``A du`` and ``A dv``, and
-is then evaluated one row of cells (one ``u`` offset) at a time.
+The plane is spanned by the top two right singular vectors of A, evaluated
+on a square grid of offsets around a center point.  The logits are affine in
+the offsets, so a grid takes four matrix-vector products, ``A c``,
+``A (c - x_ref)``, ``A du`` and ``A dv``, and is then evaluated one row of
+cells (one ``u`` offset) at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .model import (
     _write_text,
     loss_terms,
 )
-
-_ORTHO_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +93,10 @@ def default_directions(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
 def landscape_grid(
     inst: ProblemInstance,
     center=None,
-    dir_u=None,
-    dir_v=None,
     half_width: float = 1.0,
     resolution: int = 21,
 ) -> LandscapeGrid:
-    """Evaluate all loss terms over the grid; directions must be orthonormal.
+    """Evaluate all loss terms over the grid in the plane of ``default_directions``.
 
     Cell (i, j) sits at ``center + u_i dir_u + v_j dir_v`` and its logits are
     ``(A c + u_i A dir_u) + v_j A dir_v``, so the center cell equals
@@ -119,20 +115,7 @@ def landscape_grid(
     if center.shape != (inst.d,):
         raise DimensionMismatch(f"center must have length {inst.d}")
     _require_finite(center, "center")
-    if dir_u is None or dir_v is None:
-        if dir_u is not None or dir_v is not None:
-            raise DomainError("supply both directions or neither")
-        dir_u, dir_v = default_directions(inst)
-    dir_u = np.asarray(dir_u, dtype=np.float64)
-    dir_v = np.asarray(dir_v, dtype=np.float64)
-    for name, vec in (("dir_u", dir_u), ("dir_v", dir_v)):
-        if vec.shape != (inst.d,):
-            raise DimensionMismatch(f"{name} must have length {inst.d}")
-        _require_finite(vec, name)
-        if abs(np.linalg.norm(vec) - 1.0) > _ORTHO_TOL:
-            raise DomainError(f"{name} must have unit norm")
-    if abs(float(dir_u @ dir_v)) > _ORTHO_TOL:
-        raise DomainError("directions must be orthogonal")
+    dir_u, dir_v = default_directions(inst)
 
     offs = np.linspace(-half_width, half_width, resolution)
     values = np.empty((resolution, resolution, 3))

@@ -19,7 +19,6 @@ gradient vanishes there exactly.
 functions and ``state_losses`` also take a stack of points along the leading
 axis, ``x`` of shape ``(m, d)`` or ``f`` of shape ``(m, n)``, and return one
 row (or one value) per point, each bitwise the value of that point alone.
-The residual norms take one point.
 """
 
 from __future__ import annotations
@@ -33,14 +32,19 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError, NonFiniteInput
 
-# Largest z with exp(z) finite in float64.
-MAX_EXP_ARG = float(np.log(np.finfo(np.float64).max))
-
 REG_MODES = ("paper", "centered")
 
 
+def _float_array(v, name: str) -> np.ndarray:
+    """v as a float64 array; a ragged nesting (points of unequal length) is a DimensionMismatch."""
+    try:
+        return np.asarray(v, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionMismatch(f"{name} must hold equal-length rows of numbers") from exc
+
+
 def _vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
+    arr = _float_array(v, name)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-d, got shape {arr.shape}")
     return arr
@@ -67,7 +71,7 @@ def _require_ints(**values) -> None:
 
 def _rows(arr, length: int, name: str) -> np.ndarray:
     """One vector of ``length`` entries, or a stack of them along the leading axis."""
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = _float_array(arr, name)
     if arr.ndim not in (1, 2):
         raise DimensionMismatch(f"{name} must be 1-d or 2-d, got shape {arr.shape}")
     if arr.shape[-1] != length:
@@ -102,15 +106,6 @@ def _write_text(dest, chunks) -> None:
         return
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
-
-
-def hadamard(x, y) -> np.ndarray:
-    """Entrywise product of two equal-length vectors."""
-    x = _vector(x, "x")
-    y = _vector(y, "y")
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"hadamard: {x.shape} vs {y.shape}")
-    return x * y
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,45 +255,6 @@ def logits(inst: ProblemInstance, x) -> np.ndarray:
     return _matvec(inst.a, x)
 
 
-def evaluate_u(inst: ProblemInstance, x) -> np.ndarray:
-    """Entrywise exponential of A @ x.
-
-    Raises OverflowError when any entry of A @ x escapes the float64
-    exponent range in either direction (exp would return Inf or exactly 0,
-    both of which break the positivity of the weights).
-    """
-    z = logits(inst, x)
-    if np.any(z > MAX_EXP_ARG):
-        raise OverflowError(
-            f"exp(A @ x) overflows float64 (max logit {z.max():.3g})"
-        )
-    u = np.exp(z)
-    if np.any(u == 0.0):
-        raise OverflowError(
-            f"exp(A @ x) underflows to zero (min logit {z.min():.3g})"
-        )
-    return u
-
-
-def evaluate_alpha(u) -> float:
-    """Sum of the positive weights u."""
-    u = _vector(u, "u")
-    _require_finite(u, "u")
-    if np.any(u <= 0.0):
-        raise DomainError("all entries of u must be strictly positive")
-    alpha = float(np.sum(u))
-    if not np.isfinite(alpha):
-        raise OverflowError("sum of u overflows float64")
-    return alpha
-
-
-def evaluate_f(u) -> np.ndarray:
-    """Normalize positive weights to a probability vector u / sum(u)."""
-    u = _vector(u, "u")
-    alpha = evaluate_alpha(u)
-    return u / alpha
-
-
 def _log_p_and_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log p and p for p = exp(z) / <exp(z), 1>, from one max-shift of a finite z.
 
@@ -337,7 +293,7 @@ def make_state(inst: ProblemInstance, x) -> ModelState:
     Raises ``OverflowError`` where any point's logits are not finite, as that
     point alone would.
     """
-    x = np.array(x, dtype=np.float64)  # a private copy, checked by logits
+    x = _float_array(x, "x").copy()  # a private copy, checked by logits
     log_f, f = _log_f_and_f(inst, x)
     for arr in (x, log_f, f):
         arr.setflags(write=False)
@@ -346,7 +302,7 @@ def make_state(inst: ProblemInstance, x) -> ModelState:
 
 def _f_and_b(f, b, name: str) -> tuple[np.ndarray, np.ndarray]:
     b = _vector(b, "b")
-    f = np.asarray(f, dtype=np.float64)
+    f = _float_array(f, "f")
     if f.ndim not in (1, 2) or f.shape[-1:] != b.shape:
         raise DimensionMismatch(f"{name}: {f.shape} vs {b.shape}")
     return f, b
@@ -436,28 +392,3 @@ def state_losses(inst: ProblemInstance, state: ModelState) -> LossBreakdown:
 def loss_total(inst: ProblemInstance, x) -> LossBreakdown:
     """All loss terms from one shared state (per point of a stack); disabled terms contribute 0."""
     return state_losses(inst, make_state(inst, x))
-
-
-def residual_linear(inst: ProblemInstance, x) -> float:
-    """||A x - b||_2."""
-    x = _vector(x, "x")
-    return float(np.linalg.norm(logits(inst, x) - inst.b))
-
-
-def residual_exponential(inst: ProblemInstance, x) -> float:
-    """||exp(A x) - b||_2."""
-    x = _vector(x, "x")
-    return float(np.linalg.norm(evaluate_u(inst, x) - inst.b))
-
-
-def residual_rescaled(inst: ProblemInstance, x) -> float:
-    """||u - <u, 1> b||_2 for u = exp(A x)."""
-    x = _vector(x, "x")
-    u = evaluate_u(inst, x)
-    return float(np.linalg.norm(u - u.sum() * inst.b))
-
-
-def residual_softmax(inst: ProblemInstance, x) -> float:
-    """||f - b||_2; its square is twice the squared-residual loss term."""
-    x = _vector(x, "x")
-    return float(np.linalg.norm(softmax(inst, x) - inst.b))

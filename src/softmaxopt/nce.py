@@ -13,24 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, DomainError, NonFiniteInput, PoolTooSmall
+from .exceptions import DimensionMismatch, DomainError, NonFiniteInput
 from .model import _log_p_and_p, _require_ints
-
-MI_KINDS = ("head", "representation")
-
-
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """Nonnegative weights of the two bound terms in the overall objective."""
-
-    beta: float = 0.1
-    gamma: float = 0.05
-
-    def __post_init__(self):
-        for name in ("beta", "gamma"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise DomainError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,18 +58,6 @@ class NceBatch:
         return len(self.candidates)
 
 
-def bilinear_score(anchor, partner, weight) -> float:
-    """anchor^T W partner."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    partner = np.asarray(partner, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape != (anchor.size, partner.size):
-        raise DimensionMismatch(
-            f"weight must be {anchor.size}x{partner.size}, got {weight.shape}"
-        )
-    return float(anchor @ weight @ partner)
-
-
 def nce_loss(batch: NceBatch) -> float:
     """Log-softmax of the positive's score over all K candidate scores.
 
@@ -96,20 +68,9 @@ def nce_loss(batch: NceBatch) -> float:
     return float(log_p[0])
 
 
-def mi_lower_bound(batch: NceBatch, kind: str) -> float:
-    """Mutual-information lower bound from one batch.
-
-    ``representation`` adds log(K) to the contrastive loss.  ``head``
-    returns the contrastive loss alone: its bound holds only up to an
-    unknown additive constant, so head values are comparable only between
-    batches of the same shape.
-    """
-    if kind not in MI_KINDS:
-        raise DomainError(f"kind must be one of {MI_KINDS}")
-    value = nce_loss(batch)
-    if kind == "representation":
-        value += float(np.log(batch.k))
-    return value
+def mi_lower_bound(batch: NceBatch) -> float:
+    """Mutual-information lower bound from one batch: log(K) plus the contrastive loss."""
+    return nce_loss(batch) + float(np.log(batch.k))
 
 
 def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -124,31 +85,11 @@ def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.outer(batch.anchor, diff), batch.weight @ diff
 
 
-def overall_objective(
-    task_loss: float, rep_bound: float, head_bound: float, wts: ObjectiveWeights
-) -> float:
-    """task_loss - beta * rep_bound - gamma * head_bound."""
-    vals = (task_loss, rep_bound, head_bound)
-    if not all(np.isfinite(v) for v in vals):
-        raise NonFiniteInput("objective inputs must be finite")
-    return task_loss - wts.beta * rep_bound - wts.gamma * head_bound
-
-
-def sample_negatives(pool, k_minus_1: int, seed) -> list:
-    """Uniform sample of k_minus_1 pool vectors without replacement."""
-    _require_ints(k_minus_1=k_minus_1)
-    if k_minus_1 < 0:
-        raise DomainError("k_minus_1 must be >= 0")
-    if k_minus_1 > len(pool):
-        raise PoolTooSmall(f"pool has {len(pool)} entries, need {k_minus_1}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(pool), size=k_minus_1, replace=False)
-    return [pool[i] for i in idx]
-
-
 # Mixing matrix of the synthetic correlated-pair experiment is fixed across
 # seeds so that per-seed randomness covers only data, shuffling and sampling.
 _MIX_SEED = 20240613
+# Standard deviation of the Gaussian noise on each partner.
+_NOISE = 0.1
 
 
 def paired_vs_shuffled_bounds(
@@ -159,14 +100,13 @@ def paired_vs_shuffled_bounds(
     k: int = 8,
     epochs: int = 12,
     learning_rate: float = 0.2,
-    noise: float = 0.1,
 ) -> tuple[float, float]:
     """Train the bilinear weight by ascent on correlated and shuffled pairs.
 
-    Partners are a fixed linear image of their anchors plus noise; the
-    shuffled control permutes partners to break the pairing.  Returns the
-    mean representation bound of each variant after training.  A working
-    estimator separates the two: correlated > shuffled.
+    Partners are a fixed linear image of their anchors plus Gaussian noise of
+    standard deviation ``_NOISE``; the shuffled control permutes partners to
+    break the pairing.  Returns the mean bound of each variant after
+    training.  A working estimator separates the two: correlated > shuffled.
     """
     _require_ints(
         dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
@@ -179,13 +119,11 @@ def paired_vs_shuffled_bounds(
         raise DomainError("epochs must be >= 0")
     if not np.isfinite(learning_rate) or learning_rate <= 0:
         raise DomainError("learning_rate must be finite and > 0")
-    if not np.isfinite(noise) or noise < 0:
-        raise DomainError("noise must be finite and >= 0")
     mix = np.random.default_rng(_MIX_SEED).standard_normal((dim_partner, dim_anchor))
     mix /= np.sqrt(dim_anchor)
     rng = np.random.default_rng(seed)
     anchors = rng.standard_normal((pool_size, dim_anchor))
-    partners = anchors @ mix.T + noise * rng.standard_normal((pool_size, dim_partner))
+    partners = anchors @ mix.T + _NOISE * rng.standard_normal((pool_size, dim_partner))
     shuffled = partners[rng.permutation(pool_size)]
 
     bounds = []
@@ -201,7 +139,7 @@ def paired_vs_shuffled_bounds(
         for i in range(pool_size):
             negs = _draw_negatives(rng, part, i, k - 1)
             batch = NceBatch(anchors[i], part[i], negs, weight)
-            total += mi_lower_bound(batch, "representation")
+            total += mi_lower_bound(batch)
         bounds.append(total / pool_size)
     return bounds[0], bounds[1]
 

@@ -23,6 +23,7 @@ from .calculus import (
     hessian_total,
     loss_kernel_parts,
 )
+from .exceptions import DomainError
 from .model import (
     ProblemInstance,
     loss_cent,
@@ -232,10 +233,8 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_suite(names, seed: int) -> list[CheckResult]:
-    """Run the named checks in canonical order."""
-    results = []
+    """Run the named checks in the order given, once every name is known."""
     for name in names:
         if name not in _CHECKS:
-            raise KeyError(f"unknown check {name!r}; available: {CHECK_NAMES}")
-        results.append(_CHECKS[name](seed))
-    return results
+            raise DomainError(f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
+    return [_CHECKS[name](seed) for name in names]

@@ -24,7 +24,7 @@ from .exceptions import (
     NonFiniteEvaluation,
     SamplingFailure,
 )
-from .model import ProblemInstance, _require_ints, _vector, make_state
+from .model import ProblemInstance, _float_array, _require_ints, _vector, make_state
 
 FD_STEP = 1e-5
 # Second differences divide by h^2, so the Hessian stencil needs a larger
@@ -219,7 +219,6 @@ class LipschitzProbe:
 
     pairs: list
     max_ratio: float
-    radius_r: float
 
     def to_dict(self) -> dict:
         return {
@@ -282,7 +281,7 @@ def lipschitz_probe(
     max_ratio = max(p.ratio for p in pairs)
     if not math.isfinite(max_ratio):
         raise NonFiniteEvaluation("Hessian-difference ratio is not finite")
-    return LipschitzProbe(pairs=pairs, max_ratio=max_ratio, radius_r=float(radius_r))
+    return LipschitzProbe(pairs=pairs, max_ratio=max_ratio)
 
 
 def convergence_audit(trace, epsilon: float) -> bool:
@@ -397,9 +396,10 @@ def kernel_bound(inst: ProblemInstance, probe_points) -> float:
     ``kernel_norm`` of the kernel stack of one stacked state of the points,
     of which there must be at least one.  Reruns are bitwise equal.
     """
-    if len(probe_points) == 0:
+    points = _float_array(probe_points, "probe_points")
+    if points.shape[:1] == (0,):
         raise DomainError("probe_points must hold at least one point")
-    return kernel_norm(loss_kernel_parts(make_state(inst, probe_points), inst))
+    return kernel_norm(loss_kernel_parts(make_state(inst, points), inst))
 
 
 def ridge_weights(inst: ProblemInstance, level: float, probe_points) -> np.ndarray:

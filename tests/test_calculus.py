@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import softmaxopt as so
+from calculus_oracles import grad_f_dir, grad_log_f_dir, hessian_log_f_entry
 from kernel_oracles import b_matrix, exp_kernel, total_kernel
 from softmaxopt.exceptions import DimensionMismatch, IndexOutOfRange
 from softmaxopt.suite import random_instance
@@ -26,39 +27,39 @@ class TestGradFDir:
         a[:, 1] = 0.0
         inst = so.ProblemInstance(a=a, b=np.zeros(5), w=np.zeros(5))
         state = so.make_state(inst, np.array([0.2, 0.1, -0.3]))
-        np.testing.assert_array_equal(so.grad_f_dir(state, inst, 1), np.zeros(5))
+        np.testing.assert_array_equal(grad_f_dir(state, inst, 1), np.zeros(5))
 
     def test_constant_column_gives_zero(self):
         a = np.random.default_rng(1).standard_normal((6, 2))
         a[:, 0] = 3.0
         inst = so.ProblemInstance(a=a, b=np.zeros(6), w=np.zeros(6))
         state = so.make_state(inst, np.array([0.5, -0.1]))
-        np.testing.assert_allclose(so.grad_f_dir(state, inst, 0), np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(grad_f_dir(state, inst, 0), np.zeros(6), atol=1e-12)
 
     def test_matches_finite_differences(self):
         inst = so.ProblemInstance(a=np.array([[1.0], [-1.0]]), b=np.zeros(2), w=np.zeros(2))
         state = so.make_state(inst, np.zeros(1))
         jac = fd_vector_jacobian(lambda v: so.softmax(inst, v), np.zeros(1))
-        np.testing.assert_allclose(so.grad_f_dir(state, inst, 0), jac[:, 0], atol=1e-7)
+        np.testing.assert_allclose(grad_f_dir(state, inst, 0), jac[:, 0], atol=1e-7)
 
     def test_matches_finite_differences_random(self):
         inst, x = random_instance(17, n_max=12, d_max=4)
         state = so.make_state(inst, x)
         jac = fd_vector_jacobian(lambda v: so.softmax(inst, v), x)
         for i in range(inst.d):
-            np.testing.assert_allclose(so.grad_f_dir(state, inst, i), jac[:, i], atol=1e-7)
+            np.testing.assert_allclose(grad_f_dir(state, inst, i), jac[:, i], atol=1e-7)
 
     def test_coordinates_sum_to_zero(self):
         inst, x = random_instance(18, n_max=15, d_max=5)
         state = so.make_state(inst, x)
         for i in range(inst.d):
-            assert abs(so.grad_f_dir(state, inst, i).sum()) <= 1e-10
+            assert abs(grad_f_dir(state, inst, i).sum()) <= 1e-10
 
     def test_index_out_of_range(self):
         inst, x = random_instance(19)
         state = so.make_state(inst, x)
         with pytest.raises(IndexOutOfRange):
-            so.grad_f_dir(state, inst, inst.d)
+            grad_f_dir(state, inst, inst.d)
 
 
 class TestGradFInner:
@@ -74,7 +75,7 @@ class TestGradFInner:
         state = so.make_state(inst, x)
         for i in range(inst.d):
             for j in range(inst.d):
-                explicit = float(so.grad_f_dir(state, inst, i) @ inst.a[:, j])
+                explicit = float(grad_f_dir(state, inst, i) @ inst.a[:, j])
                 assert so.grad_f_inner(state, inst, i, j) == pytest.approx(
                     explicit, abs=1e-12
                 )
@@ -92,20 +93,20 @@ class TestGradLogFDir:
         a[:, 1] = 1.0
         inst = so.ProblemInstance(a=a, b=np.zeros(4), w=np.zeros(4))
         state = so.make_state(inst, np.array([0.2, -0.4]))
-        np.testing.assert_allclose(so.grad_log_f_dir(state, inst, 1), np.zeros(4), atol=1e-14)
+        np.testing.assert_allclose(grad_log_f_dir(state, inst, 1), np.zeros(4), atol=1e-14)
 
     def test_orthogonal_to_f(self):
         inst, x = random_instance(22, n_max=12, d_max=4)
         state = so.make_state(inst, x)
         for i in range(inst.d):
-            assert abs(so.grad_log_f_dir(state, inst, i) @ state.f) <= 1e-12
+            assert abs(grad_log_f_dir(state, inst, i) @ state.f) <= 1e-12
 
     def test_matches_finite_differences(self):
         inst, x = random_instance(23, n_max=10, d_max=3)
         state = so.make_state(inst, x)
         jac = fd_vector_jacobian(lambda v: so.log_softmax(inst, v), x)
         for i in range(inst.d):
-            np.testing.assert_allclose(so.grad_log_f_dir(state, inst, i), jac[:, i], atol=1e-7)
+            np.testing.assert_allclose(grad_log_f_dir(state, inst, i), jac[:, i], atol=1e-7)
 
 
 class TestLossGradients:
@@ -206,13 +207,13 @@ class TestLogFHessianEntry:
         a[:, 0] = 1.0
         inst = so.ProblemInstance(a=a, b=np.zeros(5), w=np.zeros(5))
         state = so.make_state(inst, np.array([1.0, 2.0]))
-        assert so.hessian_log_f_entry(state, inst, 0, 0) == pytest.approx(0.0, abs=1e-14)
+        assert hessian_log_f_entry(state, inst, 0, 0) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_is_negated_variance(self):
         inst, x = random_instance(31, n_max=10, d_max=4)
         state = so.make_state(inst, x)
         for i in range(inst.d):
-            assert so.hessian_log_f_entry(state, inst, i, i) <= 1e-14
+            assert hessian_log_f_entry(state, inst, i, i) <= 1e-14
 
     def test_matches_fd_on_single_coordinate(self):
         inst, x = random_instance(32, n_max=8, d_max=3)
@@ -220,7 +221,7 @@ class TestLogFHessianEntry:
         coord = so.fd_hessian(lambda v: so.log_softmax(inst, v)[..., 0], x, h=1e-4)
         for i in range(inst.d):
             for j in range(inst.d):
-                assert so.hessian_log_f_entry(state, inst, i, j) == pytest.approx(
+                assert hessian_log_f_entry(state, inst, i, j) == pytest.approx(
                     coord[i, j], abs=1e-6
                 )
 

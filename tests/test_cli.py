@@ -14,7 +14,6 @@ import pytest
 import softmaxopt as so
 from softmaxopt import suite
 from softmaxopt.cli import build_parser, main
-from softmaxopt.exceptions import DomainError
 
 
 def run(args):
@@ -204,6 +203,30 @@ def test_non_finite_flag_is_domain_error(capsys, argv, name):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: DomainError: {name} must be finite")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["landscape", "--instance", "{tmp}/inst.json", "--avg-seeds", "2"], "--avg-seeds"),
+        (["verify", "--checks", "gradients,bogus"], "'bogus'"),
+        (["solve", "--x0", "a,b"], "--x0"),
+        (["landscape", "--center", "a,b"], "--center"),
+    ],
+    ids=["avg-seeds-with-instance", "unknown-check", "x0", "center"],
+)
+def test_bad_input_is_domain_error(tmp_path, capsys, monkeypatch, argv, named):
+    def ran(seed):
+        raise AssertionError("a check ran before every name was checked")
+
+    for name in suite.CHECK_NAMES:
+        monkeypatch.setitem(suite._CHECKS, name, ran)
+    run(["gen", "--n", 8, "--d", 2, "--out", tmp_path / "inst.json"])
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: DomainError: ")
+    assert named in captured.err
     assert captured.out == ""
 
 
@@ -412,11 +435,6 @@ class TestNceCommand:
         err = capsys.readouterr().err
         assert "DomainError" in err and flag[2:].replace("-", "_") in err
         assert not summary.exists()
-
-    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
-    def test_bad_noise_is_named_error(self, noise):
-        with pytest.raises(DomainError, match="noise"):
-            so.paired_vs_shuffled_bounds(0, noise=noise)
 
     def test_zero_seeds_is_error(self, tmp_path, capsys):
         summary = tmp_path / "s.json"

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
 import softmaxopt as so
+from model_oracles import evaluate_alpha, evaluate_f, evaluate_u
 from softmaxopt.exceptions import (
     DimensionMismatch,
     DomainError,
@@ -27,62 +29,62 @@ def simple_instance(a, b=None, w=None, **kwargs):
 class TestEvaluateU:
     def test_zero_x_gives_ones(self):
         inst = simple_instance(np.random.default_rng(0).standard_normal((6, 3)))
-        np.testing.assert_array_equal(so.evaluate_u(inst, np.zeros(3)), np.ones(6))
+        np.testing.assert_array_equal(evaluate_u(inst, np.zeros(3)), np.ones(6))
 
     def test_identity_matrix_hand_values(self):
         inst = simple_instance(np.eye(2))
         np.testing.assert_allclose(
-            so.evaluate_u(inst, [math.log(2.0), 0.0]), [2.0, 1.0], rtol=1e-15
+            evaluate_u(inst, [math.log(2.0), 0.0]), [2.0, 1.0], rtol=1e-15
         )
 
     def test_scalar_exponential_oracle(self):
         inst = simple_instance([[1.0], [-1.0]])
         expected = [math.exp(0.3), math.exp(-0.3)]
-        np.testing.assert_allclose(so.evaluate_u(inst, [0.3]), expected, rtol=1e-15)
+        np.testing.assert_allclose(evaluate_u(inst, [0.3]), expected, rtol=1e-15)
 
     def test_overflow_raises(self):
         inst = simple_instance([[1.0], [1.0]])
         with pytest.raises(OverflowError):
-            so.evaluate_u(inst, [800.0])
+            evaluate_u(inst, [800.0])
 
     def test_nonfinite_x_rejected(self):
         inst = simple_instance(np.eye(2))
         with pytest.raises(NonFiniteInput):
-            so.evaluate_u(inst, [np.nan, 0.0])
+            evaluate_u(inst, [np.nan, 0.0])
 
 
 class TestAlphaAndF:
     def test_alpha_sum_of_ones(self):
-        assert so.evaluate_alpha(np.ones(5)) == 5.0
+        assert evaluate_alpha(np.ones(5)) == 5.0
 
     def test_alpha_hand_sum(self):
-        assert so.evaluate_alpha([2.0, 1.0]) == 3.0
+        assert evaluate_alpha([2.0, 1.0]) == 3.0
 
     def test_alpha_symmetry(self):
         e = math.e
-        assert so.evaluate_alpha([e, e]) == pytest.approx(2 * e, rel=1e-15)
+        assert evaluate_alpha([e, e]) == pytest.approx(2 * e, rel=1e-15)
 
     def test_alpha_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            so.evaluate_alpha([1.0, 0.0])
+            evaluate_alpha([1.0, 0.0])
 
     def test_f_uniform(self):
-        np.testing.assert_array_equal(so.evaluate_f(np.ones(4)), np.full(4, 0.25))
+        np.testing.assert_array_equal(evaluate_f(np.ones(4)), np.full(4, 0.25))
 
     def test_f_hand_normalization(self):
-        np.testing.assert_allclose(so.evaluate_f([2.0, 1.0]), [2 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_allclose(evaluate_f([2.0, 1.0]), [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_f_l1_norm_is_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             u = rng.uniform(0.1, 5.0, size=rng.integers(1, 30))
-            f = so.evaluate_f(u)
+            f = evaluate_f(u)
             assert abs(np.abs(f).sum() - 1.0) <= 1e-12
 
     def test_softmax_survives_u_overflow(self):
         inst = simple_instance([[1.0], [1.0]])
         with pytest.raises(OverflowError):
-            so.evaluate_u(inst, [800.0])
+            evaluate_u(inst, [800.0])
         np.testing.assert_allclose(so.softmax(inst, [800.0]), [0.5, 0.5], rtol=1e-15)
 
 
@@ -297,58 +299,15 @@ class TestStackedPoints:
         with pytest.raises(DomainError, match="strictly positive"):
             so.loss_cent(f, inst.b)
 
-    @pytest.mark.parametrize("shape", [(), (2, 2, 4), (3, 5)])
+    @pytest.mark.parametrize("shape", [(), (2, 2, 4), (3, 5), "ragged"])
     def test_bad_point_shapes(self, shape):
         inst = stack_instance(20, "both")
-        for fn in (so.make_state, so.loss_reg, so.loss_total):
+        points = [[0.0] * 3, [0.0] * 2] if shape == "ragged" else np.zeros(shape)
+        for fn in (so.model.logits, so.make_state, so.loss_reg, so.loss_total, so.kernel_bound):
             with pytest.raises(DimensionMismatch):
-                fn(inst, np.zeros(shape))
+                fn(inst, points)
         with pytest.raises(DimensionMismatch):
-            so.loss_exp(np.zeros(shape), np.zeros(7))
-
-    def test_residuals_take_one_point(self):
-        inst = stack_instance(20, "both")
-        for fn in (so.residual_linear, so.residual_exponential, so.residual_rescaled,
-                   so.residual_softmax):
-            with pytest.raises(DimensionMismatch, match="x must be 1-d"):
-                fn(inst, np.zeros((3, inst.d)))
-
-
-class TestResiduals:
-    def test_linear_exact_fit(self):
-        inst = simple_instance(np.eye(2), b=[1.0, 1.0], use_cent=False)
-        assert so.residual_linear(inst, [1.0, 1.0]) == 0.0
-
-    def test_exponential_at_zero(self):
-        inst = simple_instance(np.random.default_rng(6).standard_normal((4, 2)), b=np.ones(4))
-        assert so.residual_exponential(inst, np.zeros(2)) == 0.0
-
-    def test_rescaled_at_zero_uniform_target(self):
-        n = 5
-        inst = simple_instance(np.random.default_rng(7).standard_normal((n, 2)), b=np.full(n, 1.0 / n))
-        assert so.residual_rescaled(inst, np.zeros(2)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_softmax_residual_squares_to_twice_loss(self):
-        inst, x = random_instance(123)
-        res = so.residual_softmax(inst, x)
-        l_exp = so.loss_exp(so.make_state(inst, x).f, inst.b)
-        assert res**2 == pytest.approx(2.0 * l_exp, rel=1e-12)
-
-
-class TestHadamard:
-    def test_ones_identity(self):
-        x = np.array([1.5, -2.0, 3.0])
-        np.testing.assert_array_equal(so.hadamard(x, np.ones(3)), x)
-
-    def test_zeros_annihilate(self):
-        np.testing.assert_array_equal(so.hadamard([1.0, 2.0], [0.0, 0.0]), [0.0, 0.0])
-
-    def test_hand_arithmetic(self):
-        np.testing.assert_array_equal(so.hadamard([2.0, 3.0], [4.0, 5.0]), [8.0, 15.0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            so.hadamard([1.0], [1.0, 2.0])
+            so.loss_exp(points, np.zeros(7))
 
 
 class TestPredictionInvariants:
@@ -364,7 +323,7 @@ class TestPredictionInvariants:
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            f = so.evaluate_f(rng.uniform(0.1, 3.0, n))
+            f = evaluate_f(rng.uniform(0.1, 3.0, n))
             b = rng.uniform(0.0, 1.0, n)
             b /= max(b.sum(), 1.0)  # <b, 1> <= 1
             assert so.loss_cent(f, b) >= 0.0
@@ -385,8 +344,8 @@ class TestPredictionInvariants:
         for i in range(10):
             inst, x = random_instance([14, i])
             state = so.make_state(inst, x)
-            u = so.evaluate_u(inst, x)
-            alpha = so.evaluate_alpha(u)
+            u = evaluate_u(inst, x)
+            alpha = evaluate_alpha(u)
             assert np.all(u > 0.0)
             assert alpha == float(u.sum())
             np.testing.assert_allclose(state.f, u / alpha, rtol=1e-12)
@@ -397,8 +356,8 @@ class TestPredictionInvariants:
 
     def test_deterministic_bitwise(self):
         inst, x = random_instance(13)
-        f1 = so.evaluate_f(so.evaluate_u(inst, x))
-        f2 = so.evaluate_f(so.evaluate_u(inst, x))
+        f1 = evaluate_f(evaluate_u(inst, x))
+        f2 = evaluate_f(evaluate_u(inst, x))
         assert np.array_equal(f1, f2)
         s1, s2 = so.make_state(inst, x), so.make_state(inst, x)
         assert np.array_equal(s1.f, s2.f) and s1.log_f.tobytes() == s2.log_f.tobytes()
@@ -408,7 +367,7 @@ class TestPredictionInvariants:
         inst = simple_instance(np.array([[1.0], [0.0], [-1.0]]), b=[0.5, 0.3, 0.2])
         state = so.make_state(inst, [800.0])
         with pytest.raises(OverflowError):
-            so.evaluate_u(inst, [800.0])
+            evaluate_u(inst, [800.0])
         np.testing.assert_array_equal(state.log_f, [0.0, -800.0, -1600.0])
         np.testing.assert_array_equal(state.f, [1.0, 0.0, 0.0])
         assert so.loss_total(inst, [800.0]).l_cent == pytest.approx(560.0, rel=1e-15)
@@ -505,7 +464,6 @@ COUNT_CALLS = {
     "epochs": lambda inst, v: so.paired_vs_shuffled_bounds(0, epochs=v),
     "dim_anchor": lambda inst, v: so.paired_vs_shuffled_bounds(0, dim_anchor=v),
     "dim_partner": lambda inst, v: so.paired_vs_shuffled_bounds(0, dim_partner=v),
-    "k_minus_1": lambda inst, v: so.sample_negatives([np.zeros(2)] * 4, v, seed=0),
 }
 
 
@@ -534,7 +492,7 @@ ARRAY_DATACLASSES = {
         x=np.zeros(2), y=np.ones(2), dist=1.0, ratio=1.0
     ),
     "LipschitzProbe": lambda: so.verify.LipschitzProbe(
-        pairs=[ARRAY_DATACLASSES["LipschitzPair"]()], max_ratio=1.0, radius_r=1.0
+        pairs=[ARRAY_DATACLASSES["LipschitzPair"]()], max_ratio=1.0
     ),
 }
 
@@ -544,3 +502,28 @@ def test_array_dataclasses_compare_by_identity(name):
     first, second = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
     assert first == first
     assert first != second
+
+
+# The package's public names, submodules aside: a submodule becomes an attribute
+# of the package once anything imports it, so that set depends on the process.
+PUBLIC_NAMES = [
+    "GeneratorSpec", "KernelParts", "LandscapeGrid", "LipschitzProbe", "LossBreakdown",
+    "ModelState", "NceBatch", "ProblemInstance", "SolveTrace", "SolverConfig",
+    "SpectralReport", "approx_hessian", "average_grids", "basin_start", "convergence_audit",
+    "default_directions", "fd_gradient", "fd_hessian", "generate_planted", "grad_cent",
+    "grad_exp", "grad_f_inner", "grad_reg", "grad_total", "gradient_descent_baseline",
+    "hessian_cent", "hessian_exp", "hessian_reg", "hessian_total", "kernel_bound",
+    "kernel_norm", "landscape_grid", "lipschitz_probe", "log_softmax", "loss_cent",
+    "loss_exp", "loss_kernel_parts", "loss_reg", "loss_terms", "loss_total", "make_state",
+    "mi_lower_bound", "nce_gradients", "nce_loss", "newton_step", "paired_vs_shuffled_bounds",
+    "psd_check", "rel_err", "ridge_weights", "sandwich_check", "softmax", "solve",
+    "total_kernel_parts",
+]
+
+
+def test_public_names_are_pinned():
+    names = [
+        name for name in dir(so)
+        if not name.startswith("_") and not isinstance(getattr(so, name), types.ModuleType)
+    ]
+    assert names == PUBLIC_NAMES

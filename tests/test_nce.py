@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 import softmaxopt as so
-from softmaxopt.exceptions import (
-    DimensionMismatch,
-    DomainError,
-    NonFiniteInput,
-    PoolTooSmall,
-)
+from softmaxopt.exceptions import DomainError
 
 
 def random_batch(seed, p=6, q=5, k=4):
@@ -32,22 +27,6 @@ def gap_batch(gap):
         negatives=(np.array([0.0]),),
         weight=np.array([[1.0]]),
     )
-
-
-class TestBilinearScore:
-    def test_zero_weight(self):
-        assert so.bilinear_score([1.0, 2.0], [3.0], np.zeros((2, 1))) == 0.0
-
-    def test_identity_unit_vector(self):
-        e = np.array([1.0, 0.0])
-        assert so.bilinear_score(e, e, np.eye(2)) == 1.0
-
-    def test_hand_arithmetic(self):
-        assert so.bilinear_score([1.0, 2.0], [3.0, 4.0], np.eye(2)) == 11.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            so.bilinear_score([1.0, 2.0], [3.0], np.eye(2))
 
 
 class TestNceLoss:
@@ -108,26 +87,22 @@ class TestMiLowerBound:
             negatives=(common.copy(), common.copy()),
             weight=np.eye(2),
         )
-        assert so.mi_lower_bound(batch, "representation") == pytest.approx(0.0, abs=1e-12)
+        assert so.mi_lower_bound(batch) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_candidate_zero(self):
         batch = so.NceBatch(
             anchor=np.ones(2), positive=np.ones(2), negatives=(), weight=np.eye(2)
         )
-        assert so.mi_lower_bound(batch, "representation") == 0.0
+        assert so.mi_lower_bound(batch) == 0.0
 
     def test_bounded_by_log_k(self):
         for s in range(100):
             batch = random_batch(s)
-            assert so.mi_lower_bound(batch, "representation") <= math.log(batch.k) + 1e-12
+            assert so.mi_lower_bound(batch) <= math.log(batch.k) + 1e-12
 
-    def test_head_is_loss_with_unknown_offset(self):
+    def test_is_loss_plus_log_k(self):
         batch = random_batch(3)
-        assert so.mi_lower_bound(batch, "head") == so.nce_loss(batch)
-
-    def test_invalid_kind(self):
-        with pytest.raises(DomainError):
-            so.mi_lower_bound(random_batch(0), "other")
+        assert so.mi_lower_bound(batch) == so.nce_loss(batch) + float(np.log(batch.k))
 
 
 class TestNceGradients:
@@ -192,47 +167,6 @@ class TestNceGradients:
                 batch.anchor, batch.positive, batch.negatives, s * batch.weight
             )
             assert so.nce_loss(scaled) > so.nce_loss(batch)
-
-
-class TestOverallObjective:
-    def test_zero_weights_return_task_loss(self):
-        wts = so.ObjectiveWeights(beta=0.0, gamma=0.0)
-        assert so.overall_objective(1.7, 5.0, -3.0, wts) == 1.7
-
-    def test_hand_arithmetic_with_default_weights(self):
-        wts = so.ObjectiveWeights(beta=0.1, gamma=0.05)
-        assert so.overall_objective(1.0, 0.5, 0.2, wts) == pytest.approx(0.94, rel=1e-15)
-
-    def test_all_zero(self):
-        assert so.overall_objective(0.0, 0.0, 0.0, so.ObjectiveWeights()) == 0.0
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NonFiniteInput):
-            so.overall_objective(np.inf, 0.0, 0.0, so.ObjectiveWeights())
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(DomainError):
-            so.ObjectiveWeights(beta=-0.1)
-
-
-class TestSampleNegatives:
-    def test_zero_request_empty(self):
-        assert so.sample_negatives([np.zeros(2)], 0, seed=0) == []
-
-    def test_full_pool_is_permutation_subset(self):
-        pool = [np.array([float(i)]) for i in range(5)]
-        out = so.sample_negatives(pool, 5, seed=1)
-        assert sorted(float(v[0]) for v in out) == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_seed_reproducible(self):
-        pool = [np.array([float(i)]) for i in range(10)]
-        a = so.sample_negatives(pool, 4, seed=42)
-        b = so.sample_negatives(pool, 4, seed=42)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_pool_too_small(self):
-        with pytest.raises(PoolTooSmall):
-            so.sample_negatives([np.zeros(1)], 2, seed=0)
 
 
 class TestNegativeDraw:
