@@ -43,6 +43,14 @@ def _float_array(v, name: str) -> np.ndarray:
         raise DimensionMismatch(f"{name} must hold equal-length rows of numbers") from exc
 
 
+def _json_numbers(data: dict, key: str) -> np.ndarray:
+    """The instance JSON's field ``key`` as a float64 array; a non-number entry is a DomainError."""
+    try:
+        return np.asarray(data[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{key} must be a list of numbers") from exc
+
+
 def _vector(v, name: str) -> np.ndarray:
     arr = _float_array(v, name)
     if arr.ndim != 1:
@@ -130,7 +138,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         # copies so freezing the fields cannot alter caller-owned arrays
-        a = np.array(self.a, dtype=np.float64)
+        a = _float_array(self.a, "a").copy()
         if a.ndim != 2:
             raise DimensionMismatch(f"a must be 2-d, got shape {a.shape}")
         n, d = a.shape
@@ -208,21 +216,17 @@ class ProblemInstance:
         for key, value in flags.items():
             if not isinstance(value, bool):
                 raise DomainError(f"{key} must be true or false, got {value!r}")
-        flat = np.asarray(data["A"], dtype=np.float64)
+        flat = _json_numbers(data, "A")
         if flat.shape != (n * d,):
             raise DimensionMismatch(
                 f"A must hold n*d = {n * d} row-major entries, got {flat.size}"
             )
         return cls(
             a=flat.reshape(n, d),
-            b=np.asarray(data["b"], dtype=np.float64),
-            w=np.asarray(data["w"], dtype=np.float64),
+            b=_json_numbers(data, "b"),
+            w=_json_numbers(data, "w"),
             **flags,
-            x_star=(
-                np.asarray(data["x_star"], dtype=np.float64)
-                if "x_star" in data
-                else None
-            ),
+            x_star=_json_numbers(data, "x_star") if "x_star" in data else None,
             reg_mode=str(data.get("reg_mode", "paper")),
         )
 

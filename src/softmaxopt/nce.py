@@ -64,8 +64,7 @@ def nce_loss(batch: NceBatch) -> float:
     Always <= 0; computed with max-subtraction so large scores do not
     overflow.
     """
-    log_p, _ = _log_p_and_p(batch.candidates @ (batch.weight.T @ batch.anchor))
-    return float(log_p[0])
+    return _positive_log_p(batch.anchor, batch.candidates, batch.weight)
 
 
 def mi_lower_bound(batch: NceBatch) -> float:
@@ -80,9 +79,20 @@ def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
     grad_W = anchor (q_1 - sum_k sigma_k q_k)^T and
     grad_anchor = W (q_1 - sum_k sigma_k q_k).
     """
-    _, sigma = _log_p_and_p(batch.candidates @ (batch.weight.T @ batch.anchor))
-    diff = batch.positive - sigma @ batch.candidates
+    diff = _positive_minus_mean(batch.anchor, batch.candidates, batch.weight)
     return np.outer(batch.anchor, diff), batch.weight @ diff
+
+
+def _positive_log_p(anchor, candidates, weight) -> float:
+    # log-softmax at row 0 of the scores candidates @ (W^T anchor)
+    log_p, _ = _log_p_and_p(candidates @ (weight.T @ anchor))
+    return float(log_p[0])
+
+
+def _positive_minus_mean(anchor, candidates, weight) -> np.ndarray:
+    # q_1 - sigma @ Q, the factor both gradients share
+    _, sigma = _log_p_and_p(candidates @ (weight.T @ anchor))
+    return candidates[0] - sigma @ candidates
 
 
 # Mixing matrix of the synthetic correlated-pair experiment is fixed across
@@ -107,6 +117,10 @@ def paired_vs_shuffled_bounds(
     standard deviation ``_NOISE``; the shuffled control permutes partners to
     break the pairing.  Returns the mean bound of each variant after
     training.  A working estimator separates the two: correlated > shuffled.
+
+    Each pass over the pool draws every anchor's negatives first and gathers
+    the pass's candidates in one index; a learning rate that overflows the
+    weight raises NonFiniteInput naming ``learning_rate``.
     """
     _require_ints(
         dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
@@ -126,26 +140,42 @@ def paired_vs_shuffled_bounds(
     partners = anchors @ mix.T + _NOISE * rng.standard_normal((pool_size, dim_partner))
     shuffled = partners[rng.permutation(pool_size)]
 
+    log_k = float(np.log(k))
     bounds = []
-    for part in (partners, shuffled):
-        weight = np.zeros((dim_anchor, dim_partner))
-        for _ in range(epochs):
-            for i in range(pool_size):
-                negs = _draw_negatives(rng, part, i, k - 1)
-                batch = NceBatch(anchors[i], part[i], negs, weight)
-                grad_w, _ = nce_gradients(batch)
-                weight = weight + learning_rate * grad_w
-        total = 0.0
-        for i in range(pool_size):
-            negs = _draw_negatives(rng, part, i, k - 1)
-            batch = NceBatch(anchors[i], part[i], negs, weight)
-            total += mi_lower_bound(batch)
-        bounds.append(total / pool_size)
+    try:
+        # an overflow anywhere in training or scoring raises here instead of
+        # warning and leaving a NaN or Inf weight behind
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            for part in (partners, shuffled):
+                weight = np.zeros((dim_anchor, dim_partner))
+                for _ in range(epochs):
+                    batches = part[_draw_pass(rng, pool_size, k)]
+                    for anchor, candidates in zip(anchors, batches):
+                        diff = _positive_minus_mean(anchor, candidates, weight)
+                        weight += learning_rate * np.outer(anchor, diff)
+                # summed one anchor at a time, in order: np.sum would round differently
+                batches = part[_draw_pass(rng, pool_size, k)]
+                total = 0.0
+                for anchor, candidates in zip(anchors, batches):
+                    total += _positive_log_p(anchor, candidates, weight) + log_k
+                bounds.append(total / pool_size)
+    except FloatingPointError as exc:
+        raise NonFiniteInput(
+            f"training overflowed float64 ({exc}); lower learning_rate, got {learning_rate!r}"
+        ) from exc
     return bounds[0], bounds[1]
 
 
-def _draw_negatives(rng, partners, positive_index: int, count: int) -> np.ndarray:
-    # a draw of positions among the other len - 1 rows takes the same random
-    # stream as a draw from the array of their indices; skip the positive
-    idx = rng.choice(len(partners) - 1, size=count, replace=False)
-    return partners[idx + (idx >= positive_index)]
+def _draw_pass(rng, pool_size: int, k: int) -> np.ndarray:
+    """Candidate rows for one pass over the pool: row i is [i, k - 1 others].
+
+    One ``rng.choice`` per anchor, in anchor order: a draw of positions among
+    the other pool_size - 1 rows takes the same random stream as a draw from
+    the array of their indices; positions at or after i skip it.
+    """
+    rows = np.empty((pool_size, k), dtype=np.intp)
+    rows[:, 0] = np.arange(pool_size)
+    for i in range(pool_size):
+        idx = rng.choice(pool_size - 1, size=k - 1, replace=False)
+        rows[i, 1:] = idx + (idx >= i)
+    return rows

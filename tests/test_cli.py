@@ -360,6 +360,16 @@ class TestVerify:
         assert blobs[0] == blobs[1]
 
 
+def test_non_number_in_instance_json_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(["gen", "--n", 4, "--d", 2, "--out", path])
+    data = json.loads(path.read_text())
+    data["b"][1] = "x"
+    path.write_text(json.dumps(data))
+    assert run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith("error: DomainError: b must be a list of numbers")
+
+
 class TestNceCommand:
     def test_pinned_values(self, tmp_path):
         csv_path = tmp_path / "bounds.csv"
@@ -405,6 +415,13 @@ class TestNceCommand:
         assert code == 0
         row = csv_path.read_text().strip().split("\n")[1].split(",")
         assert float(row[1]) == 0.0 and float(row[2]) == 0.0
+
+    def test_overflowing_learning_rate_is_non_finite_input(self, capsys):
+        assert run(["nce", "--seeds", 1, "--learning-rate", 1e308]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: NonFiniteInput: ")
+        assert "learning_rate" in captured.err
+        assert captured.out == ""
 
     def test_byte_reproducible(self, tmp_path):
         blobs = []

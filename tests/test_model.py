@@ -393,6 +393,10 @@ class TestProblemInstanceValidation:
         with pytest.raises(DimensionMismatch):
             so.ProblemInstance(a=np.ones(3), b=np.ones(3), w=np.ones(3))
 
+    def test_ragged_matrix_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^a must hold equal-length rows"):
+            so.ProblemInstance(a=[[1.0, 2.0], [3.0]], b=np.zeros(2), w=np.zeros(2))
+
     def test_nonfinite_rejected(self):
         a = np.eye(2)
         a[0, 0] = np.inf
@@ -452,6 +456,15 @@ class TestInstanceJson:
         so.ProblemInstance.from_dict(data)
         with pytest.raises(DomainError, match=f"^{key} must be"):
             so.ProblemInstance.from_dict({**data, key: value})
+
+    @pytest.mark.parametrize("key", ["A", "b", "w", "x_star"])
+    def test_non_number_entry_names_the_field(self, key):
+        data = {"n": 2, "d": 2, "A": [1.0, 2.0, 3.0, 4.0], "b": [0.5, 0.5], "w": [0.0, 0.0],
+                "x_star": [0.0, 0.0], "reg_mode": "centered"}
+        so.ProblemInstance.from_dict(data)
+        bad = [*data[key][:-1], "one"]
+        with pytest.raises(DomainError, match=f"^{key} must be a list of numbers"):
+            so.ProblemInstance.from_dict({**data, key: bad})
 
 
 # One call per integer count of the public API, each with the named count set to v.

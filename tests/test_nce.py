@@ -1,12 +1,14 @@
 """Contrastive bound estimators: values, gradients and the paired experiment."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import nce_oracles
 import softmaxopt as so
-from softmaxopt.exceptions import DomainError
+from softmaxopt.exceptions import DomainError, NonFiniteInput
 
 
 def random_batch(seed, p=6, q=5, k=4):
@@ -172,17 +174,18 @@ class TestNceGradients:
 class TestNegativeDraw:
     @pytest.mark.parametrize("pool_size", [1, 2, 5, 96])
     def test_same_stream_as_a_draw_from_the_other_indices(self, pool_size):
-        partners = np.arange(float(pool_size))[:, None]
         for seed in range(20):
+            k = (seed * 7) % pool_size + 1  # 1 .. pool_size
             rng = np.random.default_rng([pool_size, seed])
             ref = np.random.default_rng([pool_size, seed])
+            rows = so.nce._draw_pass(rng, pool_size, k)
+            assert rows.shape == (pool_size, k)
             for i in range(pool_size):
-                count = (i * 7 + seed) % pool_size  # 0 .. pool_size - 1
-                got = so.nce._draw_negatives(rng, partners, i, count)
                 others = np.delete(np.arange(pool_size), i)
-                want = partners[ref.choice(others, size=count, replace=False)]
-                assert np.array_equal(got, want)
-                assert i not in got
+                want = ref.choice(others, size=k - 1, replace=False)
+                assert rows[i, 0] == i
+                assert np.array_equal(rows[i, 1:], want)
+                assert i not in rows[i, 1:]
 
 
 class TestBatchEquality:
@@ -208,3 +211,34 @@ class TestPairedExperiment:
     def test_k_validation(self):
         with pytest.raises(DomainError):
             so.paired_vs_shuffled_bounds(0, pool_size=8, k=9)
+
+    def test_overflowing_learning_rate_is_typed(self):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteInput, match="learning_rate"):
+                so.paired_vs_shuffled_bounds(0, learning_rate=1e308)
+        assert np.geterr() == before
+
+
+# Configs at the edges of the experiment: one candidate, the whole pool as
+# candidates, unequal small dimensions, no training, a large step.
+EDGE_CONFIGS = {
+    "k1": {"k": 1},
+    "k96": {"k": 96},
+    "small": {"dim_anchor": 3, "dim_partner": 5, "k": 4, "pool_size": 16},
+    "epochs0": {"epochs": 0},
+    "lr3": {"learning_rate": 3.0},
+}
+
+
+class TestArrayLoopMatchesPerBatchOracle:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_config(self, seed):
+        got = so.paired_vs_shuffled_bounds(seed)
+        assert got == nce_oracles.paired_vs_shuffled_bounds(seed)
+
+    @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+    def test_edge_configs(self, config):
+        got = so.paired_vs_shuffled_bounds(0, **config)
+        assert got == nce_oracles.paired_vs_shuffled_bounds(0, **config)
