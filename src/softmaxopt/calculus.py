@@ -182,7 +182,8 @@ def _exp_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
     q = f * r
     s = _row_dot(f, r)
     g = f * f + q
-    return KernelParts(c=g - s[..., None] * f, g=g, kappa=_row_dot(f, f) + 2.0 * s, f=f)
+    # (f.T * s).T scales each row of a stack by its own s, one point by s alone
+    return KernelParts(c=g - (f.T * s).T, g=g, kappa=_row_dot(f, f) + 2.0 * s, f=f)
 
 
 def loss_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
@@ -193,10 +194,12 @@ def loss_kernel_parts(state: ModelState, inst: ProblemInstance) -> KernelParts:
         terms.append(_cent_parts(state, inst))
     if inst.use_exp:
         terms.append(_exp_parts(state, inst))
+    zero = np.zeros_like(f)
     return KernelParts(
-        c=sum((t.c for t in terms), np.zeros_like(f)),
-        g=sum((t.g for t in terms), np.zeros_like(f)),
-        kappa=sum((t.kappa for t in terms), np.zeros(f.shape[:-1])),
+        c=sum((t.c for t in terms), zero),
+        g=sum((t.g for t in terms), zero),
+        # one point's kappa sums from a Python 0.0; a stack's keeps its (m,) shape
+        kappa=sum((t.kappa for t in terms), zero[:, 0] if f.ndim > 1 else 0.0),
         f=f,
     )
 

@@ -16,11 +16,12 @@ import numpy as np
 from .exceptions import DimensionMismatch, DomainError
 from .model import (
     ProblemInstance,
+    _fit_terms,
     _log_p_and_p,
+    _reg_term,
     _require_finite,
     _require_ints,
     _write_text,
-    loss_terms,
 )
 
 
@@ -125,16 +126,28 @@ def landscape_grid(
         z_c = inst.a @ center
         r_c = inst.a @ (center - inst.reg_center())
         a_u = inst.a @ dir_u
-        v_a_v = offs[:, None] * (inst.a @ dir_v)  # (resolution, n), the same for every row
-        for i, u in enumerate(offs.tolist()):
-            z = (z_c + u * a_u) + v_a_v
-            z_reg = (r_c + u * a_u) + v_a_v
-            if not (np.isfinite(z).all() and np.isfinite(z_reg).all()):
+        a_v = inst.a @ dir_v
+        # each row's v_j A dir_v fills one (resolution, n) block, which then
+        # becomes the row's logits and their log-softmax in place; the ridge
+        # logits are a new block, freed once l_reg is taken, so at most three
+        # such blocks are live
+        block = np.empty((resolution, inst.n))
+        v_col = offs[:, None]
+
+        def finite(z, u):
+            if not np.isfinite(z).all():
                 raise OverflowError(f"logits overflow float64 in grid row u={u!r}")
-            for k, term in enumerate(loss_terms(inst, *_log_p_and_p(z), z_reg)):
-                values[i, :, k] = term
-            # the terms are >= 0, so a finite row total means finite terms
-            if not np.isfinite(values[i].sum(axis=-1)).all():
+            return z
+
+        for i, u in enumerate(offs.tolist()):
+            v_a_v = np.multiply(v_col, a_v, out=block)
+            u_a_u = u * a_u
+            l_reg = _reg_term(inst, finite(r_c + u_a_u + v_a_v, u))
+            z = finite(np.add(z_c + u_a_u, v_a_v, out=block), u)
+            l_exp, l_cent = _fit_terms(inst, *_log_p_and_p(z))
+            values[i, :, 0], values[i, :, 1], values[i, :, 2] = l_exp, l_cent, l_reg
+            # the terms are >= 0, so finite row totals mean finite terms
+            if not np.isfinite(l_exp + l_cent + l_reg).all():
                 raise OverflowError(f"loss terms overflow float64 in grid row u={u!r}")
     return LandscapeGrid(
         center=center,

@@ -23,6 +23,7 @@ row (or one value) per point, each bitwise the value of that point alone.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 import numbers
@@ -43,12 +44,31 @@ def _float_array(v, name: str) -> np.ndarray:
         raise DimensionMismatch(f"{name} must hold equal-length rows of numbers") from exc
 
 
-def _json_numbers(data: dict, key: str) -> np.ndarray:
-    """The instance JSON's field ``key`` as a float64 array; a non-number entry is a DomainError."""
+def _json_field(data: dict, key: str):
+    """The instance JSON's field ``key``; a missing one is a DomainError naming it."""
     try:
-        return np.asarray(data[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        return data[key]
+    except KeyError:
+        raise DomainError(f"{key} is missing from the instance JSON") from None
+
+
+def _json_numbers(data: dict, key: str) -> np.ndarray:
+    """The instance JSON's list ``key`` as a float64 array; a non-number entry is a DomainError.
+
+    ``array.array("d", ...)`` converts the list in one pass and rejects an
+    entry that is not a real number (a string, a null, a list, an object).
+    A boolean passes it as 0 or 1, so only the entries equal to 0 or 1 have
+    their Python type read.
+    """
+    values = _json_field(data, key)
+    try:
+        arr = np.frombuffer(array.array("d", values))
+    except (TypeError, OverflowError) as exc:
         raise DomainError(f"{key} must be a list of numbers") from exc
+    zero_or_one = arr == arr.astype(bool)  # a number equals its truth value only at 0 and 1
+    if any(type(values[i]) is bool for i in zero_or_one.nonzero()[0].tolist()):
+        raise DomainError(f"{key} must be a list of numbers")
+    return arr
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -210,7 +230,7 @@ class ProblemInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemInstance":
-        n, d = data["n"], data["d"]
+        n, d = _json_field(data, "n"), _json_field(data, "d")
         _require_ints(n=n, d=d)
         flags = {key: data.get(key, True) for key in ("use_exp", "use_cent")}
         for key, value in flags.items():
@@ -263,9 +283,12 @@ def _log_p_and_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log p and p for p = exp(z) / <exp(z), 1>, from one max-shift of a finite z.
 
     Each row along the last axis is one softmax; a row of a 2-D ``z`` gives
-    bitwise the values of that row passed alone.
+    bitwise the values of that row passed alone.  The shift runs in place:
+    the ``log p`` returned is ``z`` itself, so a caller passes a ``z`` it
+    owns and no longer needs.
     """
-    log_p = z - z.max(axis=-1, keepdims=True)
+    log_p = z
+    log_p -= z.max(axis=-1, keepdims=True)
     p = np.exp(log_p)
     total = p.sum(axis=-1, keepdims=True)
     log_p -= np.log(total)
@@ -315,8 +338,7 @@ def _f_and_b(f, b, name: str) -> tuple[np.ndarray, np.ndarray]:
 def loss_exp(f, b):
     """Squared-residual term 0.5 * ||f - b||^2, one value per row of a stack."""
     f, b = _f_and_b(f, b, "loss_exp")
-    r = f - b
-    return _scalar_or_rows(0.5 * _row_dot(r, r))
+    return _scalar_or_rows(_half_square(f - b))
 
 
 def loss_cent(f, b):
@@ -330,8 +352,7 @@ def loss_cent(f, b):
 def loss_reg(inst: ProblemInstance, x):
     """Ridge term 0.5 * ||W A (x - x_ref)||^2 with W = diag(w), one value per point."""
     x = _rows(x, inst.d, "x")
-    wz = inst.w * _matvec(inst.a, x - inst.reg_center())
-    return _scalar_or_rows(0.5 * _row_dot(wz, wz))
+    return _scalar_or_rows(_reg_term(inst, _matvec(inst.a, x - inst.reg_center())))
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -354,14 +375,24 @@ def loss_terms(inst: ProblemInstance, log_f, f, z_reg):
     arrays, each row bitwise the value of that row alone.  A disabled term
     is ``0.0``.
     """
-    l_exp = l_cent = 0.0
-    if inst.use_exp:
-        r = f - inst.b
-        l_exp = 0.5 * _row_dot(r, r)
-    if inst.use_cent:
-        l_cent = -_row_dot(log_f, inst.b)
-    wz = inst.w * z_reg
-    return l_exp, l_cent, 0.5 * _row_dot(wz, wz)
+    return (*_fit_terms(inst, log_f, f), _reg_term(inst, z_reg))
+
+
+def _fit_terms(inst: ProblemInstance, log_f, f):
+    """``(l_exp, l_cent)`` of ``loss_terms``; a disabled term is ``0.0``."""
+    l_exp = _half_square(f - inst.b) if inst.use_exp else 0.0
+    l_cent = -_row_dot(log_f, inst.b) if inst.use_cent else 0.0
+    return l_exp, l_cent
+
+
+def _reg_term(inst: ProblemInstance, z_reg):
+    """``l_reg`` of ``loss_terms``, from ``z_reg = A (x - x_ref)``."""
+    return _half_square(inst.w * z_reg)
+
+
+def _half_square(v):
+    # 0.5 <v, v> per row; v is freed on return, before the caller's next block
+    return 0.5 * _row_dot(v, v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,7 +64,7 @@ def nce_loss(batch: NceBatch) -> float:
     Always <= 0; computed with max-subtraction so large scores do not
     overflow.
     """
-    return _positive_log_p(batch.anchor, batch.candidates, batch.weight)
+    return float(_positive_log_p(batch.anchor, batch.candidates, batch.weight))
 
 
 def mi_lower_bound(batch: NceBatch) -> float:
@@ -83,16 +83,31 @@ def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.outer(batch.anchor, diff), batch.weight @ diff
 
 
-def _positive_log_p(anchor, candidates, weight) -> float:
-    # log-softmax at row 0 of the scores candidates @ (W^T anchor)
-    log_p, _ = _log_p_and_p(candidates @ (weight.T @ anchor))
-    return float(log_p[0])
+def _positive_log_p(anchor, candidates, weight):
+    # log-softmax at candidate 0 of the scores; one value per batch of a stack
+    log_p, _ = _log_p_and_p(_scores(anchor, candidates, weight))
+    return log_p[..., 0]
 
 
 def _positive_minus_mean(anchor, candidates, weight) -> np.ndarray:
-    # q_1 - sigma @ Q, the factor both gradients share
-    _, sigma = _log_p_and_p(candidates @ (weight.T @ anchor))
-    return candidates[0] - sigma @ candidates
+    # q_1 - sigma @ Q, the factor both gradients share; one row per batch of a
+    # stack.  sigma is the p of _log_p_and_p, without the log p training never reads
+    z = _scores(anchor, candidates, weight)
+    sigma = np.exp(z - z.max(axis=-1, keepdims=True))
+    sigma /= sigma.sum(axis=-1, keepdims=True)
+    return candidates[..., 0, :] - (sigma[..., None, :] @ candidates)[..., 0, :]
+
+
+def _scores(anchor, candidates, weight) -> np.ndarray:
+    """candidates @ (W^T anchor) for one batch, or for a stack of batches.
+
+    ``anchor`` (..., p), ``candidates`` (..., k, q) and ``weight`` (..., p, q)
+    broadcast over their leading axes.  Every product is a matmul of one
+    batch's blocks, as ``model._matvec`` takes them, so each row of a stack is
+    bitwise that batch alone.
+    """
+    w_t_anchor = weight.swapaxes(-1, -2) @ anchor[..., None]
+    return (candidates @ w_t_anchor)[..., 0]
 
 
 # Mixing matrix of the synthetic correlated-pair experiment is fixed across
@@ -118,9 +133,18 @@ def paired_vs_shuffled_bounds(
     break the pairing.  Returns the mean bound of each variant after
     training.  A working estimator separates the two: correlated > shuffled.
 
-    Each pass over the pool draws every anchor's negatives first and gathers
-    the pass's candidates in one index; a learning rate that overflows the
-    weight raises NonFiniteInput naming ``learning_rate``.
+    Both chains train in lockstep on one ``(2, dim_anchor, dim_partner)``
+    weight stack: each step takes one anchor's candidates of both chains
+    through the stack-aware helpers ``nce_gradients`` and ``nce_loss`` use,
+    and each row of the stack is bitwise that chain trained alone.  All
+    negatives are drawn first, the correlated chain's ``epochs + 1`` passes
+    and then the shuffled chain's, one ``rng.choice`` per anchor and pass, so
+    the random stream is that of training one chain after the other.  The
+    draws are kept as ``2 (epochs + 1) pool_size k`` indices (about 160 KB at
+    the defaults), and one pass's candidates of both chains are gathered at a
+    time.  The bounds are summed anchor by anchor as Python floats.  A
+    learning rate that overflows either chain's weight raises NonFiniteInput
+    naming ``learning_rate``.
     """
     _require_ints(
         dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
@@ -140,42 +164,54 @@ def paired_vs_shuffled_bounds(
     partners = anchors @ mix.T + _NOISE * rng.standard_normal((pool_size, dim_partner))
     shuffled = partners[rng.permutation(pool_size)]
 
+    passes = epochs + 1
+    # pool rows pool_size + i hold the shuffled partners; the draws are the
+    # correlated chain's passes, then the shuffled chain's, so rows[e, i] holds
+    # both chains' candidates of anchor i in pass e
+    rows = _draw_passes(rng, 2 * passes, pool_size, k).reshape(2, passes, pool_size, k)
+    rows[1] += pool_size
+    rows = rows.transpose(1, 2, 0, 3)
+    pool = np.concatenate([partners, shuffled])
+
     log_k = float(np.log(k))
-    bounds = []
+    weight = np.zeros((2, dim_anchor, dim_partner))
     try:
         # an overflow anywhere in training or scoring raises here instead of
         # warning and leaving a NaN or Inf weight behind
         with np.errstate(over="raise", invalid="raise", under="ignore"):
-            for part in (partners, shuffled):
-                weight = np.zeros((dim_anchor, dim_partner))
-                for _ in range(epochs):
-                    batches = part[_draw_pass(rng, pool_size, k)]
-                    for anchor, candidates in zip(anchors, batches):
-                        diff = _positive_minus_mean(anchor, candidates, weight)
-                        weight += learning_rate * np.outer(anchor, diff)
-                # summed one anchor at a time, in order: np.sum would round differently
-                batches = part[_draw_pass(rng, pool_size, k)]
-                total = 0.0
-                for anchor, candidates in zip(anchors, batches):
-                    total += _positive_log_p(anchor, candidates, weight) + log_k
-                bounds.append(total / pool_size)
+            for epoch in range(epochs):
+                for anchor, candidates in zip(anchors, pool[rows[epoch]]):
+                    diff = _positive_minus_mean(anchor, candidates, weight)
+                    # np.outer(anchor, diff[c]) for each chain c, the same products
+                    weight += learning_rate * (anchor[:, None] * diff[:, None, :])
+            log_p = _positive_log_p(anchors[:, None], pool[rows[-1]], weight)
     except FloatingPointError as exc:
         raise NonFiniteInput(
             f"training overflowed float64 ({exc}); lower learning_rate, got {learning_rate!r}"
         ) from exc
+    bounds = []
+    for chain in log_p.T.tolist():
+        # summed one anchor at a time, in order: np.sum would round differently
+        total = 0.0
+        for value in chain:
+            total += value + log_k
+        bounds.append(total / pool_size)
     return bounds[0], bounds[1]
 
 
-def _draw_pass(rng, pool_size: int, k: int) -> np.ndarray:
-    """Candidate rows for one pass over the pool: row i is [i, k - 1 others].
+def _draw_passes(rng, passes: int, pool_size: int, k: int) -> np.ndarray:
+    """Candidate rows for ``passes`` passes over the pool: row [e, i] is [i, k - 1 others].
 
-    One ``rng.choice`` per anchor, in anchor order: a draw of positions among
-    the other pool_size - 1 rows takes the same random stream as a draw from
-    the array of their indices; positions at or after i skip it.
+    One ``rng.choice`` per anchor, pass by pass and in anchor order: a draw of
+    positions among the other pool_size - 1 rows takes the same random stream
+    as a draw from the array of their indices; positions at or after i skip
+    it, in one array operation over all passes.
     """
-    rows = np.empty((pool_size, k), dtype=np.intp)
-    rows[:, 0] = np.arange(pool_size)
-    for i in range(pool_size):
-        idx = rng.choice(pool_size - 1, size=k - 1, replace=False)
-        rows[i, 1:] = idx + (idx >= i)
+    rows = np.empty((passes, pool_size, k), dtype=np.intp)
+    rows[..., 0] = np.arange(pool_size)
+    others = rows[..., 1:]
+    for pass_others in others:
+        for row in pass_others:
+            row[...] = rng.choice(pool_size - 1, size=k - 1, replace=False)
+    others += others >= rows[..., :1]
     return rows

@@ -370,6 +370,26 @@ def test_non_number_in_instance_json_is_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: DomainError: b must be a list of numbers")
 
 
+def test_missing_field_in_instance_json_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(["gen", "--n", 4, "--d", 2, "--out", path])
+    data = json.loads(path.read_text())
+    del data["b"]
+    path.write_text(json.dumps(data))
+    assert run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith("error: DomainError: b is missing")
+
+
+def test_quoted_number_in_instance_json_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(["gen", "--n", 4, "--d", 2, "--out", path])
+    data = json.loads(path.read_text())
+    data["A"][0] = str(data["A"][0])
+    path.write_text(json.dumps(data))
+    assert run(["landscape", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith("error: DomainError: A must be a list of numbers")
+
+
 class TestNceCommand:
     def test_pinned_values(self, tmp_path):
         csv_path = tmp_path / "bounds.csv"

@@ -466,6 +466,34 @@ class TestInstanceJson:
         with pytest.raises(DomainError, match=f"^{key} must be a list of numbers"):
             so.ProblemInstance.from_dict({**data, key: bad})
 
+    @pytest.mark.parametrize("key", ["n", "d", "A", "b", "w"])
+    def test_missing_field_names_it(self, key):
+        data = {"n": 2, "d": 2, "A": [1.0, 2.0, 3.0, 4.0], "b": [0.5, 0.5], "w": [0.0, 0.0]}
+        del data[key]
+        with pytest.raises(DomainError, match=f"^{key} is missing"):
+            so.ProblemInstance.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["A", "b", "w", "x_star"])
+    @pytest.mark.parametrize("bad", ["1.5", True, False, None], ids=["quoted", "true", "false", "null"])
+    def test_string_or_boolean_entry_names_the_field(self, key, bad):
+        # true and false equal the numbers 1 and 0, so they are typed even among
+        # entries of those values
+        data = {"n": 2, "d": 2, "A": [1.0, 0.0, 1, 0], "b": [1.0, 0.0], "w": [0.0, 1.0],
+                "x_star": [0.0, 1.0], "reg_mode": "centered"}
+        so.ProblemInstance.from_dict(data)
+        for bad_list in ([*data[key][:-1], bad], [bad] * len(data[key])):
+            with pytest.raises(DomainError, match=f"^{key} must be a list of numbers"):
+                so.ProblemInstance.from_dict({**data, key: bad_list})
+
+    def test_integer_entries_are_numbers(self):
+        data = {"n": 2, "d": 2, "A": [1, -2, 3, 2**70], "b": [1, 0], "w": [0, 3],
+                "x_star": [2, 0], "reg_mode": "centered"}
+        inst = so.ProblemInstance.from_dict(data)
+        assert np.array_equal(inst.a, np.array([[1.0, -2.0], [3.0, 2.0**70]]))
+        assert np.array_equal(inst.b, [1.0, 0.0])
+        assert np.array_equal(inst.w, [0.0, 3.0])
+        assert np.array_equal(inst.x_star, [2.0, 0.0])
+
 
 # One call per integer count of the public API, each with the named count set to v.
 COUNT_CALLS = {

@@ -176,16 +176,64 @@ class TestNegativeDraw:
     def test_same_stream_as_a_draw_from_the_other_indices(self, pool_size):
         for seed in range(20):
             k = (seed * 7) % pool_size + 1  # 1 .. pool_size
+            passes = seed % 3 + 1
             rng = np.random.default_rng([pool_size, seed])
             ref = np.random.default_rng([pool_size, seed])
-            rows = so.nce._draw_pass(rng, pool_size, k)
-            assert rows.shape == (pool_size, k)
-            for i in range(pool_size):
-                others = np.delete(np.arange(pool_size), i)
-                want = ref.choice(others, size=k - 1, replace=False)
-                assert rows[i, 0] == i
-                assert np.array_equal(rows[i, 1:], want)
-                assert i not in rows[i, 1:]
+            rows = so.nce._draw_passes(rng, passes, pool_size, k)
+            assert rows.shape == (passes, pool_size, k)
+            for pass_rows in rows:
+                for i in range(pool_size):
+                    others = np.delete(np.arange(pool_size), i)
+                    want = ref.choice(others, size=k - 1, replace=False)
+                    assert pass_rows[i, 0] == i
+                    assert np.array_equal(pass_rows[i, 1:], want)
+                    assert i not in pass_rows[i, 1:]
+
+
+class TestStackedHelpers:
+    """Each row of a stack through the private helpers is bitwise one batch alone."""
+
+    @staticmethod
+    def _stack(batches):
+        return (np.array([b.anchor for b in batches]), np.array([b.candidates for b in batches]),
+                np.array([b.weight for b in batches]))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_match_nce_gradients_and_loss(self, seed):
+        batches = [random_batch(10 * seed + j) for j in range(3)]
+        anchors, candidates, weights = self._stack(batches)
+        diff = so.nce._positive_minus_mean(anchors, candidates, weights)
+        log_p = so.nce._positive_log_p(anchors, candidates, weights)
+        for j, batch in enumerate(batches):
+            grad_w, grad_a = so.nce_gradients(batch)
+            assert np.outer(batch.anchor, diff[j]).tobytes() == grad_w.tobytes()
+            assert (batch.weight @ diff[j]).tobytes() == grad_a.tobytes()
+            assert float(log_p[j]) == so.nce_loss(batch)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_anchor_against_a_weight_per_chain(self, seed):
+        # the training step: one anchor, each chain's candidates and weight
+        first, other = random_batch(seed), random_batch(100 + seed)
+        batches = [first, so.NceBatch(first.anchor, other.positive, other.negatives, other.weight)]
+        _, candidates, weights = self._stack(batches)
+        diff = so.nce._positive_minus_mean(first.anchor, candidates, weights)
+        for j, batch in enumerate(batches):
+            assert np.outer(batch.anchor, diff[j]).tobytes() == so.nce_gradients(batch)[0].tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_anchors_against_a_weight_per_chain(self, seed):
+        # the evaluation pass: m anchors, each with one candidate set per chain
+        rng = np.random.default_rng(seed)
+        p, q, k, m = 3, 5, 4, 6
+        weights = rng.standard_normal((2, p, q))
+        anchors = rng.standard_normal((m, p))
+        candidates = rng.standard_normal((m, 2, k, q))
+        log_p = so.nce._positive_log_p(anchors[:, None], candidates, weights)
+        assert log_p.shape == (m, 2)
+        for i in range(m):
+            for c in range(2):
+                batch = so.NceBatch(anchors[i], candidates[i, c, 0], candidates[i, c, 1:], weights[c])
+                assert float(log_p[i, c]) == so.nce_loss(batch)
 
 
 class TestBatchEquality:
@@ -212,6 +260,27 @@ class TestPairedExperiment:
         with pytest.raises(DomainError):
             so.paired_vs_shuffled_bounds(0, pool_size=8, k=9)
 
+    def test_overflow_in_the_shuffled_chain_alone_is_typed(self, monkeypatch):
+        config = {"dim_anchor": 2, "pool_size": 4, "k": 2, "epochs": 2, "learning_rate": 1e306}
+        # the per-batch oracle trains the correlated chain to the end and bounds
+        # all four anchors before the shuffled chain's weight overflows
+        scored = []
+
+        def recorded_bound(batch):
+            scored.append(so.mi_lower_bound(batch))
+            return scored[-1]
+
+        monkeypatch.setattr(nce_oracles, "mi_lower_bound", recorded_bound)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteInput):
+            nce_oracles.paired_vs_shuffled_bounds(2, **config)
+        assert len(scored) == 4 and np.isfinite(scored).all()
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteInput, match="learning_rate"):
+                so.paired_vs_shuffled_bounds(2, **config)
+        assert np.geterr() == before
+
     def test_overflowing_learning_rate_is_typed(self):
         before = np.geterr()
         with warnings.catch_warnings():
@@ -221,19 +290,23 @@ class TestPairedExperiment:
         assert np.geterr() == before
 
 
-# Configs at the edges of the experiment: one candidate, the whole pool as
-# candidates, unequal small dimensions, no training, a large step.
+# Configs at the edges of the experiment: one candidate, two candidates of a
+# small pool, the whole pool as candidates, unequal small dimensions, scalar
+# anchors and partners, no training, a short training, a large step.
 EDGE_CONFIGS = {
     "k1": {"k": 1},
+    "k2_pool16": {"k": 2, "pool_size": 16},
     "k96": {"k": 96},
     "small": {"dim_anchor": 3, "dim_partner": 5, "k": 4, "pool_size": 16},
+    "dim1": {"dim_anchor": 1, "dim_partner": 1},
     "epochs0": {"epochs": 0},
+    "epochs3": {"epochs": 3},
     "lr3": {"learning_rate": 3.0},
 }
 
 
 class TestArrayLoopMatchesPerBatchOracle:
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(20))
     def test_default_config(self, seed):
         got = so.paired_vs_shuffled_bounds(seed)
         assert got == nce_oracles.paired_vs_shuffled_bounds(seed)

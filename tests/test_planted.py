@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,19 @@ class TestBatchedLandscape:
         grid = so.landscape_grid(inst, half_width=0.0, resolution=5)
         self.check_against_cells(inst, grid)
         assert (grid.values == grid.values[2, 2]).all()
+
+    def test_tall_grid_holds_three_row_blocks(self):
+        # one reused (resolution, n) block, f and one loss term's temporary:
+        # 3 x 168 KB at n=1000 and resolution 21; seven live blocks read 1.28 MB
+        inst = planted(1000, 20)
+        so.landscape_grid(inst, resolution=21)
+        tracemalloc.start()
+        try:
+            so.landscape_grid(inst, resolution=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 700_000, peak
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_a_typed_error(self):
