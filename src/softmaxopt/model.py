@@ -27,7 +27,7 @@ import array
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -397,16 +397,16 @@ def _half_square(v):
 
 @dataclass(frozen=True, eq=False)
 class LossBreakdown:
-    """Values of the three loss terms and their sum at one point."""
+    """Values of the three loss terms at one point (or per point of a stack)."""
 
     l_exp: float
     l_cent: float
     l_reg: float
-    total: float = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.total is None:
-            object.__setattr__(self, "total", self.l_exp + self.l_cent + self.l_reg)
+    @property
+    def total(self):
+        """l_exp + l_cent + l_reg, summed in that order."""
+        return self.l_exp + self.l_cent + self.l_reg
 
 
 def state_losses(inst: ProblemInstance, state: ModelState) -> LossBreakdown:

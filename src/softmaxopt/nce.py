@@ -205,13 +205,13 @@ def _draw_passes(rng, passes: int, pool_size: int, k: int) -> np.ndarray:
     One ``rng.choice`` per anchor, pass by pass and in anchor order: a draw of
     positions among the other pool_size - 1 rows takes the same random stream
     as a draw from the array of their indices; positions at or after i skip
-    it, in one array operation over all passes.
+    it, in one array operation per pass right after its draws.
     """
     rows = np.empty((passes, pool_size, k), dtype=np.intp)
     rows[..., 0] = np.arange(pool_size)
-    others = rows[..., 1:]
-    for pass_others in others:
-        for row in pass_others:
+    for pass_rows in rows:
+        others = pass_rows[:, 1:]
+        for row in others:
             row[...] = rng.choice(pool_size - 1, size=k - 1, replace=False)
-    others += others >= rows[..., :1]
+        others += others >= pass_rows[:, :1]
     return rows

@@ -87,12 +87,20 @@ class IterateRecord:
 
 @dataclass(eq=False)
 class SolveTrace:
-    """Per-iteration records plus the final convergence verdict."""
+    """Per-iteration records plus the final convergence verdict; the step count
+    and the iteration-cap flag follow from them."""
 
     iterates: list = field(default_factory=list)
     converged: bool = False
-    iterations_run: int = 0
-    max_iters_exceeded: bool = False
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.iterates) - 1
+
+    @property
+    def max_iters_exceeded(self) -> bool:
+        # the loop leaves a trace unconverged only at its iteration cap
+        return not self.converged
 
     def losses(self) -> np.ndarray:
         return np.array([rec.loss for rec in self.iterates])
@@ -120,11 +128,23 @@ class SolveTrace:
         return "\n".join(lines) + "\n"
 
 
-def _state_or_nonfinite(inst: ProblemInstance, x) -> ModelState:
+def _evaluate(inst: ProblemInstance, x, t: int):
+    """State, loss, gradient and its norm at iterate t: the one finiteness verdict.
+
+    Logits that overflow, or a loss or gradient norm that is not finite, raise
+    NonFiniteIterate; an overflow on the way is reported here, not warned of.
+    """
     try:
-        return make_state(inst, x)
+        state = make_state(inst, x)
     except OverflowError as exc:
         raise NonFiniteIterate(f"iterate escaped the representable range: {exc}") from exc
+    with np.errstate(over="ignore"):
+        loss = state_losses(inst, state).total
+        g = grad_total(state, inst)
+        grad_norm = float(np.linalg.norm(g))
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise NonFiniteIterate(f"iterate {t} has loss {loss!r} and gradient norm {grad_norm!r}")
+    return state, loss, g, grad_norm
 
 
 def approx_hessian(
@@ -181,16 +201,17 @@ def approx_hessian(
     return approx
 
 
-def _newton_update(inst, state, g, mode, sample_epsilon, delta, seed, epsilon=None):
+def _newton_update(inst, state, g, cfg: SolverConfig, rng, epsilon):
     """x - H^{-1} g from one eigendecomposition H = V diag(lam) V^T.
 
+    H is exact or row-sampled (drawn from ``rng``) as ``cfg.mode`` says.
     The decomposition serves, in this order, the stop rule (None when
     epsilon is given and ||g|| <= epsilon * eigmin(H)), the SingularHessian
     guard (eigmin(H) below 1e-12 of the spectral radius) and the step
     x - V ((V^T g) / lam).
     """
-    if mode == "sampled":
-        hess = approx_hessian(inst, state, sample_epsilon, seed, delta=delta)
+    if cfg.mode == "sampled":
+        hess = approx_hessian(inst, state, cfg.sample_epsilon, rng, delta=cfg.delta)
     else:
         hess = hessian_total(state, inst)
     evs, vecs = np.linalg.eigh(hess)
@@ -212,25 +233,18 @@ def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
 
     Converges once ||x - x_star|| <= epsilon with a planted optimum, once
     ||grad|| <= epsilon without one when gradient_stop is set, or when step
-    returns None; otherwise takes max_iters steps and flags the trace.
-    Raises NonFiniteIterate at the first iterate whose loss or gradient
-    norm is not finite, before recording it.
+    returns None; otherwise stops after max_iters steps, unconverged.  Each
+    iterate passes ``_evaluate``'s finiteness verdict before it is recorded,
+    and a step checks the point it returns, so a far start or a diverging
+    run ends in NonFiniteIterate.
     """
     x = np.array(x0, dtype=np.float64)
-    trace = SolveTrace()
+    iterates = []
     step_seconds = 0.0
     for t in range(max_iters + 1):
-        state = _state_or_nonfinite(inst, x)
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            loss = state_losses(inst, state).total
-            g = grad_total(state, inst)
-            grad_norm = float(np.linalg.norm(g))
-        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-            raise NonFiniteIterate(
-                f"iterate {t} has loss {loss!r} and gradient norm {grad_norm!r}"
-            )
+        state, loss, g, grad_norm = _evaluate(inst, x, t)
         err = float(np.linalg.norm(x - inst.x_star)) if inst.x_star is not None else None
-        trace.iterates.append(
+        iterates.append(
             IterateRecord(
                 t=t, x=x.copy(), loss=loss, grad_norm=grad_norm,
                 err_to_opt=err, step_seconds=step_seconds,
@@ -239,35 +253,25 @@ def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
         if epsilon is not None and (
             err <= epsilon if err is not None else gradient_stop and grad_norm <= epsilon
         ):
-            trace.converged = True
-            break
+            return SolveTrace(iterates, converged=True)
         if t == max_iters:
             break
         tic = time.perf_counter()
         x = step(state, g)
         if x is None:
-            trace.converged = True
-            break
+            return SolveTrace(iterates, converged=True)
         step_seconds = time.perf_counter() - tic
-        trace.iterations_run += 1
-    trace.max_iters_exceeded = not trace.converged and trace.iterations_run == max_iters
-    return trace
+    return SolveTrace(iterates)
 
 
-def newton_step(
-    inst: ProblemInstance,
-    x_t,
-    mode: str = "exact",
-    sample_epsilon: float = 0.1,
-    delta: float = 0.05,
-    seed=None,
-) -> np.ndarray:
-    """One Newton update x - H^{-1} grad: solve's update without its stop rule."""
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}")
-    state = _state_or_nonfinite(inst, x_t)
-    g = grad_total(state, inst)
-    return _newton_update(inst, state, g, mode, sample_epsilon, delta, seed)
+def newton_step(inst: ProblemInstance, x_t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
+    """One Newton update x - H^{-1} grad: solve's first update under cfg, without its stop rule.
+
+    Deterministic: a sampled draw comes from ``cfg.seed`` (0 by default), as
+    in solve, and a point solve would reject raises NonFiniteIterate.
+    """
+    state, _, g, _ = _evaluate(inst, x_t, 0)
+    return _newton_update(inst, state, g, cfg, np.random.default_rng(cfg.seed), None)
 
 
 def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
@@ -275,18 +279,14 @@ def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
 
     Stops when the planted error ||x - x_star|| reaches cfg.epsilon (when the
     instance carries a planted optimum) or when ||grad|| falls below
-    cfg.epsilon times the smallest eigenvalue of the step's Hessian.  Each
-    step takes one eigendecomposition of that Hessian, for this stop rule,
-    then the SingularHessian guard, then the solve.
-    The loop is the one gradient_descent_baseline runs.  Hitting
-    cfg.max_iters sets a flag on the trace rather than raising.
+    cfg.epsilon times the smallest eigenvalue of the step's Hessian, from the
+    step's one eigendecomposition.  The loop is the one gradient_descent_baseline
+    runs; hitting cfg.max_iters leaves the trace unconverged rather than raising.
     """
     rng = np.random.default_rng(cfg.seed)
 
     def step(state, g):
-        return _newton_update(
-            inst, state, g, cfg.mode, cfg.sample_epsilon, cfg.delta, rng, cfg.epsilon
-        )
+        return _newton_update(inst, state, g, cfg, rng, cfg.epsilon)
 
     return _iterate(inst, x0, cfg.max_iters, step, cfg.epsilon, gradient_stop=False)
 

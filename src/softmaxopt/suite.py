@@ -24,14 +24,7 @@ from .calculus import (
     loss_kernel_parts,
 )
 from .exceptions import DomainError
-from .model import (
-    ProblemInstance,
-    loss_cent,
-    loss_exp,
-    loss_reg,
-    make_state,
-    state_losses,
-)
+from .model import ProblemInstance, loss_cent, make_state, state_losses
 from .newton import SolverConfig, solve
 from .planted import GeneratorSpec, basin_start, generate_planted
 from .verify import (
@@ -48,6 +41,13 @@ from .verify import (
 GRAD_TOL = 1e-6
 HESS_TOL = 1e-4
 CENT_FORM_TOL = 1e-10
+
+# what each check draws per seed: instances, ridge levels or probe pairs
+GRADIENT_INSTANCES = 20
+HESSIAN_INSTANCES = 10
+PSD_LEVELS = (0.1, 1.0, 10.0)
+LIPSCHITZ_PAIRS = 5
+CONVERGENCE_INSTANCES = 3
 
 
 @dataclass(frozen=True)
@@ -78,26 +78,23 @@ def random_instance(seed, n_max: int = 50, d_max: int = 10) -> tuple[ProblemInst
 def _term_losses(inst: ProblemInstance):
     """Finite-difference evaluator: ``(l_exp, l_cent, l_reg, total)`` per point.
 
-    Every term of a stencil comes from one stacked state.
+    Every term of a stencil comes from one stacked state, and all but the cross
+    entropy (``loss_cent``) from one ``state_losses``: random instances enable every term.
     """
 
     def evaluate(points):
         st = make_state(inst, points)
-        terms = (
-            loss_exp(st.f, inst.b),
-            loss_cent(st.f, inst.b),
-            loss_reg(inst, points),
-            state_losses(inst, st).total,
-        )
+        losses = state_losses(inst, st)
+        terms = (losses.l_exp, loss_cent(st.f, inst.b), losses.l_reg, losses.total)
         return np.stack(terms, axis=-1)
 
     return evaluate
 
 
-def check_gradients(seed: int, num_instances: int = 20) -> CheckResult:
+def check_gradients(seed: int) -> CheckResult:
     """Analytic gradients of every term against central finite differences."""
     worst = 0.0
-    for i in range(num_instances):
+    for i in range(GRADIENT_INSTANCES):
         inst, x = random_instance([seed, i])
         state = make_state(inst, x)
         fd = fd_gradient(_term_losses(inst), x)
@@ -112,15 +109,15 @@ def check_gradients(seed: int, num_instances: int = 20) -> CheckResult:
     return CheckResult(
         name="gradients",
         passed=worst <= GRAD_TOL,
-        detail={"max_rel_err": worst, "tol": GRAD_TOL, "instances": num_instances},
+        detail={"max_rel_err": worst, "tol": GRAD_TOL, "instances": GRADIENT_INSTANCES},
     )
 
 
-def check_hessians(seed: int, num_instances: int = 10) -> CheckResult:
+def check_hessians(seed: int) -> CheckResult:
     """Closed-form Hessians against finite differences and the entry formulas."""
     worst_fd = 0.0
     worst_form = 0.0
-    for i in range(num_instances):
+    for i in range(HESSIAN_INSTANCES):
         inst, x = random_instance([seed, i], n_max=30, d_max=6)
         state = make_state(inst, x)
         h_cent = hessian_cent(state, inst)
@@ -146,16 +143,16 @@ def check_hessians(seed: int, num_instances: int = 10) -> CheckResult:
             "max_rel_err_entry_formula": worst_form,
             "tol_fd": HESS_TOL,
             "tol_entry_formula": CENT_FORM_TOL,
-            "instances": num_instances,
+            "instances": HESSIAN_INSTANCES,
         },
     )
 
 
-def check_psd_recipe(seed: int, levels=(0.1, 1.0, 10.0)) -> CheckResult:
+def check_psd_recipe(seed: int) -> CheckResult:
     """Ridge weights from the spectral recipe force eigmin(H) >= 0.99 level."""
     reports = []
     passed = True
-    for k, level in enumerate(levels):
+    for k, level in enumerate(PSD_LEVELS):
         spec = GeneratorSpec(n=20, d=5, ridge_l=level, seed=seed + 17 * k)
         inst, x_star = generate_planted(spec)
         rng = np.random.default_rng([seed, k])
@@ -181,15 +178,15 @@ def check_sandwich(seed: int) -> CheckResult:
     return CheckResult(name="sandwich", passed=ok, detail={"w_squared": w2, "lo": 0.99, "hi": 1.01})
 
 
-def check_lipschitz(seed: int, num_pairs: int = 5) -> CheckResult:
+def check_lipschitz(seed: int) -> CheckResult:
     """Hessian-difference ratios stay finite and stable across a distance ladder."""
     inst, _ = generate_planted(GeneratorSpec(n=15, d=4, ridge_l=1.0, seed=seed))
     distances = (1e-2, 1e-3, 1e-4)
-    probe = lipschitz_probe(inst, radius_r=4.0, num_pairs=num_pairs, seed=seed, distances=distances)
+    probe = lipschitz_probe(inst, 4.0, num_pairs=LIPSCHITZ_PAIRS, seed=seed, distances=distances)
     k = len(distances)
     passed = True
     spreads = []
-    for g in range(num_pairs):
+    for g in range(LIPSCHITZ_PAIRS):
         ratios = [probe.pairs[g * k + j].ratio for j in range(k)]
         spread = max(ratios) / max(min(ratios), 1e-300)
         spreads.append(spread)
@@ -201,11 +198,11 @@ def check_lipschitz(seed: int, num_pairs: int = 5) -> CheckResult:
     )
 
 
-def check_convergence(seed: int, num_instances: int = 3) -> CheckResult:
+def check_convergence(seed: int) -> CheckResult:
     """Planted solves meet the convergence audit at epsilon = 1e-10."""
     epsilon = 1e-10
     audits = []
-    for i in range(num_instances):
+    for i in range(CONVERGENCE_INSTANCES):
         inst, x_star = generate_planted(GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=seed + i))
         x0 = basin_start(x_star, 1e-3, [seed, i])
         trace = solve(inst, x0, SolverConfig(epsilon=epsilon, max_iters=40, seed=seed))

@@ -1,6 +1,7 @@
 """Contrastive bound estimators: values, gradients and the paired experiment."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,6 +189,22 @@ class TestNegativeDraw:
                     assert pass_rows[i, 0] == i
                     assert np.array_equal(pass_rows[i, 1:], want)
                     assert i not in pass_rows[i, 1:]
+
+
+class TestDrawMemory:
+    def test_peak_holds_one_pass_of_temporaries(self):
+        # the default experiment's 26 passes: the rows take 160,192 bytes,
+        # and each pass's shift adds about 5 KB on top
+        rng = np.random.default_rng(0)
+        so.nce._draw_passes(rng, 1, 96, 8)
+        tracemalloc.start()
+        try:
+            rows = so.nce._draw_passes(rng, 26, 96, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == 26 * 96 * 8 * 8
+        assert peak < 200_000
 
 
 class TestStackedHelpers:

@@ -1,5 +1,6 @@
 """Newton solver, sampled Hessian and the gradient-descent baseline."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -59,13 +60,13 @@ class TestNewtonStep:
     def test_sampled_mode_step_contracts(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=30, d=4, ridge_l=1.0, seed=30))
         x0 = so.basin_start(x_star, 1e-3, 0)
-        x1 = so.newton_step(inst, x0, mode="sampled", seed=7)
+        x1 = so.newton_step(inst, x0, so.SolverConfig(mode="sampled", seed=7))
         assert np.linalg.norm(x1 - x_star) <= 0.5 * np.linalg.norm(x0 - x_star)
 
     def test_mode_validation(self):
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=31))
         with pytest.raises(DomainError):
-            so.newton_step(inst, x_star, mode="bogus")
+            so.newton_step(inst, x_star, so.SolverConfig(mode="bogus"))
 
 
 class TestApproxHessian:
@@ -463,10 +464,32 @@ class TestPinnedValues:
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_newton_step_is_first_solve_iterate(self, mode):
         inst, x0 = self.start()
-        for seed in (0, 4, 9):
-            trace = so.solve(inst, x0, so.SolverConfig(mode=mode, seed=seed))
-            x1 = so.newton_step(inst, x0, mode, seed=seed)
-            assert x1.tobytes() == trace.iterates[1].x.tobytes()
+        cfgs = [so.SolverConfig(mode=mode, seed=seed) for seed in (0, 4, 9)]
+        if mode == "sampled":
+            cfgs.append(so.SolverConfig(mode=mode, sample_epsilon=0.05, delta=0.01, seed=3))
+        for cfg in cfgs:
+            trace = so.solve(inst, x0, cfg)
+            assert so.newton_step(inst, x0, cfg).tobytes() == trace.iterates[1].x.tobytes()
+
+    def test_newton_step_takes_the_sampling_fields_where_rows_drop(self):
+        # n = 20000 > count = 7378 at d = 2 (eps0 0.1, delta 0.05), so the two
+        # configs keep different rows and their steps differ
+        rng = np.random.default_rng(82)
+        n, d = 20_000, 2
+        b = rng.uniform(0.0, 1.0, n)
+        inst = so.ProblemInstance(
+            a=rng.standard_normal((n, d)) / math.sqrt(d), b=b / b.sum(), w=np.ones(n)
+        )
+        x0 = rng.standard_normal(d)
+        steps = []
+        for cfg in (
+            so.SolverConfig(mode="sampled", seed=3),
+            so.SolverConfig(mode="sampled", sample_epsilon=0.09, delta=0.08, seed=3),
+        ):
+            trace = so.solve(inst, x0, dataclasses.replace(cfg, max_iters=1))
+            steps.append(so.newton_step(inst, x0, cfg))
+            assert steps[-1].tobytes() == trace.iterates[1].x.tobytes()
+        assert steps[0].tobytes() != steps[1].tobytes()
 
 
 class TestOneSpectrumPerStep:
@@ -488,7 +511,7 @@ class TestOneSpectrumPerStep:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-        so.newton_step(inst, x0, mode, seed=0)
+        so.newton_step(inst, x0, so.SolverConfig(mode=mode))
         assert len(calls) == per_step
         calls.clear()
         trace = so.solve(inst, x0, so.SolverConfig(mode=mode, seed=0))
@@ -518,11 +541,11 @@ class TestStepAgainstDenseSolve:
         if evs[0] < 1e-12 * np.max(np.abs(evs)):
             for mode in modes:
                 with pytest.raises(SingularHessian):
-                    so.newton_step(inst, x, mode, seed=draw)
+                    so.newton_step(inst, x, so.SolverConfig(mode=mode, seed=draw))
             return
         step = np.linalg.solve(hess, so.grad_total(state, inst))
         for mode in modes:
-            got = x - so.newton_step(inst, x, mode, seed=draw)
+            got = x - so.newton_step(inst, x, so.SolverConfig(mode=mode, seed=draw))
             assert np.linalg.norm(got - step) <= 1e-12 * np.linalg.norm(step), mode
 
     def test_most_draws_compare_sampled_mode(self):
@@ -561,6 +584,31 @@ class TestFarStarts:
         trace = so.solve(inst, multiple * x_star, so.SolverConfig(mode=mode))
         assert trace.converged and trace.iterations_run <= 3
         assert trace.iterates[-1].err_to_opt <= 1e-10
+
+
+class TestFarIterate:
+    """A start whose ridge gradient overflows float64 is a NonFiniteIterate, without a warning."""
+
+    @staticmethod
+    def start():
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=1))
+        return inst, 1e307 * x_star / np.linalg.norm(x_star)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_solve(self, mode):
+        inst, x0 = self.start()
+        with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
+            so.solve(inst, x0, so.SolverConfig(mode=mode))
+
+    def test_gradient_descent_baseline(self):
+        inst, x0 = self.start()
+        with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
+            so.gradient_descent_baseline(inst, x0, 0.1, 5)
+
+    def test_newton_step(self):
+        inst, x0 = self.start()
+        with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
+            so.newton_step(inst, x0)
 
 
 class TestTraceCsv:

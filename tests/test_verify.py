@@ -23,16 +23,12 @@ from softmaxopt.newton import IterateRecord, SolveTrace
 from softmaxopt.suite import check_sandwich, random_instance
 
 
-def synthetic_trace(errors, iterations=None):
+def synthetic_trace(errors):
     recs = [
         IterateRecord(t=t, x=np.zeros(1), loss=0.0, grad_norm=0.0, err_to_opt=e, step_seconds=0.0)
         for t, e in enumerate(errors)
     ]
-    return SolveTrace(
-        iterates=recs,
-        converged=True,
-        iterations_run=len(errors) - 1 if iterations is None else iterations,
-    )
+    return SolveTrace(iterates=recs, converged=True)
 
 
 class TestFdGradient:
