@@ -98,7 +98,8 @@ class KernelParts:
         D is PSD iff 1 + lam_min >= 0; below -1e-8 of max(1, 1 + lam_max)
         raises KernelNotPSD, and smaller negative values clip to zero.  A
         row with c_i = f_i = g_i = 0 (an underflowed f_i without ridge
-        weight) is a zero row of D and gets a zero row of C; any other
+        weight) is a zero row of D; its row of U is divided by 1, not r_i = 0,
+        and its row of Q zeroed, so its row of C is exactly zero.  Any other
         c_i <= 0 raises KernelNotPSD.
         """
         self._require_one()
@@ -113,12 +114,9 @@ class KernelParts:
                     f"kernel diagonal has c[{i}] = {c[i]:.3g} <= 0 on a nonzero row; "
                     "row sampling needs c > 0 there"
                 )
-            out = np.zeros(a.shape)
-            live = ~flat
-            out[live] = replace(self, c=c[live], g=self.g[live], f=self.f[live]).factor(a[live])
-            return out
         r = np.sqrt(c)
-        q, rr = np.linalg.qr(u / r[:, None])
+        q, rr = np.linalg.qr(u / np.where(flat, 1.0, r)[:, None])
+        q[flat] = 0.0
         lam, p = np.linalg.eigh(rr @ np.array([[self.kappa, -1.0], [-1.0, 0.0]]) @ rr.T)
         if 1.0 + lam[0] < -1e-8 * max(1.0, 1.0 + float(lam[-1])):
             raise KernelNotPSD(

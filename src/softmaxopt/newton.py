@@ -1,14 +1,14 @@
 """Newton-type solver with exact and row-sampled Hessian modes.
 
 ``solve`` and ``gradient_descent_baseline`` run one iteration loop that
-records each iterate and applies the stop rules; only the step differs.  A
-Newton step, shared by ``solve`` and ``newton_step``, takes one
-eigendecomposition H = V diag(lam) V^T, which serves the stop rule
-||g|| <= epsilon * eigmin(H), the singularity guard and the solve
-s = V ((V^T g) / lam), then updates x <- x - s.  In exact mode H is one
-congruence A^T D(x) A of the combined curvature kernel, in O(n d^2)
-(``hessian_total``).  In sampled mode
-the Hessian is replaced by an unbiased row-sampling estimate built from a
+records each iterate and puts it to the step, which owns every stop rule but
+the planted error's; only the step differs.  A Newton step, shared by
+``solve`` and ``newton_step``, takes one eigendecomposition
+H = V diag(lam) V^T, which serves the stop rule ||g|| <= epsilon * eigmin(H),
+the singularity guard and the solve s = V ((V^T g) / lam), then updates
+x <- x - s.  In exact mode H is one congruence A^T D(x) A of the combined
+curvature kernel, in O(n d^2) (``hessian_total``).  In sampled mode the
+Hessian is replaced by an unbiased row-sampling estimate built from a
 factored form H = C^T C, where C is built from the structured parts of the
 combined curvature kernel D(x) in O(n d) with no n-by-n array
 (``KernelParts.factor``): row i of C is kept independently with
@@ -31,6 +31,7 @@ import numpy as np
 from .calculus import grad_total, hessian_total, total_kernel_parts
 from .exceptions import (
     DomainError,
+    KernelNotPSD,
     NonFiniteIterate,
     SamplingDegenerate,
     SingularHessian,
@@ -47,11 +48,13 @@ from .model import (
 
 MODES = ("exact", "sampled")
 SAMPLE_OVERSAMPLING = 10.0
+_STEP_FAILURES = (KernelNotPSD, NonFiniteIterate, SamplingDegenerate, SingularHessian)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings: target accuracy, Hessian mode and sampling knobs."""
+    """Solver settings: target accuracy, Hessian mode and sampling knobs; the sampling
+    knobs keep the solver's regime, narrower than the (0, 1) approx_hessian accepts."""
 
     epsilon: float = 1e-10
     delta: float = 0.05
@@ -99,7 +102,8 @@ class SolveTrace:
 
     @property
     def max_iters_exceeded(self) -> bool:
-        # the loop leaves a trace unconverged only at its iteration cap
+        """Unconverged, which a trace is only at its cap: no stop rule held there,
+        or no step could be formed there."""
         return not self.converged
 
     def losses(self) -> np.ndarray:
@@ -163,16 +167,15 @@ def approx_hessian(
     is a leverage-score bound, but rows are drawn by squared row norms of C,
     so the probability 1 - delta does not follow from it.  Sampling by
     leverage scores, or a count proven for row norms, is an open choice.
-    ``seed`` may be an integer or a numpy Generator.  With every row kept
-    the estimate is H, and a singular H is the caller's to report.
+    ``seed`` may be an integer or a numpy Generator.  ``sample_epsilon`` and
+    ``delta`` may lie anywhere in (0, 1), the estimator's domain; the solver
+    keeps them in the narrower regime that ``SolverConfig`` checks.
 
-    Rows are sampled from ``KernelParts.factor`` of the total kernel
-    diag(c) + kappa f f^T - g f^T - f g^T.  A row with c_i = 0 and
-    f_i = g_i = 0 (an underflowed f_i with w_i = 0) is a zero row and is
-    never kept; any other c_i <= 0, or an indefinite kernel, raises
-    KernelNotPSD.  c > 0 held at every planted instance the tests solve,
-    where the ridge weights w^2 dominate the kernel; weakly regularized
-    instances can have c_i < 0, and then raise even when D is PSD.
+    Rows are sampled from ``KernelParts.factor`` of the total kernel, which
+    raises KernelNotPSD where it cannot factor it.  With every row kept the
+    estimate is H, a singular H being the caller's to report; any other
+    estimate that ``_singular`` rejects (an empty draw gives the zero matrix)
+    raises SamplingDegenerate.
     """
     if not 0.0 < sample_epsilon < 1.0:
         raise DomainError("sample_epsilon must lie in (0, 1)")
@@ -190,25 +193,26 @@ def approx_hessian(
     probs = np.minimum(1.0, count * row2 / total)
     rng = np.random.default_rng(seed)
     keep = rng.random(n) < probs
-    if not keep.any():
-        raise SamplingDegenerate("no rows survived sampling")
     scaled = c_mat[keep] / np.sqrt(probs[keep])[:, None]
     approx = scaled.T @ scaled
-    if not keep.all():
-        evs = np.linalg.eigvalsh(approx)
-        if evs[-1] <= 0.0 or evs[0] < 1e-12 * evs[-1]:
-            raise SamplingDegenerate("sampled row set has rank below d")
+    if not keep.all() and _singular(np.linalg.eigvalsh(approx)):
+        raise SamplingDegenerate("sampled row set has rank below d")
     return approx
+
+
+def _singular(evs: np.ndarray) -> bool:
+    """The singularity test: eigmin below 1e-12 of the spectral radius (evs ascending)."""
+    radius = max(-float(evs[0]), float(evs[-1]))
+    return radius == 0.0 or evs[0] < 1e-12 * radius
 
 
 def _newton_update(inst, state, g, cfg: SolverConfig, rng, epsilon):
     """x - H^{-1} g from one eigendecomposition H = V diag(lam) V^T.
 
     H is exact or row-sampled (drawn from ``rng``) as ``cfg.mode`` says.
-    The decomposition serves, in this order, the stop rule (None when
+    The decomposition serves, in this order, Newton's stop rule (None when
     epsilon is given and ||g|| <= epsilon * eigmin(H)), the SingularHessian
-    guard (eigmin(H) below 1e-12 of the spectral radius) and the step
-    x - V ((V^T g) / lam).
+    guard (``_singular``) and the step x - V ((V^T g) / lam).
     """
     if cfg.mode == "sampled":
         hess = approx_hessian(inst, state, cfg.sample_epsilon, rng, delta=cfg.delta)
@@ -217,26 +221,23 @@ def _newton_update(inst, state, g, cfg: SolverConfig, rng, epsilon):
     evs, vecs = np.linalg.eigh(hess)
     if epsilon is not None and float(np.linalg.norm(g)) <= epsilon * max(float(evs[0]), 0.0):
         return None
-    scale = float(np.max(np.abs(evs)))
-    if scale == 0.0 or evs[0] < 1e-12 * scale:
-        raise SingularHessian(
-            f"Hessian eigmin {evs[0]:.3g} below tolerance {1e-12 * scale:.3g}"
-        )
+    if _singular(evs):
+        raise SingularHessian(f"Hessian eigmin {evs[0]:.3g} is below 1e-12 of its spectral radius")
     x_next = state.x - vecs @ ((vecs.T @ g) / evs)
     if not np.all(np.isfinite(x_next)):
         raise NonFiniteIterate("Newton step produced NaN or Inf")
     return x_next
 
 
-def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
+def _iterate(inst, x0, max_iters, step, epsilon) -> SolveTrace:
     """The solver loop: record each iterate, then x <- step(state, grad).
 
-    Converges once ||x - x_star|| <= epsilon with a planted optimum, once
-    ||grad|| <= epsilon without one when gradient_stop is set, or when step
-    returns None; otherwise stops after max_iters steps, unconverged.  Each
-    iterate passes ``_evaluate``'s finiteness verdict before it is recorded,
-    and a step checks the point it returns, so a far start or a diverging
-    run ends in NonFiniteIterate.
+    Converges once ||x - x_star|| <= epsilon with a planted optimum, or when
+    step returns None by its own stop rule.  Every iterate, the one at max_iters
+    too, is put to the step, so no verdict depends on the cap.  A step that
+    cannot be formed (``_STEP_FAILURES``) raises before the cap and leaves the
+    run unconverged at it.  ``_evaluate`` checks each iterate's finiteness and
+    each step its point, so a diverging run ends in NonFiniteIterate.
     """
     x = np.array(x0, dtype=np.float64)
     iterates = []
@@ -250,14 +251,15 @@ def _iterate(inst, x0, max_iters, step, epsilon, gradient_stop) -> SolveTrace:
                 err_to_opt=err, step_seconds=step_seconds,
             )
         )
-        if epsilon is not None and (
-            err <= epsilon if err is not None else gradient_stop and grad_norm <= epsilon
-        ):
+        if epsilon is not None and err is not None and err <= epsilon:
             return SolveTrace(iterates, converged=True)
-        if t == max_iters:
-            break
         tic = time.perf_counter()
-        x = step(state, g)
+        try:
+            x = step(state, g)
+        except _STEP_FAILURES:
+            if t < max_iters:
+                raise
+            break
         if x is None:
             return SolveTrace(iterates, converged=True)
         step_seconds = time.perf_counter() - tic
@@ -280,15 +282,16 @@ def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
     Stops when the planted error ||x - x_star|| reaches cfg.epsilon (when the
     instance carries a planted optimum) or when ||grad|| falls below
     cfg.epsilon times the smallest eigenvalue of the step's Hessian, from the
-    step's one eigendecomposition.  The loop is the one gradient_descent_baseline
-    runs; hitting cfg.max_iters leaves the trace unconverged rather than raising.
+    step's one eigendecomposition, at every iterate up to cfg.max_iters; a trace
+    that meets neither there, or whose step cannot be formed there, is returned
+    unconverged.  The loop is the one gradient_descent_baseline runs.
     """
     rng = np.random.default_rng(cfg.seed)
 
     def step(state, g):
         return _newton_update(inst, state, g, cfg, rng, cfg.epsilon)
 
-    return _iterate(inst, x0, cfg.max_iters, step, cfg.epsilon, gradient_stop=False)
+    return _iterate(inst, x0, cfg.max_iters, step, cfg.epsilon)
 
 
 def gradient_descent_baseline(
@@ -301,9 +304,8 @@ def gradient_descent_baseline(
     """Plain fixed-step gradient descent with the same trace schema.
 
     Used as the first-order reference in solver comparisons, it runs solve's
-    loop with a gradient step.  When epsilon is given, stops early once the
-    planted error (or, without a planted optimum, the gradient norm) falls
-    below it.
+    loop with a gradient step.  When epsilon is given, stops once the planted
+    error (or, without a planted optimum, the step's ||grad||) falls below it.
     """
     if not (math.isfinite(step_size) and step_size > 0):
         raise DomainError(f"step_size must be finite and positive, got {step_size!r}")
@@ -312,9 +314,12 @@ def gradient_descent_baseline(
         raise DomainError("iters must be >= 0")
 
     def step(state, g):
-        x = state.x - step_size * g
+        if epsilon is not None and inst.x_star is None and float(np.linalg.norm(g)) <= epsilon:
+            return None
+        with np.errstate(over="ignore"):
+            x = state.x - step_size * g
         if not np.all(np.isfinite(x)):
             raise NonFiniteIterate("gradient step produced NaN or Inf")
         return x
 
-    return _iterate(inst, x0, iters, step, epsilon, gradient_stop=True)
+    return _iterate(inst, x0, iters, step, epsilon)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, GenerationFailure
-from .model import ProblemInstance, _require_finite_fields, _require_ints, softmax
+from .model import ProblemInstance, _log_p_and_p, _require_finite_fields, _require_ints
 from .verify import ridge_weights
 
 _COND_TOL = 1e-9
@@ -72,9 +72,7 @@ def generate_planted(spec: GeneratorSpec) -> tuple[ProblemInstance, np.ndarray]:
 
         base = ProblemInstance(
             a=a,
-            b=softmax(
-                ProblemInstance(a=a, b=np.zeros(spec.n), w=np.zeros(spec.n)), x_star
-            ),
+            b=_log_p_and_p(a @ x_star)[1],
             w=np.zeros(spec.n),
             x_star=x_star,
             reg_mode="centered",

@@ -97,7 +97,7 @@ def fd_gradient(loss_evaluator, x, h: float = FD_STEP) -> np.ndarray:
 
 
 def fd_hessian(loss_evaluator, x, h: float = FD_HESS_STEP) -> np.ndarray:
-    """Central second differences, symmetrized, from one evaluation of the stencil.
+    """Central second differences from one evaluation of the stencil, upper triangle mirrored.
 
     The stencil holds ``x``, ``x +- 2 h e_i`` and ``(x +- h e_i) +- h e_j``
     for ``i < j``: ``1 + 2d + 2d(d - 1)`` points.  ``loss_evaluator`` maps
@@ -129,12 +129,10 @@ def fd_hessian(loss_evaluator, x, h: float = FD_HESS_STEP) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         hess[np.diag_indices(d)] = (p2 - 2 * f0 + m2) / denom
         hess[iu, ju] = (pp - pm - mp + mm) / denom
-    lower = np.zeros_like(hess)
-    lower[ju, iu] = hess[iu, ju]
-    hess = hess + lower
+    hess[ju, iu] = hess[iu, ju]
     if not np.isfinite(hess).all():
         raise NonFiniteEvaluation("finite-difference Hessian is not finite")
-    return 0.5 * (hess + hess.swapaxes(0, 1))
+    return hess
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:

@@ -119,6 +119,31 @@ class TestApproxHessian:
         with pytest.raises(SamplingDegenerate):
             so.approx_hessian(inst, state, 0.9, seed=0, delta=0.9)
 
+    def test_empty_draw_degenerate(self):
+        # d = 1 with sample_epsilon = delta = 0.9 gives a count of 2, so each
+        # of the 10 equal rows is kept with probability 0.2; the zero matrix
+        # of an empty draw fails the singularity test
+        n = 10
+        inst = so.ProblemInstance(
+            a=np.ones((n, 1)), b=np.zeros(n), w=np.ones(n), use_exp=False, use_cent=False
+        )
+        state = so.make_state(inst, np.zeros(1))
+        count = math.ceil(so.newton.SAMPLE_OVERSAMPLING * math.log(1 / 0.9) / 0.9**2)
+        assert count == 2
+        seed = next(s for s in range(100) if not (np.random.default_rng(s).random(n) < 0.2).any())
+        with pytest.raises(SamplingDegenerate, match="rank below d"):
+            so.approx_hessian(inst, state, 0.9, seed=seed, delta=0.9)
+
+    def test_estimator_domain_is_wider_than_solver_regime(self):
+        # approx_hessian accepts (0, 1); SolverConfig keeps (0, 0.1] and (0, 0.1)
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))
+        approx = so.approx_hessian(inst, so.make_state(inst, x_star), 0.5, 0, delta=0.5)
+        assert approx.shape == (5, 5)
+        with pytest.raises(DomainError, match="^sample_epsilon"):
+            so.SolverConfig(mode="sampled", sample_epsilon=0.5)
+        with pytest.raises(DomainError, match="^delta"):
+            so.SolverConfig(delta=0.5)
+
 
 class TestKernelNotPSD:
     @pytest.mark.parametrize("draw", range(10))
@@ -164,6 +189,28 @@ class TestKernelNotPSD:
         np.testing.assert_array_equal(parts.factor(inst.a)[3], np.zeros(2))
         approx = so.approx_hessian(inst, state, 0.1, seed=0)
         assert so.rel_err(approx, so.hessian_total(state, inst)) <= 1e-12
+
+    @pytest.mark.parametrize("zero_rows", [(1, 3, 4, 6), (0, 2, 5, 7)])
+    @pytest.mark.parametrize("use_exp", [True, False])
+    def test_interleaved_zero_rows(self, zero_rows, use_exp):
+        # rows whose logit is 1000 below the rest underflow f to 0; with
+        # w = 0 there they are zero rows of the kernel (g = 0 without the
+        # squared residual, so [f, g] has rank 1)
+        rng = np.random.default_rng(83)
+        a = rng.standard_normal((8, 3))
+        rows = list(zero_rows)
+        a[rows, 0] = -1000.0
+        w = np.ones(8)
+        w[rows] = 0.0
+        b = rng.uniform(0.0, 1.0, 8)
+        inst = so.ProblemInstance(a=a, b=b / b.sum(), w=w, use_exp=use_exp)
+        state = so.make_state(inst, np.array([1.0, 0.5, -0.3]))
+        parts = so.total_kernel_parts(state, inst)
+        assert np.all(parts.c[rows] == 0.0) and np.all(parts.f[rows] == 0.0)
+        assert np.all(parts.g[rows] == 0.0)
+        c_mat = parts.factor(inst.a)
+        np.testing.assert_array_equal(c_mat[rows], np.zeros((len(rows), 3)))
+        assert so.rel_err(c_mat.T @ c_mat, so.hessian_total(state, inst)) <= 1e-12
 
 
 class TestSampledAtScale:
@@ -262,6 +309,82 @@ class TestSolve:
         trace = so.solve(heavy, x, so.SolverConfig(epsilon=1e-10, max_iters=60))
         assert trace.converged
         assert trace.iterates[-1].grad_norm <= 1e-6
+
+
+def assert_same_iterates(t1, t2):
+    assert [r.x.tobytes() for r in t1.iterates] == [r.x.tobytes() for r in t2.iterates]
+
+
+class TestVerdictIndependentOfCap:
+    """Every iterate, the one at the cap included, is put to the step's stop rule."""
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_newton_without_planted_optimum(self, mode):
+        for seed in range(30):
+            base, x = random_instance(seed)
+            inst = so.ProblemInstance(a=base.a, b=base.b, w=np.ones(base.n))
+            cfg = so.SolverConfig(mode=mode, seed=seed)
+            full = so.solve(inst, x, cfg)
+            capped = so.solve(inst, x, dataclasses.replace(cfg, max_iters=full.iterations_run))
+            assert full.converged and capped.converged, seed
+            assert not capped.max_iters_exceeded
+            assert_same_iterates(full, capped)
+
+    def test_newton_eigmin_rule_at_the_cap(self):
+        # the instance of TestStopBranchesWithoutPlantedOptimum: the rule first
+        # holds at iterate 2, so a cap of 2 converges and a cap of 1 does not
+        inst, x = no_planted_instance()
+        verdicts = [
+            so.solve(inst, x, so.SolverConfig(epsilon=1e-10, max_iters=cap)).converged
+            for cap in range(4)
+        ]
+        assert verdicts == [False, False, True, True]
+
+    def test_gradient_descent_without_planted_optimum(self):
+        inst, x = no_planted_instance()
+        full = so.gradient_descent_baseline(inst, x, 0.05, 500, epsilon=1e-6)
+        capped = so.gradient_descent_baseline(inst, x, 0.05, full.iterations_run, epsilon=1e-6)
+        assert full.iterations_run == 118
+        assert full.converged and capped.converged
+        assert_same_iterates(full, capped)
+
+
+# (random_instance seed, mode, ridge weight, cap): the step from the iterate at
+# the cap cannot be formed; A x 3 and b / sum(b) make the instances weak
+STEP_FAILS_AT_CAP = [
+    (23, "exact", 0.0, 0, SingularHessian),
+    (69, "exact", 0.0, 3, SingularHessian),
+    (77, "exact", 0.05, 1, SingularHessian),
+    (108, "sampled", 0.0, 0, SingularHessian),
+    (35, "sampled", 0.0, 1, KernelNotPSD),
+    (77, "sampled", 0.05, 1, KernelNotPSD),
+    (11, "sampled", 0.0, 2, SamplingDegenerate),
+    (154, "sampled", 0.0, 4, SamplingDegenerate),
+]
+
+
+class TestStepFailsAtCap:
+    @pytest.mark.parametrize("seed, mode, w, cap, error", STEP_FAILS_AT_CAP)
+    def test_unconverged_trace_at_cap_raises_before_it(self, seed, mode, w, cap, error):
+        base, x = random_instance(seed)
+        inst = so.ProblemInstance(a=3.0 * base.a, b=base.b / base.b.sum(), w=np.full(base.n, w))
+        trace = so.solve(inst, x, so.SolverConfig(mode=mode, max_iters=cap))
+        assert not trace.converged and trace.max_iters_exceeded
+        assert trace.iterations_run == cap
+        with pytest.raises(error):
+            so.solve(inst, x, so.SolverConfig(mode=mode, max_iters=cap + 1))
+
+    def test_gradient_step_overflow_at_cap(self):
+        # x - 1e308 g overflows from x = 1 on 0.5 ||A x||^2: unconverged at a
+        # cap of 0, NonFiniteIterate before a cap of 3, and no numpy warning
+        inst = so.ProblemInstance(
+            a=np.array([[1.0], [1.0]]), b=np.zeros(2), w=np.ones(2),
+            use_exp=False, use_cent=False,
+        )
+        trace = so.gradient_descent_baseline(inst, np.array([1.0]), 1e308, 0)
+        assert not trace.converged and trace.iterations_run == 0
+        with pytest.raises(NonFiniteIterate, match="gradient step"):
+            so.gradient_descent_baseline(inst, np.array([1.0]), 1e308, 3)
 
 
 class TestSolverConfig:

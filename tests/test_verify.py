@@ -73,6 +73,14 @@ class TestFdHessian:
         h = so.fd_hessian(lambda v: so.loss_total(inst, v).total, x)
         np.testing.assert_array_equal(h, h.T)
 
+    def test_entries_near_the_float64_limit_stay_finite(self):
+        # K x0 x1 has the off-diagonal entry K = 1.5e308: mirrored, it stays
+        # finite; averaged with its transpose, K + K overflowed to inf
+        k = 1.5e308
+        h = so.fd_hessian(lambda v: k * v[:, 0] * v[:, 1], np.zeros(2))
+        assert np.isfinite(h).all() and h[0, 1] == h[1, 0]
+        assert h[0, 1] == pytest.approx(k, rel=1e-6)
+
     def test_cross_module_total_hessian(self):
         inst, x = random_instance(4, n_max=10, d_max=4)
         fd = so.fd_hessian(lambda v: so.loss_total(inst, v).total, x)
