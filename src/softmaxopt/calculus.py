@@ -97,17 +97,20 @@ class KernelParts:
 
         D is PSD iff 1 + lam_min >= 0; below -1e-8 of max(1, 1 + lam_max)
         raises KernelNotPSD, and smaller negative values clip to zero.  A
-        row with c_i = f_i = g_i = 0 (an underflowed f_i without ridge
-        weight) is a zero row of D; its row of U is divided by 1, not r_i = 0,
-        and its row of Q zeroed, so its row of C is exactly zero.  Any other
-        c_i <= 0 raises KernelNotPSD.
+        row with c_i = 0 is a zero row of D when f_i = g_i = 0 (an
+        underflowed f_i without ridge weight), or whatever f_i is when
+        kappa = 0 and g = 0, where D = diag(c) (T is then 0); its row of U
+        is divided by 1, not r_i = 0, and its row of Q zeroed, so its row of
+        C is exactly zero, and the zero kernel has the zero factor.  Any
+        other c_i <= 0 raises KernelNotPSD.
         """
         self._require_one()
         c = self.c
         u = np.column_stack((self.f, self.g))
         flat = c <= 0.0
         if flat.any():
-            bad = np.flatnonzero(flat & ((c < 0.0) | u.any(axis=1)))
+            low_rank = self.kappa != 0.0 or self.g.any()
+            bad = np.flatnonzero(flat & ((c < 0.0) | (low_rank & u.any(axis=1))))
             if bad.size:
                 i = int(bad[0])
                 raise KernelNotPSD(

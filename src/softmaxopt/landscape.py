@@ -3,13 +3,15 @@
 The plane is spanned by the top two right singular vectors of A, evaluated
 on a square grid of offsets around a center point.  The logits are affine in
 the offsets, so a grid takes four matrix-vector products, ``A c``,
-``A (c - x_ref)``, ``A du`` and ``A dv``, and is then evaluated one row of
-cells (one ``u`` offset) at a time.
+``A (c - x_ref)``, ``A du`` and ``A dv``, and is then evaluated a block of
+``k`` rows of cells (``k`` offsets ``u``) at a time, with ``k`` chosen so a
+``(k, resolution, n)`` block holds about ``_CELL_BLOCK`` floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -23,6 +25,18 @@ from .model import (
     _require_ints,
     _write_text,
 )
+
+# float64 entries in one (k, resolution, n) block of the grid (64 KB); a row
+# of cells wider than this is a block of its own
+_CELL_BLOCK = 2**13
+
+
+def _float_texts(col: np.ndarray) -> list[str]:
+    """``repr`` of each entry of a 1-D float array, in one C-level pass.
+
+    A list's repr joins its entries' ``float.__repr__`` with ``", "``.
+    """
+    return repr(col.tolist())[1:-1].split(", ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,18 +61,26 @@ class LandscapeGrid:
         return self.values.sum(axis=-1)
 
     def _csv_blocks(self):
-        """The CSV header, then the lines of one ``u`` row of cells per block."""
+        """The CSV header, then the lines of one ``u`` row of cells per block.
+
+        Each float is written as its ``repr``; a column is formatted as one
+        list and the lines are joined in C.
+        """
         yield "u,v,l_exp,l_cent,l_reg,total\n"
-        offs = self.offsets()
-        for u, row in zip(offs, self.values):
-            table = np.column_stack([np.full_like(offs, u), offs, row, row.sum(axis=-1)])
-            yield "".join(",".join(map(repr, line)) + "\n" for line in table.tolist())
+        v_text = _float_texts(self.offsets())
+        for u, row in zip(v_text, self.values):
+            columns = [_float_texts(col) for col in (*row.T, row.sum(axis=-1))]
+            yield "\n".join(map(",".join, zip(repeat(u), v_text, *columns))) + "\n"
 
     def to_csv(self) -> str:
         return "".join(self._csv_blocks())
 
     def write_csv(self, dest) -> None:
-        """Write the CSV to a path or an open text stream, one row of cells at a time."""
+        """Write the CSV to a path or an open text stream, one row of cells at a time.
+
+        Only one row's text is held at once: a 101^2 grid at n = 20 peaks at
+        about 75 KB under tracemalloc above the stream it writes to.
+        """
         _write_text(dest, self._csv_blocks())
 
 
@@ -102,8 +124,10 @@ def landscape_grid(
     Cell (i, j) sits at ``center + u_i dir_u + v_j dir_v`` and its logits are
     ``(A c + u_i A dir_u) + v_j A dir_v``, so the center cell equals
     ``loss_total(inst, center)`` bitwise and the others agree with it to
-    rounding.  Raises ``OverflowError`` at the first row of cells whose logits,
-    loss terms or totals are not finite.
+    rounding.  The cells are evaluated in blocks of ``k`` rows, with the same
+    elementwise logits and last-axis reductions per row, so a cell does not
+    depend on ``k``.  Raises ``OverflowError`` at the first row of cells whose
+    logits, loss terms or totals are not finite.
     """
     _require_ints(resolution=resolution)
     if resolution < 2:
@@ -120,6 +144,7 @@ def landscape_grid(
 
     offs = np.linspace(-half_width, half_width, resolution)
     values = np.empty((resolution, resolution, 3))
+    k = max(1, _CELL_BLOCK // (resolution * inst.n))
     # inf - inf and 0 * inf only arise where a value has overflowed, which the
     # finite checks below report as one OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -127,28 +152,32 @@ def landscape_grid(
         r_c = inst.a @ (center - inst.reg_center())
         a_u = inst.a @ dir_u
         a_v = inst.a @ dir_v
-        # each row's v_j A dir_v fills one (resolution, n) block, which then
-        # becomes the row's logits and their log-softmax in place; the ridge
+        # each pass's v_j A dir_v fills one (k, resolution, n) block, which then
+        # becomes the k rows' logits and their log-softmax in place; the ridge
         # logits are a new block, freed once l_reg is taken, so at most three
         # such blocks are live
-        block = np.empty((resolution, inst.n))
-        v_col = offs[:, None]
-
-        def finite(z, u):
-            if not np.isfinite(z).all():
-                raise OverflowError(f"logits overflow float64 in grid row u={u!r}")
-            return z
-
-        for i, u in enumerate(offs.tolist()):
-            v_a_v = np.multiply(v_col, a_v, out=block)
-            u_a_u = u * a_u
-            l_reg = _reg_term(inst, finite(r_c + u_a_u + v_a_v, u))
-            z = finite(np.add(z_c + u_a_u, v_a_v, out=block), u)
+        block = np.empty((k, resolution, inst.n))
+        for start in range(0, resolution, k):
+            u_col = offs[start : start + k, None]
+            v_a_v = np.multiply(offs[:, None], a_v, out=block[: len(u_col)])
+            u_a_u = u_col * a_u
+            z_reg = (r_c + u_a_u)[:, None] + v_a_v
+            logits_ok = np.isfinite(z_reg).all(axis=(1, 2))
+            l_reg = _reg_term(inst, z_reg)
+            del z_reg  # freed before the fit terms take two more blocks
+            z = np.add((z_c + u_a_u)[:, None], v_a_v, out=v_a_v)
+            logits_ok &= np.isfinite(z).all(axis=(1, 2))
             l_exp, l_cent = _fit_terms(inst, *_log_p_and_p(z))
-            values[i, :, 0], values[i, :, 1], values[i, :, 2] = l_exp, l_cent, l_reg
-            # the terms are >= 0, so finite row totals mean finite terms
-            if not np.isfinite(l_exp + l_cent + l_reg).all():
-                raise OverflowError(f"loss terms overflow float64 in grid row u={u!r}")
+            cells = values[start : start + k]
+            cells[..., 0], cells[..., 1], cells[..., 2] = l_exp, l_cent, l_reg
+            # the terms are >= 0, so finite row totals mean finite terms; the
+            # first failing row is reported, as a row-by-row loop would
+            ok = logits_ok & np.isfinite(l_exp + l_cent + l_reg).all(axis=1)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                what = "logits" if not logits_ok[i] else "loss terms"
+                u = u_col[i, 0].item()
+                raise OverflowError(f"{what} overflow float64 in grid row u={u!r}")
     return LandscapeGrid(
         center=center,
         dir_u=dir_u,

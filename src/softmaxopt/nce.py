@@ -142,9 +142,10 @@ def paired_vs_shuffled_bounds(
     the random stream is that of training one chain after the other.  The
     draws are kept as ``2 (epochs + 1) pool_size k`` indices (about 160 KB at
     the defaults), and one pass's candidates of both chains are gathered at a
-    time.  The bounds are summed anchor by anchor as Python floats.  A
-    learning rate that overflows either chain's weight raises NonFiniteInput
-    naming ``learning_rate``.
+    time, every pass into the same ``(pool_size, 2, k, dim_partner)`` buffer
+    (98 KB at the defaults).  The bounds are summed anchor by anchor as
+    Python floats.  A learning rate that overflows either chain's weight
+    raises NonFiniteInput naming ``learning_rate``.
     """
     _require_ints(
         dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
@@ -175,16 +176,23 @@ def paired_vs_shuffled_bounds(
 
     log_k = float(np.log(k))
     weight = np.zeros((2, dim_anchor, dim_partner))
+    # every pass, the scoring one too, gathers its candidates into this one
+    # buffer; the indices are in range, so "clip" only spares take its copy
+    gathered = np.empty((pool_size, 2, k, dim_partner))
+
+    def gather(e):
+        return np.take(pool, rows[e], axis=0, out=gathered, mode="clip")
+
     try:
         # an overflow anywhere in training or scoring raises here instead of
         # warning and leaving a NaN or Inf weight behind
         with np.errstate(over="raise", invalid="raise", under="ignore"):
             for epoch in range(epochs):
-                for anchor, candidates in zip(anchors, pool[rows[epoch]]):
+                for anchor, candidates in zip(anchors, gather(epoch)):
                     diff = _positive_minus_mean(anchor, candidates, weight)
                     # np.outer(anchor, diff[c]) for each chain c, the same products
                     weight += learning_rate * (anchor[:, None] * diff[:, None, :])
-            log_p = _positive_log_p(anchors[:, None], pool[rows[-1]], weight)
+            log_p = _positive_log_p(anchors[:, None], gather(-1), weight)
     except FloatingPointError as exc:
         raise NonFiniteInput(
             f"training overflowed float64 ({exc}); lower learning_rate, got {learning_rate!r}"

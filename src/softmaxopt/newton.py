@@ -173,9 +173,11 @@ def approx_hessian(
 
     Rows are sampled from ``KernelParts.factor`` of the total kernel, which
     raises KernelNotPSD where it cannot factor it.  With every row kept the
-    estimate is H, a singular H being the caller's to report; any other
-    estimate that ``_singular`` rejects (an empty draw gives the zero matrix)
-    raises SamplingDegenerate.
+    estimate is H, a singular H being the caller's to report; so is the
+    zero kernel's H, the zero matrix, returned without a draw.  A zero
+    factor of any other kernel (its rows cancelled in rounding), or any
+    other estimate that ``_singular`` rejects (an empty draw gives the zero
+    matrix), raises SamplingDegenerate.
     """
     if not 0.0 < sample_epsilon < 1.0:
         raise DomainError("sample_epsilon must lie in (0, 1)")
@@ -184,10 +186,13 @@ def approx_hessian(
     n, d = inst.n, inst.d
     if d > n:
         raise SamplingDegenerate(f"d = {d} exceeds n = {n}; kernel rank cannot reach d")
-    c_mat = total_kernel_parts(state, inst).factor(inst.a)
+    parts = total_kernel_parts(state, inst)
+    c_mat = parts.factor(inst.a)
     row2 = np.einsum("ij,ij->i", c_mat, c_mat)
     total = float(row2.sum())
     if total <= 0.0:
+        if parts.kappa == 0.0 and not (parts.c.any() or parts.g.any()):
+            return np.zeros((d, d))
         raise SamplingDegenerate("all rows of the factored Hessian are zero")
     count = math.ceil(SAMPLE_OVERSAMPLING * d * math.log(d / delta) / sample_epsilon**2)
     probs = np.minimum(1.0, count * row2 / total)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import hashlib
 import io
 import json
 import os
@@ -179,6 +180,29 @@ PINNED_LANDSCAPE_CSV = (
 
 # `nce --seed 0 --seeds 2` with default flags, recorded while a batch held its
 # negatives as a tuple of vectors; later versions must stay within rtol 1e-12.
+# sha256 of `landscape` CSVs in the shapes the benchmark writes, recorded from
+# the row-at-a-time grid and CSV writer: the blocked ones keep every byte.
+# An "instance" entry is `gen --n --d --ridge-l 1.0 --seed`, then
+# `landscape --instance --resolution`; the others generate their instances.
+PINNED_LANDSCAPE_SHA256 = [
+    ("instance", (20, 5, 0, 101),
+     "c06849eff3b1b1efb64f62f1cf597fb514bcbc0df8a26c5145b8f151385ac9b0"),
+    ("instance", (20, 5, 1, 21),
+     "224b0575485315b904491425dc9b9f69bc1c3603cf48d76f35f3a75a29b4a768"),
+    ("instance", (1000, 20, 2, 21),
+     "7318744dcbcf1767fb3f21ef93ac1407221e5d1f0402d2c888b206a6c954647b"),
+    ("instance", (8, 3, 0, 5),
+     "36ea8c9fb23dfc332c6adbe8133a639ec6f33faf45885f18fac346920452b77e"),
+    ("--n 20 --d 5 --ridge-l 1.0 --seed 3 --avg-seeds 5 --resolution 41", None,
+     "d0aba665e12ebfe39b09dc1b708957f6b2344be29226bf0e3c48e24f1350e156"),
+    ("--n 20 --d 5 --ridge-l 1.0 --seed 4 --avg-seeds 2 --resolution 21", None,
+     "745cd1a0a8afc79f0e7553a8919ff82aa9d383c3e1be40be407339ff8e22a6e1"),
+    ("--n 8 --d 3 --ridge-l 1.0 --seed 0 --avg-seeds 2 --resolution 5", None,
+     "cdcdfaaf3128baa2a202f3b6ac66b68914e04cd9a6cd6cb90cf2ea381a03d83e"),
+    ("--n 8 --d 3 --seed 3 --half-width 0.5 --resolution 5", None,
+     "44277a8ab142eadb5f0ed3a93c829e0cdc0e4deafb2e419b273b0fef7e6b7123"),
+]
+
 PINNED_NCE_CSV = (
     "0,1.4296561486240167,-11.146645297681253\n"
     "1,1.3437410812324664,-9.890208223590589\n"
@@ -241,6 +265,19 @@ class TestLandscape:
         want = np.loadtxt(io.StringIO(PINNED_LANDSCAPE_CSV), delimiter=",")
         assert got.shape == want.shape == (25, 6)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("args, shape, sha", PINNED_LANDSCAPE_SHA256)
+    def test_pinned_bytes(self, tmp_path, args, shape, sha):
+        grid_path = tmp_path / "grid.csv"
+        if args == "instance":
+            n, d, seed, resolution = shape
+            inst_path = tmp_path / "inst.json"
+            run(["gen", "--n", n, "--d", d, "--ridge-l", 1.0, "--seed", seed, "--out", inst_path])
+            argv = ["--instance", inst_path, "--resolution", resolution]
+        else:
+            argv = args.split()
+        assert run(["landscape", *argv, "--out", grid_path]) == 0
+        assert hashlib.sha256(grid_path.read_bytes()).hexdigest() == sha
 
     def test_csv_matches_direct_evaluation(self, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -207,6 +207,21 @@ class TestDrawMemory:
         assert peak < 200_000
 
 
+class TestExperimentMemory:
+    def test_passes_share_one_gather_buffer(self):
+        # a pass's (pool_size, 2, k, q) gather is 98,304 bytes at the defaults;
+        # gathering the next pass beside the last one held two of them, and a
+        # default seed peaked at 433 KB, against 335 KB with one buffer
+        so.paired_vs_shuffled_bounds(0)
+        tracemalloc.start()
+        try:
+            so.paired_vs_shuffled_bounds(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 380_000, peak
+
+
 class TestStackedHelpers:
     """Each row of a stack through the private helpers is bitwise one batch alone."""
 

@@ -213,6 +213,62 @@ class TestKernelNotPSD:
         assert so.rel_err(c_mat.T @ c_mat, so.hessian_total(state, inst)) <= 1e-12
 
 
+class TestZeroKernel:
+    """kappa = 0 and g = 0 leave D = diag(c), so c_i = 0 rows are zero rows."""
+
+    @staticmethod
+    def cent_only_without_target():
+        # beta = <b, 1> = 0: c = beta f = 0, g = 0 and kappa = -beta = 0
+        a = np.random.default_rng(0).standard_normal((6, 2))
+        return so.ProblemInstance(a=a, b=np.zeros(6), w=np.zeros(6), use_exp=False)
+
+    def test_zero_kernel_has_the_zero_factor(self):
+        inst = self.cent_only_without_target()
+        state = so.make_state(inst, np.zeros(2))
+        parts = so.total_kernel_parts(state, inst)
+        assert not parts.c.any() and not parts.g.any() and parts.kappa == 0.0
+        assert (parts.f > 0.0).all()
+        np.testing.assert_array_equal(parts.factor(inst.a), np.zeros((6, 2)))
+        approx = so.approx_hessian(inst, state, 0.1, seed=0)
+        np.testing.assert_array_equal(approx, np.zeros((2, 2)))
+
+    def test_sampled_mode_gives_the_exact_trace(self):
+        inst = self.cent_only_without_target()
+        exact = so.solve(inst, np.zeros(2), so.SolverConfig(mode="exact"))
+        sampled = so.solve(inst, np.zeros(2), so.SolverConfig(mode="sampled"))
+        assert exact.converged and sampled.converged
+        assert exact.iterations_run == sampled.iterations_run == 0
+        assert_same_iterates(exact, sampled)
+        for e, s in zip(exact.iterates, sampled.iterates):
+            assert (e.loss, e.grad_norm, e.err_to_opt) == (s.loss, s.grad_norm, s.err_to_opt)
+        assert exact.iterates[0].loss == exact.iterates[0].grad_norm == 0.0
+
+    def test_ridge_only_kernel_with_unweighted_rows(self):
+        # D = diag(w^2): rows with w_i = 0 are zero rows although f_i > 0
+        rng = np.random.default_rng(5)
+        w = np.array([1.0, 0.0, 2.0, 0.5, 0.0, 1.5, 1.0, 0.0])
+        inst = so.ProblemInstance(
+            a=rng.standard_normal((8, 3)), b=np.zeros(8), w=w, use_exp=False, use_cent=False
+        )
+        state = so.make_state(inst, rng.standard_normal(3))
+        c_mat = so.total_kernel_parts(state, inst).factor(inst.a)
+        np.testing.assert_array_equal(c_mat[w == 0.0], np.zeros((3, 3)))
+        assert so.rel_err(c_mat.T @ c_mat, so.hessian_total(state, inst)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kappa, g",
+        [(0.0, [0.0, 0.3, 0.0, 0.0]), (-1.0, [0.0, 0.0, 0.0, 0.0]), (2.0, [0.5, 0.0, 0.0, 0.0])],
+    )
+    def test_indefinite_kernels_with_a_zero_diagonal_still_raise(self, kappa, g):
+        # c_0 = 0 with f_0 > 0: D_00 = kappa f_0^2 - 2 g_0 f_0 is negative, or
+        # zero beside a nonzero D_01, so D is indefinite
+        f = np.array([0.4, 0.3, 0.2, 0.1])
+        parts = so.KernelParts(c=np.array([0.0, 1.0, 1.0, 1.0]), g=np.array(g), kappa=kappa, f=f)
+        assert np.linalg.eigvalsh(parts.dense())[0] < -1e-8
+        with pytest.raises(KernelNotPSD, match="kernel diagonal"):
+            parts.factor(np.eye(4))
+
+
 class TestSampledAtScale:
     def test_no_n_by_n_allocation(self):
         n = 3000

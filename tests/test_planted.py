@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import landscape_oracles
 import softmaxopt as so
+import softmaxopt.landscape as landscape_module
 from softmaxopt.exceptions import (
     DimensionMismatch,
     DomainError,
@@ -303,3 +305,110 @@ class TestBatchedLandscape:
         stream = io.StringIO()
         grid.write_csv(stream)
         assert stream.getvalue() == want
+
+    def test_bulk_format_is_float_repr(self):
+        # signed zeros, subnormals, exponents and non-finite cells keep the
+        # text repr() gives each float
+        specials = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1.0e-5, 0.1, -1e300, np.inf, np.nan]
+        values = np.resize(np.array(specials), (4, 4, 3))
+        grid = so.LandscapeGrid(
+            center=np.zeros(2), dir_u=np.eye(2)[0], dir_v=np.eye(2)[1],
+            half_width=1e-5, resolution=4, values=values,
+        )
+        lines = grid.to_csv().splitlines()[1:]
+        offs = grid.offsets().tolist()
+        cells = [(u, v, a, b, c, a + b + c)
+                 for u, row in zip(offs, values.tolist()) for v, (a, b, c) in zip(offs, row)]
+        assert lines == [",".join(map(repr, cell)) for cell in cells]
+
+
+def assert_bitwise(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBlockedLandscape:
+    """The blocked grid against the row-at-a-time oracle, bit for bit."""
+
+    @staticmethod
+    def block_rows(inst, resolution):
+        return max(1, landscape_module._CELL_BLOCK // (resolution * inst.n))
+
+    @staticmethod
+    def check(inst, center=None, half_width=1.0, resolution=21):
+        grid = so.landscape_grid(inst, center, half_width, resolution)
+        want = landscape_oracles.landscape_values(inst, grid.center, half_width, resolution)
+        assert_bitwise(grid.values, want)
+        return grid
+
+    @pytest.mark.parametrize("resolution", [21, 41, 101])
+    def test_last_block_is_partial(self, resolution):
+        inst = planted(20, 5)
+        rows = self.block_rows(inst, resolution)
+        assert 1 < rows < resolution and resolution % rows
+        self.check(inst, resolution=resolution)
+
+    def test_tall_instance_takes_one_row_per_block(self):
+        inst = planted(1000, 20)
+        assert self.block_rows(inst, 21) == 1
+        self.check(inst, resolution=21)
+
+    @pytest.mark.parametrize("term", ["use_exp", "use_cent"])
+    def test_disabled_term(self, term):
+        inst = dataclasses.replace(planted(20, 5, seed=1), **{term: False})
+        self.check(inst, half_width=0.6, resolution=31)
+
+    def test_paper_ridge_around_random_center(self):
+        inst = dataclasses.replace(planted(20, 5, seed=2), reg_mode="paper")
+        center = np.random.default_rng(2).standard_normal(5)
+        self.check(inst, center=center, half_width=0.8, resolution=31)
+
+    def test_zero_half_width(self):
+        grid = self.check(planted(20, 5, seed=4), half_width=0.0, resolution=25)
+        assert (grid.values == grid.values[12, 12]).all()
+
+    @pytest.mark.parametrize("cell_block", [1, 2 * 9 * 20, 4 * 9 * 20 - 1, 10**6])
+    def test_cells_do_not_depend_on_the_block_size(self, monkeypatch, cell_block):
+        inst = planted(20, 5, seed=3)
+        want = so.landscape_grid(inst, half_width=0.7, resolution=9).values
+        monkeypatch.setattr(landscape_module, "_CELL_BLOCK", cell_block)
+        assert_bitwise(so.landscape_grid(inst, half_width=0.7, resolution=9).values, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBlockedOverflow:
+    """The first overflowing row is named even when it sits inside a block."""
+
+    # center h dir_u: row u = -h is near the origin, and later rows grow
+    # towards 2 h dir_u, so the first row to overflow is the seventh of nine
+    CASES = {
+        "loss terms": (lambda inst: inst, 5e152, 2.4999999999999995e152),
+        "logits": (
+            lambda inst: dataclasses.replace(inst, w=np.zeros(inst.n), use_cent=False),
+            6e307,
+            2.999999999999999e307,
+        ),
+    }
+
+    @staticmethod
+    def message(fn):
+        with pytest.raises(OverflowError) as info:
+            fn()
+        return str(info.value)
+
+    @pytest.mark.parametrize("cell_block", [None, 4 * 9 * 20, 5 * 9 * 20])
+    @pytest.mark.parametrize("what", sorted(CASES))
+    def test_names_the_first_row(self, monkeypatch, what, cell_block):
+        adjust, half_width, u = self.CASES[what]
+        inst = adjust(planted(20, 5))
+        center = half_width * so.default_directions(inst)[0]
+        if cell_block is not None:
+            monkeypatch.setattr(landscape_module, "_CELL_BLOCK", cell_block)
+        want = f"{what} overflow float64 in grid row u={u!r}"
+        offs = np.linspace(-half_width, half_width, 9)
+        row = offs.tolist().index(u)
+        assert row % max(1, landscape_module._CELL_BLOCK // (9 * inst.n)) > 0
+        assert self.message(
+            lambda: landscape_oracles.landscape_values(inst, center, half_width, 9)
+        ) == want
+        assert self.message(lambda: so.landscape_grid(inst, center, half_width, 9)) == want
