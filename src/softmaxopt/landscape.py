@@ -132,8 +132,9 @@ def landscape_grid(
     _require_ints(resolution=resolution)
     if resolution < 2:
         raise DomainError("resolution must be >= 2")
-    if not np.isfinite(half_width) or half_width < 0:
-        raise DomainError("half_width must be finite and >= 0")
+    # the grid spans 2 half_width, which np.linspace must hold as a float
+    if not np.isfinite(2.0 * float(half_width)) or half_width < 0:
+        raise DomainError("half_width must be >= 0 and 2 * half_width finite")
     if center is None:
         center = inst.x_star if inst.x_star is not None else np.zeros(inst.d)
     center = np.asarray(center, dtype=np.float64)

@@ -138,12 +138,17 @@ def paired_vs_shuffled_bounds(
     through the stack-aware helpers ``nce_gradients`` and ``nce_loss`` use,
     and each row of the stack is bitwise that chain trained alone.  All
     negatives are drawn first, the correlated chain's ``epochs + 1`` passes
-    and then the shuffled chain's, one ``rng.choice`` per anchor and pass, so
-    the random stream is that of training one chain after the other.  The
-    draws are kept as ``2 (epochs + 1) pool_size k`` indices (about 160 KB at
-    the defaults), and one pass's candidates of both chains are gathered at a
-    time, every pass into the same ``(pool_size, 2, k, dim_partner)`` buffer
-    (98 KB at the defaults).  The bounds are summed anchor by anchor as
+    and then the shuffled chain's, so the random stream is that of training
+    one chain after the other.  Each pass is one batched Floyd draw plus
+    shuffle (``_draw_passes``), the stream of one ``rng.choice`` per anchor:
+    the bounds rest on numpy's streams of ``Generator.integers`` with int64
+    array bounds and of ``Generator.choice``'s Floyd branch, and change only
+    where ``choice`` would shuffle a tail instead (``pool_size > 10001`` and
+    ``k - 1 > (pool_size - 1) // 50``).  The draws are kept as
+    ``2 (epochs + 1) pool_size k`` indices (about 160 KB at the defaults),
+    and one pass's candidates of both chains are gathered at a time, every
+    pass into the same ``(pool_size, 2, k, dim_partner)`` buffer (98 KB at
+    the defaults).  The bounds are summed anchor by anchor as
     Python floats.  A learning rate that overflows either chain's weight
     raises NonFiniteInput naming ``learning_rate``.
     """
@@ -207,19 +212,72 @@ def paired_vs_shuffled_bounds(
     return bounds[0], bounds[1]
 
 
+# Anchors drawn in one block are at most this many flags of their
+# (anchors, pool_size - 1) table of taken positions (1 MB of bools).
+_DRAW_FLAGS = 2**20
+
+
 def _draw_passes(rng, passes: int, pool_size: int, k: int) -> np.ndarray:
     """Candidate rows for ``passes`` passes over the pool: row [e, i] is [i, k - 1 others].
 
-    One ``rng.choice`` per anchor, pass by pass and in anchor order: a draw of
-    positions among the other pool_size - 1 rows takes the same random stream
-    as a draw from the array of their indices; positions at or after i skip
-    it, in one array operation per pass right after its draws.
+    Pass by pass and in anchor order, row [e, i] takes the positions of
+    ``rng.choice(pool_size - 1, size=k - 1, replace=False)`` among the other
+    rows; positions at or after i skip it, in one array operation per pass.
+    Each pass is drawn by ``_floyd_samples``, one batched Floyd draw plus
+    shuffle per block of anchors.  Wherever numpy's ``choice`` takes its
+    Floyd branch (``pool_size - 1 <= 10000`` or
+    ``k - 1 <= (pool_size - 1) // 50``) the rows and the generator's state
+    afterwards are bitwise those of the per-anchor ``choice`` loop.  Above
+    that, ``choice`` shuffles a tail of the whole population instead, and
+    the rows here, though distinct, in range and free of the anchor, differ
+    from its.
     """
     rows = np.empty((passes, pool_size, k), dtype=np.intp)
     rows[..., 0] = np.arange(pool_size)
+    block = max(1, _DRAW_FLAGS // pool_size)
     for pass_rows in rows:
         others = pass_rows[:, 1:]
-        for row in others:
-            row[...] = rng.choice(pool_size - 1, size=k - 1, replace=False)
+        for start in range(0, pool_size, block):
+            chunk = others[start:start + block]
+            chunk[...] = _floyd_samples(rng, len(chunk), pool_size - 1, k - 1).T
         others += others >= pass_rows[:, :1]
     return rows
+
+
+def _floyd_samples(rng, count: int, population: int, size: int) -> np.ndarray:
+    """``count`` samples of ``size`` distinct values in ``range(population)``, one per column.
+
+    Column c is ``rng.choice(population, size=size, replace=False)`` of the
+    c-th of ``count`` calls in a row, on its Floyd branch: Floyd's sampling
+    (Bentley & Floyd, *A sample of brilliance*, CACM 1987) draws on [0, j]
+    for j = population - size ... population - 1 and keeps j when the draw
+    is already taken; a Fisher-Yates shuffle then swaps entry i with a draw
+    on [0, i] for i = size - 1 ... 1.  ``Generator.integers`` with int64
+    array bounds makes each of those draws by the same routine and in C
+    order (8- and 16-bit dtypes buffer their draws and read the stream
+    differently), so one call draws all ``count`` samples.  The
+    duplicate test runs on a table of taken flags and the swaps on flat
+    positions, each step a few array operations across the samples.
+    """
+    tops = np.arange(population - size, population)
+    highs = np.concatenate([tops, np.arange(size - 1, 0, -1)]) + 1
+    # row t holds every sample's t-th draw
+    draws = rng.integers(0, highs, size=(count, highs.size), dtype=np.int64).T.copy()
+    picks, swaps = draws[:size], draws[size:]
+    # picks hold flat positions in the (count, population) table until Floyd ends
+    base = np.arange(count) * population
+    picks += base
+    taken = np.zeros(count * population, dtype=bool)
+    for top, pick in zip(tops, picks):
+        np.copyto(pick, base + top, where=np.take(taken, pick))
+        np.put(taken, pick, True)
+    picks -= base
+    # swaps hold flat positions in picks
+    swaps *= count
+    swaps += np.arange(count)
+    flat = picks.reshape(-1)
+    for i, swap in zip(range(size - 1, 0, -1), swaps):
+        held = flat[swap]
+        flat[swap] = picks[i]
+        picks[i] = held
+    return picks

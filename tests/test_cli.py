@@ -237,8 +237,9 @@ def test_non_finite_flag_is_domain_error(capsys, argv, name):
         (["verify", "--checks", "gradients,bogus"], "'bogus'"),
         (["solve", "--x0", "a,b"], "--x0"),
         (["landscape", "--center", "a,b"], "--center"),
+        (["landscape", "--n", "20", "--d", "5", "--half-width", "1e308"], "half_width"),
     ],
-    ids=["avg-seeds-with-instance", "unknown-check", "x0", "center"],
+    ids=["avg-seeds-with-instance", "unknown-check", "x0", "center", "half-width-span"],
 )
 def test_bad_input_is_domain_error(tmp_path, capsys, monkeypatch, argv, named):
     def ran(seed):

@@ -173,10 +173,12 @@ class TestNceGradients:
 
 
 class TestNegativeDraw:
-    @pytest.mark.parametrize("pool_size", [1, 2, 5, 96])
+    # pool 2000 is drawn in several blocks of anchors, and every pool size
+    # also draws k == pool_size
+    @pytest.mark.parametrize("pool_size", [1, 2, 5, 96, 300, 2000])
     def test_same_stream_as_a_draw_from_the_other_indices(self, pool_size):
-        for seed in range(20):
-            k = (seed * 7) % pool_size + 1  # 1 .. pool_size
+        for seed in range(21):
+            k = (seed * 7) % pool_size + 1 if seed < 20 else pool_size  # 1 .. pool_size
             passes = seed % 3 + 1
             rng = np.random.default_rng([pool_size, seed])
             ref = np.random.default_rng([pool_size, seed])
@@ -189,6 +191,25 @@ class TestNegativeDraw:
                     assert pass_rows[i, 0] == i
                     assert np.array_equal(pass_rows[i, 1:], want)
                     assert i not in pass_rows[i, 1:]
+            # the generator is left where the per-anchor draws leave it
+            assert rng.random() == ref.random()
+
+    def test_tail_shuffle_regime_gives_valid_rows(self):
+        # above 10000 other rows and 1/50 of them as negatives, numpy's choice
+        # shuffles a tail of the whole population instead of Floyd's draw; the
+        # batched Floyd draw then differs from it but is still a valid draw
+        pool_size, k = 10002, 202
+        rows = so.nce._draw_passes(np.random.default_rng(3), 1, pool_size, k)[0]
+        assert rows.shape == (pool_size, k)
+        assert np.array_equal(rows[:, 0], np.arange(pool_size))
+        others = np.sort(rows[:, 1:], axis=1)
+        assert others.min() >= 0 and others.max() < pool_size
+        assert (np.diff(others, axis=1) > 0).all()
+        assert not (rows[:, 1:] == rows[:, :1]).any()
+        again = so.nce._draw_passes(np.random.default_rng(3), 1, pool_size, k)[0]
+        assert np.array_equal(rows, again)
+        want = np.random.default_rng(3).choice(pool_size - 1, size=k - 1, replace=False)
+        assert not np.array_equal(rows[0, 1:], want + 1)
 
 
 class TestDrawMemory:
@@ -323,12 +344,14 @@ class TestPairedExperiment:
 
 
 # Configs at the edges of the experiment: one candidate, two candidates of a
-# small pool, the whole pool as candidates, unequal small dimensions, scalar
-# anchors and partners, no training, a short training, a large step.
+# small pool, the whole pool as candidates (of the default pool and of 300),
+# unequal small dimensions, scalar anchors and partners, no training, a short
+# training, a large step.
 EDGE_CONFIGS = {
     "k1": {"k": 1},
     "k2_pool16": {"k": 2, "pool_size": 16},
     "k96": {"k": 96},
+    "pool300_k300": {"pool_size": 300, "k": 300, "epochs": 1},
     "small": {"dim_anchor": 3, "dim_partner": 5, "k": 4, "pool_size": 16},
     "dim1": {"dim_anchor": 1, "dim_partner": 1},
     "epochs0": {"epochs": 0},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,10 +138,22 @@ class TestLandscape:
             so.landscape_grid(self.inst, resolution=1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("half_width", [-0.1, np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "half_width",
+        [-0.1, np.inf, np.nan, 1e308, pytest.param(np.float64(1e308), id="np1e308"),
+         sys.float_info.max],
+    )
     def test_rejects_bad_half_width(self, half_width):
+        # a finite half_width above about 8.99e307 spans an infinite 2 half_width
         with pytest.raises(DomainError, match="half_width"):
             so.landscape_grid(self.inst, half_width=half_width, resolution=3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_finite_span_reaches_the_grid(self):
+        # 2 half_width is the largest float: the grid is laid out and its
+        # first row's logits overflow
+        with pytest.raises(OverflowError, match="logits"):
+            so.landscape_grid(self.inst, half_width=sys.float_info.max / 2, resolution=3)
 
     def test_center_shape_checked(self):
         with pytest.raises(DimensionMismatch):
