@@ -10,7 +10,6 @@ from .calculus import (
     grad_total,
     hessian_cent,
     hessian_exp,
-    hessian_reg,
     hessian_total,
     loss_kernel_parts,
     total_kernel_parts,
@@ -29,7 +28,6 @@ from .model import (
     loss_cent,
     loss_exp,
     loss_reg,
-    loss_terms,
     loss_total,
     make_state,
     softmax,

@@ -26,8 +26,8 @@ n-by-n kernel in the package; the tests check the parts against dense
 kernels built directly from their formulas (``tests/kernel_oracles.py``).
 
 Every gradient and Hessian takes ``(state, inst)``: a ``ModelState`` of one
-point and its instance.  ``hessian_reg(inst)`` is the exception, as it does
-not depend on x.  Index arguments are 0-based columns of A.
+point and its instance; the ridge Hessian ``A^T W^2 A`` is the ``w^2`` of the
+total kernel.  Index arguments are 0-based columns of A.
 """
 
 from __future__ import annotations
@@ -219,11 +219,6 @@ def hessian_cent(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 def hessian_exp(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     """Exact Hessian of 0.5 ||f - b||^2 (validated against finite differences)."""
     return _exp_parts(state, inst).congruence(inst.a)
-
-
-def hessian_reg(inst: ProblemInstance) -> np.ndarray:
-    """Ridge Hessian A^T W^2 A (independent of x)."""
-    return inst.a.T @ (inst.w[:, None] ** 2 * inst.a)
 
 
 def hessian_total(state: ModelState, inst: ProblemInstance) -> np.ndarray:

@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 import numpy as np
 
 from .exceptions import DomainError
 from .landscape import average_grids, landscape_grid
-from .model import ProblemInstance, _write_text
+from .model import ProblemInstance, _write_json, _write_text
 from .nce import paired_vs_shuffled_bounds
 from .newton import SolverConfig, solve
 from .planted import GeneratorSpec, basin_start, generate_planted
@@ -75,10 +74,6 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
         raise DomainError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
 
 
-def _write_json(path, payload) -> None:
-    _write_text(path or sys.stdout, (json.dumps(payload, sort_keys=True), "\n"))
-
-
 def _cmd_gen(args) -> int:
     inst, _ = generate_planted(_spec_from_args(args))
     inst.save(args.out or sys.stdout)
@@ -112,7 +107,7 @@ def _cmd_solve(args) -> int:
         "final_grad_norm": last.grad_norm,
         "final_err": last.err_to_opt,
     }
-    _write_json(args.summary, summary)
+    _write_json(args.summary or sys.stdout, summary)
     return EXIT_OK if trace.converged else EXIT_MAX_ITERS
 
 
@@ -187,7 +182,7 @@ def _cmd_nce(args) -> int:
     mean_corr = float(np.mean([c for _, c, _ in rows]))
     mean_shuf = float(np.mean([u for _, _, u in rows]))
     _write_json(
-        args.summary,
+        args.summary or sys.stdout,
         {
             "seeds": args.seeds,
             "mean_correlated": mean_corr,
@@ -282,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except Exception as exc:  # CLI boundary: report and signal failure

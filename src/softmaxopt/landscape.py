@@ -72,9 +72,6 @@ class LandscapeGrid:
             columns = [_float_texts(col) for col in (*row.T, row.sum(axis=-1))]
             yield "\n".join(map(",".join, zip(repeat(u), v_text, *columns))) + "\n"
 
-    def to_csv(self) -> str:
-        return "".join(self._csv_blocks())
-
     def write_csv(self, dest) -> None:
         """Write the CSV to a path or an open text stream, one row of cells at a time.
 

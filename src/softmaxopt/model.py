@@ -97,6 +97,13 @@ def _require_ints(**values) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_seed(seed) -> None:
+    """Raise DomainError unless seed is a non-negative integer, as numpy's seeding needs."""
+    _require_ints(seed=seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
+
+
 def _rows(arr, length: int, name: str) -> np.ndarray:
     """One vector of ``length`` entries, or a stack of them along the leading axis."""
     arr = _float_array(arr, name)
@@ -134,6 +141,11 @@ def _write_text(dest, chunks) -> None:
         return
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
+
+
+def _write_json(dest, payload) -> None:
+    """Write payload as one line of JSON with sorted keys: the package's one JSON writer."""
+    _write_text(dest, (json.dumps(payload, sort_keys=True), "\n"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +264,7 @@ class ProblemInstance:
 
     def save(self, path) -> None:
         """Write the instance JSON to a path or an open text stream."""
-        _write_text(path, (json.dumps(self.to_dict(), sort_keys=True), "\n"))
+        _write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ProblemInstance":
@@ -368,25 +380,19 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def loss_terms(inst: ProblemInstance, log_f, f, z_reg):
-    """``(l_exp, l_cent, l_reg)`` per row of ``log f``, ``f`` and ``z_reg = A (x - x_ref)``.
-
-    One state gives three scalars and an ``(m, n)`` block three length-m
-    arrays, each row bitwise the value of that row alone.  A disabled term
-    is ``0.0``.
-    """
-    return (*_fit_terms(inst, log_f, f), _reg_term(inst, z_reg))
-
-
 def _fit_terms(inst: ProblemInstance, log_f, f):
-    """``(l_exp, l_cent)`` of ``loss_terms``; a disabled term is ``0.0``."""
+    """``(l_exp, l_cent)`` per row of ``log f`` and ``f``; a disabled term is ``0.0``.
+
+    One state gives two scalars and an ``(m, n)`` block two length-m arrays,
+    each row bitwise the value of that row alone.
+    """
     l_exp = _half_square(f - inst.b) if inst.use_exp else 0.0
     l_cent = -_row_dot(log_f, inst.b) if inst.use_cent else 0.0
     return l_exp, l_cent
 
 
 def _reg_term(inst: ProblemInstance, z_reg):
-    """``l_reg`` of ``loss_terms``, from ``z_reg = A (x - x_ref)``."""
+    """``l_reg`` per row of ``z_reg = A (x - x_ref)``."""
     return _half_square(inst.w * z_reg)
 
 
@@ -410,14 +416,13 @@ class LossBreakdown:
 
 
 def state_losses(inst: ProblemInstance, state: ModelState) -> LossBreakdown:
-    """All loss terms at an evaluated state, through ``loss_terms``.
+    """All loss terms at an evaluated state, through ``_fit_terms`` and ``_reg_term``.
 
     One point gives floats; a stacked state gives one length-m array per
     field, a disabled term included.
     """
-    terms = loss_terms(
-        inst, state.log_f, state.f, _matvec(inst.a, state.x - inst.reg_center())
-    )
+    z_reg = _matvec(inst.a, state.x - inst.reg_center())
+    terms = (*_fit_terms(inst, state.log_f, state.f), _reg_term(inst, z_reg))
     if state.x.ndim == 1:
         return LossBreakdown(*map(float, terms))
     rows = state.x.shape[0]

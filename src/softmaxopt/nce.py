@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError, NonFiniteInput
-from .model import _log_p_and_p, _require_ints
+from .model import _log_p_and_p, _require_ints, _require_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +152,7 @@ def paired_vs_shuffled_bounds(
     Python floats.  A learning rate that overflows either chain's weight
     raises NonFiniteInput naming ``learning_rate``.
     """
+    _require_seed(seed)
     _require_ints(
         dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
     )

@@ -41,6 +41,7 @@ from .model import (
     ProblemInstance,
     _require_finite_fields,
     _require_ints,
+    _require_seed,
     _write_text,
     make_state,
     state_losses,
@@ -65,7 +66,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_finite_fields(self)
-        _require_ints(max_iters=self.max_iters, seed=self.seed)
+        _require_ints(max_iters=self.max_iters)
+        _require_seed(self.seed)
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta < 0.1:
@@ -91,7 +93,7 @@ class IterateRecord:
 @dataclass(eq=False)
 class SolveTrace:
     """Per-iteration records plus the final convergence verdict; the step count
-    and the iteration-cap flag follow from them."""
+    follows from them."""
 
     iterates: list = field(default_factory=list)
     converged: bool = False
@@ -100,36 +102,21 @@ class SolveTrace:
     def iterations_run(self) -> int:
         return len(self.iterates) - 1
 
-    @property
-    def max_iters_exceeded(self) -> bool:
-        """Unconverged, which a trace is only at its cap: no stop rule held there,
-        or no step could be formed there."""
-        return not self.converged
-
-    def losses(self) -> np.ndarray:
-        return np.array([rec.loss for rec in self.iterates])
-
-    def loss_monotone(self) -> bool:
-        losses = self.losses()
-        return bool(np.all(np.diff(losses) <= 1e-12 * np.maximum(1.0, np.abs(losses[:-1]))))
-
-    def write_csv(self, path, include_timings: bool = False) -> None:
-        _write_text(path, (self.to_csv(include_timings=include_timings),))
-
-    def to_csv(self, include_timings: bool = False) -> str:
-        """CSV text with header t,loss,grad_norm,err_to_opt,step_seconds.
+    def write_csv(self, dest, include_timings: bool = False) -> None:
+        """Write the CSV (header t,loss,grad_norm,err_to_opt,step_seconds) to a path
+        or an open text stream.
 
         Absent values serialize as empty fields.  Wall-clock step timings are
         omitted unless asked for, keeping fixed-seed outputs byte-identical.
         """
-        lines = ["t,loss,grad_norm,err_to_opt,step_seconds"]
+        lines = ["t,loss,grad_norm,err_to_opt,step_seconds\n"]
         for rec in self.iterates:
             err = "" if rec.err_to_opt is None else repr(float(rec.err_to_opt))
             secs = repr(float(rec.step_seconds)) if include_timings else ""
             lines.append(
-                f"{rec.t},{float(rec.loss)!r},{float(rec.grad_norm)!r},{err},{secs}"
+                f"{rec.t},{float(rec.loss)!r},{float(rec.grad_norm)!r},{err},{secs}\n"
             )
-        return "\n".join(lines) + "\n"
+        _write_text(dest, lines)
 
 
 def _evaluate(inst: ProblemInstance, x, t: int):
@@ -211,20 +198,20 @@ def _singular(evs: np.ndarray) -> bool:
     return radius == 0.0 or evs[0] < 1e-12 * radius
 
 
-def _newton_update(inst, state, g, cfg: SolverConfig, rng, epsilon):
+def _newton_update(inst, state, g, grad_norm, cfg: SolverConfig, rng, epsilon):
     """x - H^{-1} g from one eigendecomposition H = V diag(lam) V^T.
 
     H is exact or row-sampled (drawn from ``rng``) as ``cfg.mode`` says.
     The decomposition serves, in this order, Newton's stop rule (None when
-    epsilon is given and ||g|| <= epsilon * eigmin(H)), the SingularHessian
-    guard (``_singular``) and the step x - V ((V^T g) / lam).
+    epsilon is given and ``grad_norm`` = ||g|| <= epsilon * eigmin(H)), the
+    SingularHessian guard (``_singular``) and the step x - V ((V^T g) / lam).
     """
     if cfg.mode == "sampled":
         hess = approx_hessian(inst, state, cfg.sample_epsilon, rng, delta=cfg.delta)
     else:
         hess = hessian_total(state, inst)
     evs, vecs = np.linalg.eigh(hess)
-    if epsilon is not None and float(np.linalg.norm(g)) <= epsilon * max(float(evs[0]), 0.0):
+    if epsilon is not None and grad_norm <= epsilon * max(float(evs[0]), 0.0):
         return None
     if _singular(evs):
         raise SingularHessian(f"Hessian eigmin {evs[0]:.3g} is below 1e-12 of its spectral radius")
@@ -235,7 +222,7 @@ def _newton_update(inst, state, g, cfg: SolverConfig, rng, epsilon):
 
 
 def _iterate(inst, x0, max_iters, step, epsilon) -> SolveTrace:
-    """The solver loop: record each iterate, then x <- step(state, grad).
+    """The solver loop: record each iterate, then x <- step(state, grad, ||grad||).
 
     Converges once ||x - x_star|| <= epsilon with a planted optimum, or when
     step returns None by its own stop rule.  Every iterate, the one at max_iters
@@ -260,7 +247,7 @@ def _iterate(inst, x0, max_iters, step, epsilon) -> SolveTrace:
             return SolveTrace(iterates, converged=True)
         tic = time.perf_counter()
         try:
-            x = step(state, g)
+            x = step(state, g, grad_norm)
         except _STEP_FAILURES:
             if t < max_iters:
                 raise
@@ -277,8 +264,8 @@ def newton_step(inst: ProblemInstance, x_t, cfg: SolverConfig = SolverConfig()) 
     Deterministic: a sampled draw comes from ``cfg.seed`` (0 by default), as
     in solve, and a point solve would reject raises NonFiniteIterate.
     """
-    state, _, g, _ = _evaluate(inst, x_t, 0)
-    return _newton_update(inst, state, g, cfg, np.random.default_rng(cfg.seed), None)
+    state, _, g, grad_norm = _evaluate(inst, x_t, 0)
+    return _newton_update(inst, state, g, grad_norm, cfg, np.random.default_rng(cfg.seed), None)
 
 
 def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
@@ -293,8 +280,8 @@ def solve(inst: ProblemInstance, x0, cfg: SolverConfig) -> SolveTrace:
     """
     rng = np.random.default_rng(cfg.seed)
 
-    def step(state, g):
-        return _newton_update(inst, state, g, cfg, rng, cfg.epsilon)
+    def step(state, g, grad_norm):
+        return _newton_update(inst, state, g, grad_norm, cfg, rng, cfg.epsilon)
 
     return _iterate(inst, x0, cfg.max_iters, step, cfg.epsilon)
 
@@ -318,8 +305,8 @@ def gradient_descent_baseline(
     if iters < 0:
         raise DomainError("iters must be >= 0")
 
-    def step(state, g):
-        if epsilon is not None and inst.x_star is None and float(np.linalg.norm(g)) <= epsilon:
+    def step(state, g, grad_norm):
+        if epsilon is not None and inst.x_star is None and grad_norm <= epsilon:
             return None
         with np.errstate(over="ignore"):
             x = state.x - step_size * g

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, GenerationFailure
-from .model import ProblemInstance, _log_p_and_p, _require_finite_fields, _require_ints
+from .model import (
+    ProblemInstance,
+    _log_p_and_p,
+    _require_finite_fields,
+    _require_ints,
+    _require_seed,
+)
 from .verify import ridge_weights
 
 _COND_TOL = 1e-9
@@ -36,7 +42,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         _require_finite_fields(self)
-        _require_ints(n=self.n, d=self.d, seed=self.seed)
+        _require_ints(n=self.n, d=self.d)
+        _require_seed(self.seed)
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
         if self.n < self.d:

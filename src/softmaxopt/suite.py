@@ -24,7 +24,7 @@ from .calculus import (
     loss_kernel_parts,
 )
 from .exceptions import DomainError
-from .model import ProblemInstance, loss_cent, make_state, state_losses
+from .model import ProblemInstance, _require_seed, loss_cent, make_state, state_losses
 from .newton import SolverConfig, solve
 from .planted import GeneratorSpec, basin_start, generate_planted
 from .verify import (
@@ -230,7 +230,8 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_suite(names, seed: int) -> list[CheckResult]:
-    """Run the named checks in the order given, once every name is known."""
+    """Run the named checks in the order given, once every name and the seed are checked."""
+    _require_seed(seed)
     for name in names:
         if name not in _CHECKS:
             raise DomainError(f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")

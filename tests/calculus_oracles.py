@@ -2,8 +2,8 @@
 
 The package assembles its gradients and Hessians from congruences with
 structured kernels (``softmaxopt.calculus``) and reads single columns only
-through ``grad_f_inner``.  The helpers here are the paper's per-column
-lemmas, ``df/dx_i = -<f, A_i> f + f o A_i``, ``d log f / dx_i = A_i - <f, A_i> 1``
+through ``grad_f_inner``.  The helpers here are the ridge Hessian
+``A^T W^2 A`` and the paper's per-column lemmas, ``df/dx_i = -<f, A_i> f + f o A_i``, ``d log f / dx_i = A_i - <f, A_i> 1``
 and the constant second derivative of log f, so the tests can check
 ``grad_f_inner`` against an explicit inner product and the lemmas against
 finite differences of ``softmax`` and ``log_softmax``.
@@ -15,6 +15,11 @@ import numpy as np
 
 from softmaxopt.calculus import _check_col, grad_f_inner
 from softmaxopt.model import ModelState, ProblemInstance
+
+
+def hessian_reg(inst: ProblemInstance) -> np.ndarray:
+    """Ridge Hessian A^T W^2 A (independent of x)."""
+    return inst.a.T @ (inst.w[:, None] ** 2 * inst.a)
 
 
 def grad_f_dir(state: ModelState, inst: ProblemInstance, i: int) -> np.ndarray:

@@ -21,6 +21,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def csv_text(table) -> str:
+    """The text ``write_csv`` writes to an open stream."""
+    stream = io.StringIO()
+    table.write_csv(stream)
+    return stream.getvalue()
+
+
 class TestGen:
     def test_writes_instance_json(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -238,8 +245,14 @@ def test_non_finite_flag_is_domain_error(capsys, argv, name):
         (["solve", "--x0", "a,b"], "--x0"),
         (["landscape", "--center", "a,b"], "--center"),
         (["landscape", "--n", "20", "--d", "5", "--half-width", "1e308"], "half_width"),
+        (["gen", "--seed", "-1"], "seed must be >= 0"),
+        (["solve", "--instance", "{tmp}/inst.json", "--seed", "-1"], "seed must be >= 0"),
+        (["landscape", "--seed", "-1"], "seed must be >= 0"),
+        (["verify", "--seed", "-1"], "seed must be >= 0"),
+        (["nce", "--seed", "-1"], "seed must be >= 0"),
     ],
-    ids=["avg-seeds-with-instance", "unknown-check", "x0", "center", "half-width-span"],
+    ids=["avg-seeds-with-instance", "unknown-check", "x0", "center", "half-width-span",
+         "gen-seed", "solve-seed", "landscape-seed", "verify-seed", "nce-seed"],
 )
 def test_bad_input_is_domain_error(tmp_path, capsys, monkeypatch, argv, named):
     def ran(seed):
@@ -253,6 +266,28 @@ def test_bad_input_is_domain_error(tmp_path, capsys, monkeypatch, argv, named):
     assert captured.err.startswith("error: DomainError: ")
     assert named in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["solve", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["malformed-value", "unknown-flag"],
+)
+def test_usage_error_exits_one(capsys, argv, message):
+    # exit 2 means a solve stopped at its iteration cap, so a usage error is 1
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: softmaxopt")
+    assert captured.err.endswith(f"error: {message}\n")
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    assert run(["solve", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: softmaxopt solve")
 
 
 class TestLandscape:
@@ -294,7 +329,7 @@ class TestLandscape:
         assert len(lines) == 10
         inst = so.ProblemInstance.load(inst_path)
         grid = so.landscape_grid(inst, half_width=0.5, resolution=3)
-        assert lines[1:] == grid.to_csv().strip().split("\n")[1:]
+        assert lines[1:] == csv_text(grid).strip().split("\n")[1:]
 
     def test_stdout_streams_row_blocks(self, capsys, monkeypatch):
         argv = ["landscape", "--n", 20, "--d", 5, "--resolution", 201]
@@ -334,7 +369,7 @@ class TestLandscape:
             for s in (2, 3)
         ]
         avg = so.average_grids(grids)
-        assert avg_path.read_text() == avg.to_csv()
+        assert avg_path.read_text() == csv_text(avg)
 
     def test_avg_seeds_conflicts_with_instance_file(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -537,6 +572,22 @@ def test_stdout_bytes_equal_file_bytes(tmp_path, capsys, argv, flag):
     assert run(argv + [flag, path]) == 0
     assert capsys.readouterr().out == ""
     assert printed.encode("utf-8") == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--seed", 0], ["verify", "--seed", 1], ["nce", "--seed", 0, "--seeds", 2]],
+    ids=["verify-0", "verify-1", "nce-0"],
+)
+def test_rerun_writes_the_same_bytes(tmp_path, capsys, argv):
+    # the file, stdout and stderr of a second run, RuntimeWarnings being errors here
+    runs = []
+    for tag in ("a", "b"):
+        path = tmp_path / f"{tag}.out"
+        assert run(argv + ["--out", path]) == 0
+        runs.append((path.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].err == ""
 
 
 class TestParserPerProcess:

@@ -166,7 +166,7 @@ class TestLossTotal:
 
 
 class TestBatchedLossTerms:
-    """``loss_terms`` on a stack of states against one state at a time."""
+    """``_fit_terms`` and ``_reg_term`` on a stack of states against one state at a time."""
 
     @staticmethod
     def _stack(inst, seed, m=7):
@@ -181,7 +181,7 @@ class TestBatchedLossTerms:
         inst = dataclasses.replace(inst, use_exp=seed % 3 != 1, use_cent=seed % 3 != 2)
         xs, z, z_reg = self._stack(inst, seed)
         log_f, f = so.model._log_p_and_p(z)
-        terms = so.loss_terms(inst, log_f, f, z_reg)
+        terms = (*so.model._fit_terms(inst, log_f, f), so.model._reg_term(inst, z_reg))
         for j, x in enumerate(xs):
             state = so.make_state(inst, x)
             assert log_f[j].tobytes() == state.log_f.tobytes()
@@ -204,7 +204,7 @@ class TestBatchedLossTerms:
         inst, x = random_instance(5)
         inst = dataclasses.replace(inst, use_exp=False, use_cent=False)
         state = so.make_state(inst, x)
-        l_exp, l_cent, _ = so.loss_terms(inst, state.log_f, state.f, inst.a @ x)
+        l_exp, l_cent = so.model._fit_terms(inst, state.log_f, state.f)
         assert l_exp == 0.0 and l_cent == 0.0
 
 
@@ -553,9 +553,9 @@ PUBLIC_NAMES = [
     "SpectralReport", "approx_hessian", "average_grids", "basin_start", "convergence_audit",
     "default_directions", "fd_gradient", "fd_hessian", "generate_planted", "grad_cent",
     "grad_exp", "grad_f_inner", "grad_reg", "grad_total", "gradient_descent_baseline",
-    "hessian_cent", "hessian_exp", "hessian_reg", "hessian_total", "kernel_bound",
+    "hessian_cent", "hessian_exp", "hessian_total", "kernel_bound",
     "kernel_norm", "landscape_grid", "lipschitz_probe", "log_softmax", "loss_cent",
-    "loss_exp", "loss_kernel_parts", "loss_reg", "loss_terms", "loss_total", "make_state",
+    "loss_exp", "loss_kernel_parts", "loss_reg", "loss_total", "make_state",
     "mi_lower_bound", "nce_gradients", "nce_loss", "newton_step", "paired_vs_shuffled_bounds",
     "psd_check", "rel_err", "ridge_weights", "sandwich_check", "softmax", "solve",
     "total_kernel_parts",
