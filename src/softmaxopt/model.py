@@ -104,6 +104,15 @@ def _require_seed(seed) -> None:
         raise DomainError(f"seed must be >= 0, got {seed!r}")
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """A numpy Generator as is, or a new one from a ``_require_seed`` seed or a list of them."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    for entry in seed if isinstance(seed, (list, tuple)) else (seed,):
+        _require_seed(entry)
+    return np.random.default_rng(seed)
+
+
 def _rows(arr, length: int, name: str) -> np.ndarray:
     """One vector of ``length`` entries, or a stack of them along the leading axis."""
     arr = _float_array(arr, name)

@@ -42,6 +42,7 @@ from .model import (
     _require_finite_fields,
     _require_ints,
     _require_seed,
+    _seeded_rng,
     _write_text,
     make_state,
     state_losses,
@@ -154,9 +155,10 @@ def approx_hessian(
     is a leverage-score bound, but rows are drawn by squared row norms of C,
     so the probability 1 - delta does not follow from it.  Sampling by
     leverage scores, or a count proven for row norms, is an open choice.
-    ``seed`` may be an integer or a numpy Generator.  ``sample_epsilon`` and
-    ``delta`` may lie anywhere in (0, 1), the estimator's domain; the solver
-    keeps them in the narrower regime that ``SolverConfig`` checks.
+    ``seed`` may be a non-negative integer, a list of them or a numpy
+    Generator.  ``sample_epsilon`` and ``delta`` may lie anywhere in (0, 1),
+    the estimator's domain; the solver keeps them in the narrower regime
+    that ``SolverConfig`` checks.
 
     Rows are sampled from ``KernelParts.factor`` of the total kernel, which
     raises KernelNotPSD where it cannot factor it.  With every row kept the
@@ -170,6 +172,7 @@ def approx_hessian(
         raise DomainError("sample_epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
+    rng = _seeded_rng(seed)
     n, d = inst.n, inst.d
     if d > n:
         raise SamplingDegenerate(f"d = {d} exceeds n = {n}; kernel rank cannot reach d")
@@ -183,7 +186,6 @@ def approx_hessian(
         raise SamplingDegenerate("all rows of the factored Hessian are zero")
     count = math.ceil(SAMPLE_OVERSAMPLING * d * math.log(d / delta) / sample_epsilon**2)
     probs = np.minimum(1.0, count * row2 / total)
-    rng = np.random.default_rng(seed)
     keep = rng.random(n) < probs
     scaled = c_mat[keep] / np.sqrt(probs[keep])[:, None]
     approx = scaled.T @ scaled

@@ -23,6 +23,7 @@ from .model import (
     _require_finite_fields,
     _require_ints,
     _require_seed,
+    _seeded_rng,
 )
 from .verify import ridge_weights
 
@@ -117,8 +118,12 @@ def _unit(rng, d: int) -> np.ndarray:
 
 
 def basin_start(x_star, offset: float, seed) -> np.ndarray:
-    """x_star plus an offset-length random unit direction."""
+    """x_star plus an offset-length random unit direction.
+
+    ``seed`` is a non-negative integer, a list of them or a numpy Generator.
+    """
     if not math.isfinite(offset) or offset < 0:
         raise DomainError(f"offset must be finite and >= 0, got {offset!r}")
+    rng = _seeded_rng(seed)
     x_star = np.asarray(x_star, dtype=np.float64)
-    return x_star + offset * _unit(np.random.default_rng(seed), x_star.size)
+    return x_star + offset * _unit(rng, x_star.size)

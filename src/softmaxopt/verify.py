@@ -24,7 +24,14 @@ from .exceptions import (
     NonFiniteEvaluation,
     SamplingFailure,
 )
-from .model import ProblemInstance, _float_array, _require_ints, _vector, make_state
+from .model import (
+    ProblemInstance,
+    _float_array,
+    _require_ints,
+    _seeded_rng,
+    _vector,
+    make_state,
+)
 
 FD_STEP = 1e-5
 # Second differences divide by h^2, so the Hessian stencil needs a larger
@@ -38,12 +45,14 @@ _SPECTRAL_SLACK = 1e-10
 # kernel_norm takes the 2-norm by eigvalsh of the materialised kernels up to
 # this many rows, and by inertia bisection on the structured parts above it.
 # For the stack of 11 probe kernels of a planted instance (one BLAS thread,
-# 2-core Xeon, numpy 2.4.6, best of 30 calls), one eigvalsh takes 0.3 ms at
-# n = 20, 4.2-4.5 ms at n = 80, 13-15 ms at n = 150 and 1.23 s at n = 1000;
-# the bisection takes 2.7-4.3 ms at any n up to 150 and 8-9 ms at n = 1000.
-# Bisection wins above about n = 80, but the cutoff stays at 150, so that
-# every desk instance keeps its eigvalsh norm, and with it the pinned gen
-# and verify figures, bit for bit.
+# 2-core Xeon, numpy 2.4.6, best of 30 calls), one eigvalsh takes 0.15 ms at
+# n = 20, 1.6 ms at n = 70, 2.1 ms at n = 80, 7.6-7.9 ms at n = 150 and
+# 0.74 s at n = 1000; the bisection, which drops the kernels that can no
+# longer hold the norm, takes 1.4-1.5 ms at any n up to 150 and 1.9-2.0 ms
+# at n = 1000 (4.0 ms if every kernel is bisected to the end).  Bisection
+# wins above about n = 70, but the cutoff stays at 150, so that every desk
+# instance keeps its eigvalsh norm, and with it the pinned gen and verify
+# figures, bit for bit.
 DENSE_NORM_MAX_N = 150
 # Each bisection step halves a bracket that starts at +-1.001 R, where
 # R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g|| bounds the norm, so 64 steps
@@ -249,7 +258,7 @@ def lipschitz_probe(
     for dist in distances:
         if not (math.isfinite(dist) and dist > 0):
             raise DomainError(f"probe distances must be finite and positive, got {dist!r}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     max_dist = max(distances)
     pairs = []
     for _ in range(num_pairs):
@@ -313,19 +322,19 @@ def _count_above(c, w, kappa, lam, out):
 
     with pos(T) read off the trace and determinant of the 2x2 T, whose
     entries come from one batched matmul.  A point on a pole c_i, or so near
-    one that 1 / (c_i - lam) overflows, gives a non-finite T and is flagged.
-    ``out`` is an (m, 2, n) scratch array.
+    one that 1 / (c_i - lam) overflows, gives a non-finite T and is flagged;
+    the caller ignores the divide, overflow and invalid warnings that it
+    raises.  ``out`` is an (m, 2, n) scratch array.
     """
     np.subtract(c[:, None, :], lam[:, :, None], out=out)
     above = np.count_nonzero(out > 0.0, axis=-1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(1.0, out, out=out)
-        sums = out @ w
-        t11 = -sums[..., 0]
-        t12 = 1.0 - sums[..., 1]
-        t22 = kappa[:, None] - sums[..., 2]
-        det = t11 * t22 - t12 * t12
-        trace = t11 + t22
+    np.divide(1.0, out, out=out)
+    sums = out @ w
+    t11 = -sums[..., 0]
+    t12 = 1.0 - sums[..., 1]
+    t22 = kappa[:, None] - sums[..., 2]
+    det = t11 * t22 - t12 * t12
+    trace = t11 + t22
     pos = np.where(det > 0.0, 2 * (trace > 0.0), np.where(det < 0.0, 1, trace > 0.0))
     return above + pos - 1, ~np.isfinite(det)
 
@@ -339,6 +348,17 @@ def _bisection_norm(parts: KernelParts) -> float:
     above ``hi``.  A midpoint on a pole moves towards ``hi``.  The bracket
     starts just outside +-R, R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g||,
     which bounds ||D||; a kernel with R = 0 is the zero kernel, of norm 0.0.
+
+    After every step a kernel is dropped once its norm bracket lies wholly
+    below another's: its upper bound max(hi_max, -lo_min) is below the
+    largest lower bound max(lo_max, -hi_min) in the stack (a tie is kept).
+    Its final estimate could not be the largest, and every kept kernel keeps
+    its own product block and bracket sequence, so the result is bitwise
+    that of bisecting all of them.  On the 11 probe kernels of a planted
+    instance at n = 1000, d = 20 (seeds 0-14) this passes 104-154
+    kernel-steps to ``_count_above`` instead of 704.  A dropped kernel can
+    no longer raise "kernel eigenvalue count is not finite", as it could
+    not change the result.
     """
     c, f, g = (np.atleast_2d(v) for v in (parts.c, parts.f, parts.g))
     kappa = np.atleast_1d(parts.kappa)
@@ -357,22 +377,27 @@ def _bisection_norm(parts: KernelParts) -> float:
     lo = -hi
     target = np.array([1, c.shape[1]])
     out = np.empty(c.shape[:1] + (2,) + c.shape[1:])
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        count, redo = _count_above(c, w, kappa, mid, out)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_BISECTION_STEPS):
-            if not redo.any():
-                break
-            # off the pole: halfway towards hi, or onto hi once the bracket
-            # is too narrow for a point in between
-            step = mid + 0.5 * (hi - mid)
-            mid = np.where(redo, np.where(step > mid, step, hi), mid)
+            mid = 0.5 * (lo + hi)
             count, redo = _count_above(c, w, kappa, mid, out)
-        else:
-            raise NonFiniteEvaluation("kernel eigenvalue count is not finite")
-        up = count >= target
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
+            for _ in range(_BISECTION_STEPS):
+                if not redo.any():
+                    break
+                # off the pole: halfway towards hi, or onto hi once the
+                # bracket is too narrow for a point in between
+                step = mid + 0.5 * (hi - mid)
+                mid = np.where(redo, np.where(step > mid, step, hi), mid)
+                count, redo = _count_above(c, w, kappa, mid, out)
+            else:
+                raise NonFiniteEvaluation("kernel eigenvalue count is not finite")
+            up = count >= target
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+            keep = np.maximum(hi[:, 0], -lo[:, 1]) >= np.maximum(lo[:, 0], -hi[:, 1]).max()
+            if not keep.all():
+                c, w, kappa, lo, hi = c[keep], w[keep], kappa[keep], lo[keep], hi[keep]
+                out = out[: c.shape[0]]
     lam = 0.5 * (lo + hi)
     return float(np.maximum(lam[:, 0], -lam[:, 1]).max())
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import softmaxopt as so
+from kernel_oracles import unpruned_bisection_norm
 from softmaxopt import suite
 from softmaxopt.cli import build_parser, main
 
@@ -48,6 +49,22 @@ class TestGen:
         inst = so.ProblemInstance.load(out)
         ref, _ = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=9))
         assert np.array_equal(inst.a, ref.a)
+
+    def test_bisection_path_matches_the_unpruned_oracle(self, capsys, monkeypatch):
+        # n = 400 sizes the ridge by bisection, which PINNED_GEN (n = 20) never takes
+        args = ["gen", "--n", 400, "--d", 10, "--seed", 0]
+        assert run(args) == 0
+        pruned = capsys.readouterr().out
+        calls = []
+
+        def unpruned(parts):
+            calls.append(parts)
+            return unpruned_bisection_norm(parts)
+
+        monkeypatch.setattr(so.verify, "_bisection_norm", unpruned)
+        assert run(args) == 0
+        assert calls
+        assert capsys.readouterr().out == pruned
 
     def test_pinned_values(self, capsys):
         assert run(["gen", "--n", 20, "--d", 5, "--seed", 0]) == 0

@@ -107,6 +107,19 @@ class TestApproxHessian:
         mean = np.mean(draws, axis=0)
         assert np.linalg.norm(mean - exact, 2) <= 0.05 * np.linalg.norm(exact, 2)
 
+    def test_negative_seed_is_domain_error(self):
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))
+        state = so.make_state(inst, x_star)
+        with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+            so.approx_hessian(inst, state, 0.05, -1)
+
+    def test_generator_seed_draws_as_its_integer_seed(self):
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=150, d=3, ridge_l=1.0, seed=7))
+        state = so.make_state(inst, x_star)
+        by_int = so.approx_hessian(inst, state, 0.9, seed=4, delta=0.5)
+        by_rng = so.approx_hessian(inst, state, 0.9, seed=np.random.default_rng(4), delta=0.5)
+        assert np.array_equal(by_int, by_rng)
+
     def test_d_exceeding_n_degenerate(self):
         inst = so.ProblemInstance(
             a=np.random.default_rng(8).standard_normal((3, 5)), b=np.zeros(3), w=np.ones(3)

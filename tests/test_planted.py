@@ -108,6 +108,17 @@ class TestGeneratePlanted:
         with pytest.raises(DomainError, match="^offset must be finite and >= 0"):
             so.basin_start(np.zeros(3), offset, seed=7)
 
+    @pytest.mark.parametrize("seed", [-1, [3, -1]])
+    def test_basin_start_rejects_negative_seed(self, seed):
+        with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+            so.basin_start(np.zeros(3), 1.0, seed)
+
+    def test_basin_start_takes_a_generator_or_a_seed_list(self):
+        x_star = np.array([1.0, -2.0, 0.5])
+        from_list = so.basin_start(x_star, 1.0, [3, 101])
+        from_rng = so.basin_start(x_star, 1.0, np.random.default_rng([3, 101]))
+        assert np.array_equal(from_list, from_rng)
+
 
 class TestLandscape:
     def setup_method(self):

@@ -1,6 +1,7 @@
 """Soundness of the oracles themselves, spectral checks and audits."""
 
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import softmaxopt as so
-from kernel_oracles import b_matrix, exp_kernel, total_kernel
+from kernel_oracles import b_matrix, exp_kernel, total_kernel, unpruned_bisection_norm
 from softmaxopt.exceptions import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -439,8 +440,9 @@ def first_probe(inst, rng, holds):
     raise AssertionError("no probe with the property in 20 draws")
 
 
+@functools.cache
 def structured_case(case, n, d=4):
-    """An instance and probes whose loss kernels have the named structure."""
+    """An instance and probes whose loss kernels have the named structure; callers must not mutate them."""
     rng = np.random.default_rng([71, n])
     a = rng.standard_normal((n, d))
     b = rng.uniform(0.0, 3.0 / n, n)
@@ -471,6 +473,51 @@ def structured_case(case, n, d=4):
         inst = so.ProblemInstance(a=a, b=b, w=np.zeros(n))
         return inst, [rng.standard_normal(d) + np.eye(d)[0] * 1000.0 for _ in range(3)]
     raise ValueError(case)
+
+
+def coupled_pole_parts(sign):
+    """A kernel whose first bisection midpoint, 0.0, is the pole c_0 of a row with f_0 != 0.
+
+    With every other c_i < 0 (for sign 1) and a large rank-one term, the one
+    eigenvalue above 0 is lam_max, which a count taken on the pole would miss.
+    """
+    n = 400
+    rng = np.random.default_rng(73)
+    c = -1e-3 * rng.uniform(0.5, 1.0, n)
+    c[0] = 0.0
+    f = rng.uniform(0.5, 1.0, n) / n
+    return so.KernelParts(c=sign * c, g=np.zeros(n), kappa=sign * 1e3, f=f)
+
+
+def probe_stack(n, count=11):
+    """The loss kernels of ``kernel_instance(n)`` at ``count`` seeded probes, as one stack."""
+    inst, _ = kernel_instance(n)
+    rng = np.random.default_rng([72, n])
+    probes = 2.0 * rng.standard_normal((count, inst.d))
+    return so.loss_kernel_parts(so.make_state(inst, probes), inst)
+
+
+def take_kernels(parts, rows):
+    """The stack of the kernels of ``parts`` at ``rows``, in that order."""
+    return so.KernelParts(
+        c=parts.c[rows], g=parts.g[rows], kappa=parts.kappa[rows], f=parts.f[rows]
+    )
+
+
+def planted_probe_stacks(monkeypatch, n, d, seed):
+    """Every kernel stack that ``generate_planted`` hands to the bisection."""
+    stacks = []
+    bisect = so.verify._bisection_norm
+
+    def recording(parts):
+        stacks.append(parts)
+        return bisect(parts)
+
+    monkeypatch.setattr(so.verify, "_bisection_norm", recording)
+    so.generate_planted(so.GeneratorSpec(n=n, d=d, ridge_l=1.0, seed=seed))
+    monkeypatch.undo()
+    assert stacks
+    return stacks
 
 
 KERNEL_CASES = [
@@ -506,18 +553,9 @@ class TestKernelNorm:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_midpoint_on_a_coupled_pole(self, sign):
-        # The first midpoint of the symmetric bracket is exactly 0.0, the
-        # pole c_0 of a row with f_0 != 0.  With every other c_i < 0 and a
-        # large rank-one term, the one eigenvalue above 0 is lam_max, which
-        # a count taken on the pole would miss.
-        n = 400
-        rng = np.random.default_rng(73)
-        c = -1e-3 * rng.uniform(0.5, 1.0, n)
-        c[0] = 0.0
-        f = rng.uniform(0.5, 1.0, n) / n
-        parts = so.KernelParts(c=sign * c, g=np.zeros(n), kappa=sign * 1e3, f=f)
+        parts = coupled_pole_parts(sign)
         expected = float(np.linalg.norm(parts.dense(), 2))
-        assert expected > 10 * abs(c).max()
+        assert expected > 10 * np.abs(parts.c).max()
         assert so.kernel_norm(parts) == pytest.approx(expected, rel=1e-12)
 
     def test_midpoint_on_an_eigenvalue(self):
@@ -562,6 +600,60 @@ class TestKernelNorm:
         c[7] = np.nan
         with pytest.raises(NonFiniteEvaluation):
             so.kernel_norm(dataclasses.replace(parts, c=c))
+
+
+class TestPrunedBisection:
+    """Dropping kernels that cannot hold the norm leaves every bit of it, and most of the work."""
+
+    @pytest.mark.parametrize("n", [151, 400, 1000])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_structured_cases(self, case, n):
+        inst, probes = structured_case(case, n)
+        parts = so.loss_kernel_parts(so.make_state(inst, np.array(probes)), inst)
+        assert so.kernel_norm(parts) == unpruned_bisection_norm(parts)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_planted_probe_stacks(self, seed, monkeypatch):
+        for parts in planted_probe_stacks(monkeypatch, 1000, 20, seed):
+            assert parts.f.shape == (11, 1000)
+            assert so.kernel_norm(parts) == unpruned_bisection_norm(parts)
+
+    def test_tie_for_the_largest_norm(self):
+        stack = probe_stack(400)
+        norms = [unpruned_bisection_norm(take_kernels(stack, [i])) for i in range(11)]
+        top = int(np.argmax(norms))
+        parts = take_kernels(stack, [top, *range(11), top])
+        assert so.kernel_norm(parts) == unpruned_bisection_norm(parts) == norms[top]
+
+    def test_largest_norm_on_a_lam_min_column(self):
+        # D -> -D is c -> -c, g -> -g, kappa -> -kappa; it swaps the roles of
+        # lam_max and -lam_min, so the stack's norm sits on a lam_min column
+        stack = probe_stack(400)
+        negated = so.KernelParts(c=-stack.c, g=-stack.g, kappa=-stack.kappa, f=stack.f)
+        evals = np.linalg.eigvalsh(negated.dense())
+        top = int(np.argmax(np.abs(evals).max(axis=1)))
+        assert -evals[top, 0] > evals[top, -1]
+        assert so.kernel_norm(negated) == unpruned_bisection_norm(negated)
+        assert so.kernel_norm(negated) == so.kernel_norm(stack)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coupled_pole(self, sign):
+        parts = coupled_pole_parts(sign)
+        assert so.kernel_norm(parts) == unpruned_bisection_norm(parts)
+
+    @pytest.mark.parametrize(("n", "d", "seed"), [(1000, 20, 0), (1000, 20, 1), (400, 10, 0)])
+    def test_kernel_steps_of_a_planted_instance(self, n, d, seed, monkeypatch):
+        # unpruned, the 11 probe kernels take 64 steps each: 704 kernel-steps
+        steps = []
+        count_above = so.verify._count_above
+
+        def counting(c, *args):
+            steps.append(c.shape[0])
+            return count_above(c, *args)
+
+        monkeypatch.setattr(so.verify, "_count_above", counting)
+        so.generate_planted(so.GeneratorSpec(n=n, d=d, ridge_l=1.0, seed=seed))
+        assert 0 < sum(steps) <= 200
 
 
 class TestLipschitzProbe:
@@ -616,6 +708,11 @@ class TestLipschitzProbe:
         args = {"radius_r": 4.0, "num_pairs": 2, "seed": 0, **kwargs}
         with pytest.raises(DomainError):
             so.lipschitz_probe(inst, **args)
+
+    def test_negative_seed_is_domain_error(self):
+        inst, _ = so.generate_planted(so.GeneratorSpec(n=15, d=4, ridge_l=1.0, seed=0))
+        with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+            so.lipschitz_probe(inst, 1.0, num_pairs=2, seed=-1)
 
     def test_report_serializes(self):
         inst, _ = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=13))
