@@ -5,7 +5,6 @@ from .calculus import (
     KernelParts,
     grad_cent,
     grad_exp,
-    grad_f_inner,
     grad_reg,
     grad_total,
     hessian_cent,
@@ -24,17 +23,14 @@ from .model import (
     LossBreakdown,
     ModelState,
     ProblemInstance,
-    log_softmax,
     loss_cent,
     loss_exp,
     loss_reg,
     loss_total,
     make_state,
-    softmax,
 )
 from .nce import (
     NceBatch,
-    mi_lower_bound,
     nce_gradients,
     nce_loss,
     paired_vs_shuffled_bounds,

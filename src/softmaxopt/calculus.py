@@ -27,7 +27,7 @@ kernels built directly from their formulas (``tests/kernel_oracles.py``).
 
 Every gradient and Hessian takes ``(state, inst)``: a ``ModelState`` of one
 point and its instance; the ridge Hessian ``A^T W^2 A`` is the ``w^2`` of the
-total kernel.  Index arguments are 0-based columns of A.
+total kernel.
 """
 
 from __future__ import annotations
@@ -36,13 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IndexOutOfRange, KernelNotPSD
+from .exceptions import DimensionMismatch, KernelNotPSD
 from .model import ModelState, ProblemInstance, _row_dot
-
-
-def _check_col(inst: ProblemInstance, i: int) -> None:
-    if not 0 <= i < inst.d:
-        raise IndexOutOfRange(f"column index {i} outside [0, {inst.d})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +124,6 @@ class KernelParts:
         shift = np.sqrt(np.clip(1.0 + lam, 0.0, None)) - 1.0
         ra = r[:, None] * a
         return ra + q @ ((p * shift) @ p.T @ (q.T @ ra))
-
-
-def grad_f_inner(state: ModelState, inst: ProblemInstance, i: int, j: int) -> float:
-    """<df/dx_i, A_j> in closed form: -<f, A_i><f, A_j> + <f, A_i o A_j>."""
-    _check_col(inst, i)
-    _check_col(inst, j)
-    f = state.f
-    ci = inst.a[:, i]
-    cj = inst.a[:, j]
-    return float(-(f @ ci) * (f @ cj) + f @ (ci * cj))
 
 
 def grad_exp(state: ModelState, inst: ProblemInstance) -> np.ndarray:

@@ -17,10 +17,6 @@ class DimensionMismatch(SoftmaxOptError, ValueError):
     """Operand shapes are incompatible."""
 
 
-class IndexOutOfRange(SoftmaxOptError, IndexError):
-    """A column or coordinate index is outside its valid range."""
-
-
 class SingularHessian(SoftmaxOptError):
     """The (approximate) Hessian is numerically singular, so no Newton step exists."""
 

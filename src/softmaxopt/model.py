@@ -15,10 +15,10 @@ Three loss terms are evaluated on top of that:
 ridge term at their known optimum (``reg_mode == "centered"``) so the total
 gradient vanishes there exactly.
 
-``logits``, ``softmax``, ``log_softmax``, ``make_state``, the ``loss_*``
-functions and ``state_losses`` also take a stack of points along the leading
-axis, ``x`` of shape ``(m, d)`` or ``f`` of shape ``(m, n)``, and return one
-row (or one value) per point, each bitwise the value of that point alone.
+``logits``, ``make_state``, the ``loss_*`` functions and ``state_losses``
+also take a stack of points along the leading axis, ``x`` of shape
+``(m, d)`` or ``f`` of shape ``(m, n)``, and return one row (or one value)
+per point, each bitwise the value of that point alone.
 """
 
 from __future__ import annotations
@@ -317,24 +317,6 @@ def _log_p_and_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_p, p
 
 
-def _log_f_and_f(inst: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
-    """log f and f at x; raises OverflowError where A @ x is not finite."""
-    z = logits(inst, x)
-    if not np.isfinite(z).all():
-        raise OverflowError("A @ x overflows float64")
-    return _log_p_and_p(z)
-
-
-def softmax(inst: ProblemInstance, x) -> np.ndarray:
-    """Prediction vector f (one per point of a stack), computed with max-subtraction."""
-    return _log_f_and_f(inst, x)[1]
-
-
-def log_softmax(inst: ProblemInstance, x) -> np.ndarray:
-    """log of the prediction vector, computed without forming exp(A @ x)."""
-    return _log_f_and_f(inst, x)[0]
-
-
 def make_state(inst: ProblemInstance, x) -> ModelState:
     """Evaluate and cache log f and f at one parameter vector or a stack of them.
 
@@ -342,7 +324,10 @@ def make_state(inst: ProblemInstance, x) -> ModelState:
     point alone would.
     """
     x = _float_array(x, "x").copy()  # a private copy, checked by logits
-    log_f, f = _log_f_and_f(inst, x)
+    z = logits(inst, x)
+    if not np.isfinite(z).all():
+        raise OverflowError("A @ x overflows float64")
+    log_f, f = _log_p_and_p(z)
     for arr in (x, log_f, f):
         arr.setflags(write=False)
     return ModelState(x=x, log_f=log_f, f=f)

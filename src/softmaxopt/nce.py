@@ -67,11 +67,6 @@ def nce_loss(batch: NceBatch) -> float:
     return float(_positive_log_p(batch.anchor, batch.candidates, batch.weight))
 
 
-def mi_lower_bound(batch: NceBatch) -> float:
-    """Mutual-information lower bound from one batch: log(K) plus the contrastive loss."""
-    return nce_loss(batch) + float(np.log(batch.k))
-
-
 def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of nce_loss w.r.t. the weight matrix and the anchor.
 

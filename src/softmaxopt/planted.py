@@ -51,8 +51,9 @@ class GeneratorSpec:
             raise DomainError("planted instances need n >= d")
         if self.conditioning < 1.0:
             raise DomainError("conditioning must be >= 1")
-        if self.norm_cap_r <= 0.0:
-            raise DomainError("norm_cap_r must be positive")
+        # no draw meets a lower cap: a probability vector b has ||b||_2 >= 1/sqrt(n)
+        if self.norm_cap_r < 1.0 / math.sqrt(self.n):
+            raise DomainError(f"norm_cap_r must be >= 1/sqrt(n), got {self.norm_cap_r!r}")
         if self.ridge_l < 0.0:
             raise DomainError("ridge_l must be >= 0")
 
@@ -65,9 +66,13 @@ def _orthonormal_columns(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def generate_planted(spec: GeneratorSpec) -> tuple[ProblemInstance, np.ndarray]:
-    """Build an instance whose total gradient is exactly zero at x_star."""
+    """Build an instance whose total gradient is exactly zero at x_star.
+
+    Only the draw that meets the conditioning and the norm caps sizes a ridge.
+    """
     rng = np.random.default_rng(spec.seed)
     r_cap = spec.norm_cap_r
+    missed = {}
     for _ in range(100):
         sigma_max = 0.9 * r_cap
         sigmas = np.geomspace(sigma_max, sigma_max / spec.conditioning, spec.d)
@@ -77,39 +82,33 @@ def generate_planted(spec: GeneratorSpec) -> tuple[ProblemInstance, np.ndarray]:
 
         x_star = rng.standard_normal(spec.d)
         x_star *= rng.uniform(0.25, 0.75) * r_cap / max(np.linalg.norm(x_star), 1e-300)
-
-        base = ProblemInstance(
-            a=a,
-            b=_log_p_and_p(a @ x_star)[1],
-            w=np.zeros(spec.n),
-            x_star=x_star,
-            reg_mode="centered",
-        )
+        b = _log_p_and_p(a @ x_star)[1]
         if spec.ridge_l > 0.0:
             probes = [x_star] + [
                 x_star + rho * _unit(rng, spec.d)
                 for rho in (1e-3, 0.05, 0.2, 0.5, 1.0)
                 for _ in range(2)
             ]
-            w = ridge_weights(base, spec.ridge_l, probes)
-            inst = ProblemInstance(
-                a=a, b=base.b, w=w, x_star=x_star, reg_mode="centered"
-            )
-        else:
-            inst = base
 
         measured = np.linalg.svd(a, compute_uv=False)
-        cond_ok = abs(measured[0] / measured[-1] - spec.conditioning) <= _COND_TOL * spec.conditioning
-        caps_ok = (
-            measured[0] <= r_cap
-            and np.linalg.norm(inst.b) <= r_cap
-            and np.linalg.norm(x_star) <= r_cap
-        )
-        if cond_ok and caps_ok:
-            return inst, x_star
-    raise GenerationFailure(
-        f"no draw met conditioning {spec.conditioning} within the norm caps in 100 tries"
-    )
+        cond_err = abs(measured[0] / measured[-1] - spec.conditioning)
+        checks = {
+            f"conditioning {spec.conditioning}": cond_err <= _COND_TOL * spec.conditioning,
+            f"||A||_2 <= {r_cap}": measured[0] <= r_cap,
+            f"||b||_2 <= {r_cap}": np.linalg.norm(b) <= r_cap,
+            f"||x_star||_2 <= {r_cap}": np.linalg.norm(x_star) <= r_cap,
+        }
+        if all(checks.values()):
+            break
+        missed.update((name, None) for name, ok in checks.items() if not ok)
+    else:
+        raise GenerationFailure(f"no draw met all targets in 100 tries; missed {', '.join(missed)}")
+
+    inst = ProblemInstance(a=a, b=b, w=np.zeros(spec.n), x_star=x_star, reg_mode="centered")
+    if spec.ridge_l > 0.0:
+        w = ridge_weights(inst, spec.ridge_l, probes)
+        inst = ProblemInstance(a=a, b=inst.b, w=w, x_star=x_star, reg_mode="centered")
+    return inst, x_star
 
 
 def _unit(rng, d: int) -> np.ndarray:

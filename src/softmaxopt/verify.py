@@ -339,15 +339,15 @@ def _count_above(c, w, kappa, lam, out):
     return above + pos - 1, ~np.isfinite(det)
 
 
-def _bisection_norm(parts: KernelParts) -> float:
+def _bisection_norm(parts: KernelParts, radius: np.ndarray) -> float:
     """Largest spectral norm in a stack of structured kernels (or of one), in O(m n) memory.
 
     Bisects on the count of ``_count_above`` for lam_max and lam_min of every
     kernel together: column 0 of the bracket keeps >= 1 eigenvalue above
     ``lo`` and none above ``hi``, column 1 keeps all n above ``lo`` and fewer
     above ``hi``.  A midpoint on a pole moves towards ``hi``.  The bracket
-    starts just outside +-R, R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g||,
-    which bounds ||D||; a kernel with R = 0 is the zero kernel, of norm 0.0.
+    starts just outside +-R, the bound ``kernel_norm`` computes for each
+    kernel; a kernel with R = 0 is the zero kernel, of norm 0.0, and is left out.
 
     After every step a kernel is dropped once its norm bracket lies wholly
     below another's: its upper bound max(hi_max, -lo_min) is below the
@@ -361,16 +361,8 @@ def _bisection_norm(parts: KernelParts) -> float:
     not change the result.
     """
     c, f, g = (np.atleast_2d(v) for v in (parts.c, parts.f, parts.g))
-    kappa = np.atleast_1d(parts.kappa)
-    f_norm = np.linalg.norm(f, axis=1)
-    g_norm = np.linalg.norm(g, axis=1)
-    radius = np.abs(c).max(axis=1) + np.abs(kappa) * f_norm**2 + 2.0 * f_norm * g_norm
-    if not np.isfinite(radius).all():
-        raise NonFiniteEvaluation("curvature kernel is not finite")
     live = radius > 0.0
-    if not live.any():
-        return 0.0
-    c, f, g, kappa = c[live], f[live], g[live], kappa[live]
+    c, f, g, kappa = c[live], f[live], g[live], np.atleast_1d(parts.kappa)[live]
     w = np.stack([f * f, f * g, g * g], axis=-1)
     # a little above R, so that rounding in R cannot cut off an eigenvalue
     hi = np.repeat(1.001 * radius[live, None], 2, axis=1)
@@ -406,11 +398,27 @@ def kernel_norm(parts: KernelParts) -> float:
     """Largest spectral norm over one structured kernel or a stack; 0.0 for an empty stack.
 
     Up to ``DENSE_NORM_MAX_N`` rows it is one eigvalsh of the dense stack,
-    and above it ``_bisection_norm`` of the parts, in O(m n) memory.
+    and above it ``_bisection_norm`` of the parts, in O(m n) memory.  Both
+    paths share the bound R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g|| of each
+    kernel.  Where every R is 0 the norm is 0.0.  Where R, or the width
+    2 (1.001 R) of the bisection's bracket, is not finite it raises
+    NonFiniteEvaluation at any n: past half the float64 maximum the
+    bisection's midpoints would overflow to inf.
     """
+    c, f, g = (np.atleast_2d(v) for v in (parts.c, parts.f, parts.g))
+    # a non-finite bound is reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_norm = np.linalg.norm(f, axis=1)
+        g_norm = np.linalg.norm(g, axis=1)
+        radius = np.abs(c).max(axis=1) + np.abs(parts.kappa) * f_norm**2 + 2.0 * f_norm * g_norm
+        finite = np.isfinite(2.0 * (1.001 * radius)).all()
+    if not finite:
+        raise NonFiniteEvaluation("kernel norm bound R or its bracket width 2.002 R is not finite")
+    if not (radius > 0.0).any():
+        return 0.0
     if parts.f.shape[-1] > DENSE_NORM_MAX_N:
-        return _bisection_norm(parts)
-    return float(np.abs(np.linalg.eigvalsh(parts.dense())).max(initial=0.0))
+        return _bisection_norm(parts, radius)
+    return float(np.abs(np.linalg.eigvalsh(parts.dense())).max())
 
 
 def kernel_bound(inst: ProblemInstance, probe_points) -> float:

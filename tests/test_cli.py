@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import softmaxopt as so
+from calculus_oracles import grad_f_inner
 from kernel_oracles import unpruned_bisection_norm
 from softmaxopt import suite
 from softmaxopt.cli import build_parser, main
@@ -57,7 +58,7 @@ class TestGen:
         pruned = capsys.readouterr().out
         calls = []
 
-        def unpruned(parts):
+        def unpruned(parts, radius):
             calls.append(parts)
             return unpruned_bisection_norm(parts)
 
@@ -440,6 +441,22 @@ class TestVerify:
         eigmins = [r["eigmin"] for r in checks["psd"]["reports"]]
         assert eigmins == PINNED_VERIFY["psd_eigmins"]
         assert checks["lipschitz"]["max_spread"] == PINNED_VERIFY["max_spread"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entry_formula_figure_from_the_oracle_lemma(self, seed, tmp_path):
+        # the figure bit for bit from bsum <df/dx_r, A_c>, entry by entry
+        report = tmp_path / "report.json"
+        assert run(["verify", "--seed", seed, "--checks", "hessians", "--out", report]) == 0
+        worst = 0.0
+        for i in range(suite.HESSIAN_INSTANCES):
+            inst, x = suite.random_instance([seed, i], n_max=30, d_max=6)
+            state = so.make_state(inst, x)
+            bsum = float(inst.b.sum())
+            cols = range(inst.d)
+            entry = [[bsum * grad_f_inner(state, inst, r, c) for c in cols] for r in cols]
+            worst = max(worst, so.rel_err(so.hessian_cent(state, inst), entry))
+        (check,) = json.loads(report.read_text())["checks"]
+        assert check["detail"]["max_rel_err_entry_formula"] == worst
 
     def test_byte_reproducible(self, tmp_path):
         blobs = []

@@ -85,7 +85,7 @@ class TestAlphaAndF:
         inst = simple_instance([[1.0], [1.0]])
         with pytest.raises(OverflowError):
             evaluate_u(inst, [800.0])
-        np.testing.assert_allclose(so.softmax(inst, [800.0]), [0.5, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(so.make_state(inst, [800.0]).f, [0.5, 0.5], rtol=1e-15)
 
 
 class TestLossTerms:
@@ -148,7 +148,7 @@ class TestLossTotal:
     def test_matched_target_zeroes_residual_term(self):
         a = np.random.default_rng(5).standard_normal((5, 2))
         x = np.array([0.4, -0.2])
-        b = so.softmax(simple_instance(a), x)
+        b = so.make_state(simple_instance(a), x).f
         inst = simple_instance(a, b=b)
         assert so.loss_total(inst, x).l_exp <= 1e-30
 
@@ -236,8 +236,6 @@ class TestStackedPoints:
         assert st.x.shape == xs.shape and st.f.shape == st.log_f.shape == (9, n)
         stacked = {
             "logits": so.model.logits(inst, xs),
-            "softmax": so.softmax(inst, xs),
-            "log_softmax": so.log_softmax(inst, xs),
             "loss_exp": so.loss_exp(st.f, inst.b),
             "loss_cent": so.loss_cent(st.f, inst.b),
             "loss_reg": so.loss_reg(inst, xs),
@@ -252,8 +250,6 @@ class TestStackedPoints:
                 assert getattr(st, field)[j].tobytes() == getattr(one, field).tobytes()
             single = {
                 "logits": so.model.logits(inst, x),
-                "softmax": so.softmax(inst, x),
-                "log_softmax": so.log_softmax(inst, x),
                 "loss_exp": so.loss_exp(one.f, inst.b),
                 "loss_cent": so.loss_cent(one.f, inst.b),
                 "loss_reg": so.loss_reg(inst, x),
@@ -284,9 +280,8 @@ class TestStackedPoints:
             with pytest.raises(OverflowError) as stacked:
                 so.make_state(inst, xs)
             assert str(stacked.value) == str(alone.value)
-            for fn in (so.softmax, so.log_softmax, so.loss_total):
-                with pytest.raises(OverflowError):
-                    fn(inst, xs)
+            with pytest.raises(OverflowError):
+                so.loss_total(inst, xs)
 
     def test_bad_rows_raise_as_alone(self):
         inst = stack_instance(20, "both")
@@ -336,7 +331,7 @@ class TestPredictionInvariants:
         x = rng.standard_normal(3)
         delta = np.array([0.0, 1.7, 0.0])
         np.testing.assert_allclose(
-            so.softmax(inst, x + delta), so.softmax(inst, x), atol=1e-10
+            so.make_state(inst, x + delta).f, so.make_state(inst, x).f, atol=1e-10
         )
 
     def test_state_caches_are_consistent(self):
@@ -350,8 +345,6 @@ class TestPredictionInvariants:
             assert alpha == float(u.sum())
             np.testing.assert_allclose(state.f, u / alpha, rtol=1e-12)
             np.testing.assert_allclose(np.exp(state.log_f), state.f, rtol=1e-12)
-            assert state.f.tobytes() == so.softmax(inst, x).tobytes()
-            assert state.log_f.tobytes() == so.log_softmax(inst, x).tobytes()
             np.testing.assert_array_equal(state.x, x)
 
     def test_deterministic_bitwise(self):
@@ -552,12 +545,12 @@ PUBLIC_NAMES = [
     "ModelState", "NceBatch", "ProblemInstance", "SolveTrace", "SolverConfig",
     "SpectralReport", "approx_hessian", "average_grids", "basin_start", "convergence_audit",
     "default_directions", "fd_gradient", "fd_hessian", "generate_planted", "grad_cent",
-    "grad_exp", "grad_f_inner", "grad_reg", "grad_total", "gradient_descent_baseline",
+    "grad_exp", "grad_reg", "grad_total", "gradient_descent_baseline",
     "hessian_cent", "hessian_exp", "hessian_total", "kernel_bound",
-    "kernel_norm", "landscape_grid", "lipschitz_probe", "log_softmax", "loss_cent",
+    "kernel_norm", "landscape_grid", "lipschitz_probe", "loss_cent",
     "loss_exp", "loss_kernel_parts", "loss_reg", "loss_total", "make_state",
-    "mi_lower_bound", "nce_gradients", "nce_loss", "newton_step", "paired_vs_shuffled_bounds",
-    "psd_check", "rel_err", "ridge_weights", "sandwich_check", "softmax", "solve",
+    "nce_gradients", "nce_loss", "newton_step", "paired_vs_shuffled_bounds",
+    "psd_check", "rel_err", "ridge_weights", "sandwich_check", "solve",
     "total_kernel_parts",
 ]
 

@@ -90,22 +90,18 @@ class TestMiLowerBound:
             negatives=(common.copy(), common.copy()),
             weight=np.eye(2),
         )
-        assert so.mi_lower_bound(batch) == pytest.approx(0.0, abs=1e-12)
+        assert so.nce_loss(batch) + math.log(batch.k) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_candidate_zero(self):
         batch = so.NceBatch(
             anchor=np.ones(2), positive=np.ones(2), negatives=(), weight=np.eye(2)
         )
-        assert so.mi_lower_bound(batch) == 0.0
+        assert so.nce_loss(batch) + math.log(batch.k) == 0.0
 
     def test_bounded_by_log_k(self):
         for s in range(100):
             batch = random_batch(s)
-            assert so.mi_lower_bound(batch) <= math.log(batch.k) + 1e-12
-
-    def test_is_loss_plus_log_k(self):
-        batch = random_batch(3)
-        assert so.mi_lower_bound(batch) == so.nce_loss(batch) + float(np.log(batch.k))
+            assert so.nce_loss(batch) + math.log(batch.k) <= math.log(batch.k) + 1e-12
 
 
 class TestNceGradients:
@@ -319,11 +315,11 @@ class TestPairedExperiment:
         # all four anchors before the shuffled chain's weight overflows
         scored = []
 
-        def recorded_bound(batch):
-            scored.append(so.mi_lower_bound(batch))
+        def recorded_loss(batch):
+            scored.append(so.nce_loss(batch))
             return scored[-1]
 
-        monkeypatch.setattr(nce_oracles, "mi_lower_bound", recorded_bound)
+        monkeypatch.setattr(nce_oracles, "nce_loss", recorded_loss)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteInput):
             nce_oracles.paired_vs_shuffled_bounds(2, **config)
         assert len(scored) == 4 and np.isfinite(scored).all()

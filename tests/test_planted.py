@@ -11,6 +11,7 @@ import pytest
 import landscape_oracles
 import softmaxopt as so
 import softmaxopt.landscape as landscape_module
+import softmaxopt.planted as planted_module
 from softmaxopt.exceptions import (
     DimensionMismatch,
     DomainError,
@@ -46,6 +47,12 @@ class TestGeneratorSpec:
     def test_non_integer_size_is_domain_error(self, name, value):
         with pytest.raises(DomainError, match=f"^{name} must be an integer"):
             so.GeneratorSpec(**{"n": 5, "d": 2, name: value})
+
+    def test_norm_cap_below_the_least_target_norm(self):
+        # a probability vector b has ||b||_2 >= 1/sqrt(n) = 0.5 at n = 4
+        with pytest.raises(DomainError, match="^norm_cap_r must be >= 1/sqrt"):
+            so.GeneratorSpec(n=4, d=1, norm_cap_r=0.49)
+        so.GeneratorSpec(n=4, d=1, norm_cap_r=0.5)
 
     def test_numpy_integer_sizes_are_accepted(self):
         spec = so.GeneratorSpec(n=np.int64(6), d=np.int32(2), seed=3)
@@ -97,6 +104,21 @@ class TestGeneratePlanted:
     def test_unreachable_conditioning_fails(self):
         with pytest.raises(GenerationFailure):
             so.generate_planted(so.GeneratorSpec(n=4, d=1, conditioning=10.0, seed=6))
+
+    def test_only_the_accepted_draw_sizes_a_ridge(self, monkeypatch):
+        calls = []
+        sized = planted_module.ridge_weights
+
+        def counting(*args):
+            calls.append(args)
+            return sized(*args)
+
+        monkeypatch.setattr(planted_module, "ridge_weights", counting)
+        with pytest.raises(GenerationFailure, match="missed conditioning 10.0$"):
+            so.generate_planted(so.GeneratorSpec(n=4, d=1, conditioning=10.0, ridge_l=1.0))
+        assert calls == []
+        so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))
+        assert len(calls) == 1
 
     def test_basin_start_offset(self):
         x_star = np.array([1.0, -2.0, 0.5])

@@ -509,9 +509,9 @@ def planted_probe_stacks(monkeypatch, n, d, seed):
     stacks = []
     bisect = so.verify._bisection_norm
 
-    def recording(parts):
+    def recording(parts, radius):
         stacks.append(parts)
-        return bisect(parts)
+        return bisect(parts, radius)
 
     monkeypatch.setattr(so.verify, "_bisection_norm", recording)
     so.generate_planted(so.GeneratorSpec(n=n, d=d, ridge_l=1.0, seed=seed))
@@ -592,6 +592,16 @@ class TestKernelNorm:
             parts = so.loss_kernel_parts(so.make_state(inst, np.empty((0, inst.d))), inst)
             assert parts.f.shape == (0, n)
             assert so.kernel_norm(parts) == 0.0
+
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("c0", [np.inf, np.nan, 1.79e308])
+    def test_one_finiteness_verdict_on_both_paths(self, n, c0):
+        # R = max|c| is inf, nan, or finite with an overflowing bracket width 2.002 R
+        c = np.full(n, -0.5)
+        c[0] = c0
+        parts = so.KernelParts(c=c, g=np.zeros(n), kappa=0.0, f=np.full(n, 1.0 / n))
+        with pytest.raises(NonFiniteEvaluation, match="bound R"):
+            so.kernel_norm(parts)
 
     def test_non_finite_kernel_above_cutoff(self):
         inst, probes = kernel_instance(400)
