@@ -51,7 +51,6 @@ from .verify import (
     fd_gradient,
     fd_hessian,
     kernel_bound,
-    kernel_norm,
     lipschitz_probe,
     psd_check,
     rel_err,

@@ -62,6 +62,18 @@ class KernelParts:
         out[..., diag, diag] += self.c
         return out
 
+    def norm_bound(self) -> float | np.ndarray:
+        """R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g|| >= ||D||_2, in O(n) per kernel.
+
+        Each term bounds the 2-norm of its part of D.  One kernel gives a
+        float; a stack gives one R per kernel, shape (m,), each row bitwise
+        its kernel's own R.
+        """
+        f_norm = np.linalg.norm(self.f, axis=-1)
+        g_norm = np.linalg.norm(self.g, axis=-1)
+        bound = np.abs(self.c).max(axis=-1) + np.abs(self.kappa) * f_norm**2 + 2.0 * f_norm * g_norm
+        return bound if bound.ndim else float(bound)
+
     def _require_one(self) -> None:
         # a stack would broadcast through A^T f silently when m == n
         if self.f.ndim != 1:

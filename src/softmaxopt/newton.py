@@ -124,13 +124,14 @@ def _evaluate(inst: ProblemInstance, x, t: int):
     """State, loss, gradient and its norm at iterate t: the one finiteness verdict.
 
     Logits that overflow, or a loss or gradient norm that is not finite, raise
-    NonFiniteIterate; an overflow on the way is reported here, not warned of.
+    NonFiniteIterate; an overflow or an inf - inf on the way, in the state
+    as in the loss and gradient, is reported here, not warned of.
     """
-    try:
-        state = make_state(inst, x)
-    except OverflowError as exc:
-        raise NonFiniteIterate(f"iterate escaped the representable range: {exc}") from exc
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            state = make_state(inst, x)
+        except OverflowError as exc:
+            raise NonFiniteIterate(f"iterate escaped the representable range: {exc}") from exc
         loss = state_losses(inst, state).total
         g = grad_total(state, inst)
         grad_norm = float(np.linalg.norm(g))

@@ -5,8 +5,9 @@ norm below the cap, picks an optimum x_star inside the norm ball, and sets
 the target b to the prediction vector at x_star.  That choice zeroes both
 the squared-residual and the cross-entropy gradients there, and the ridge
 term is recentered at x_star, so the full gradient vanishes at x_star
-exactly.  Ridge weights are sized by the empirical spectral recipe so the
-total Hessian stays above the requested strong-convexity level.
+exactly.  Ridge weights are sized from the kernel-norm bound R over probe
+points around x_star, so the total Hessian stays above the requested
+strong-convexity level.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ class GeneratorSpec:
             raise DomainError("planted instances need n >= d")
         if self.conditioning < 1.0:
             raise DomainError("conditioning must be >= 1")
+        # one singular value has ratio 1: no draw meets another conditioning
+        if self.d == 1 and self.conditioning != 1.0:
+            raise DomainError(f"conditioning must be 1 when d = 1, got {self.conditioning!r}")
         # no draw meets a lower cap: a probability vector b has ||b||_2 >= 1/sqrt(n)
         if self.norm_cap_r < 1.0 / math.sqrt(self.n):
             raise DomainError(f"norm_cap_r must be >= 1/sqrt(n), got {self.norm_cap_r!r}")

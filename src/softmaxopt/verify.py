@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import KernelParts, hessian_total, loss_kernel_parts
+from .calculus import hessian_total, loss_kernel_parts
 from .exceptions import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -41,24 +41,6 @@ FD_HESS_STEP = 1e-4
 # Absolute floor added to spectral pass thresholds so a target of 0 does not
 # fail on eigensolver rounding of an exactly-PSD matrix.
 _SPECTRAL_SLACK = 1e-10
-
-# kernel_norm takes the 2-norm by eigvalsh of the materialised kernels up to
-# this many rows, and by inertia bisection on the structured parts above it.
-# For the stack of 11 probe kernels of a planted instance (one BLAS thread,
-# 2-core Xeon, numpy 2.4.6, best of 30 calls), one eigvalsh takes 0.15 ms at
-# n = 20, 1.6 ms at n = 70, 2.1 ms at n = 80, 7.6-7.9 ms at n = 150 and
-# 0.74 s at n = 1000; the bisection, which drops the kernels that can no
-# longer hold the norm, takes 1.4-1.5 ms at any n up to 150 and 1.9-2.0 ms
-# at n = 1000 (4.0 ms if every kernel is bisected to the end).  Bisection
-# wins above about n = 70, but the cutoff stays at 150, so that every desk
-# instance keeps its eigvalsh norm, and with it the pinned gen and verify
-# figures, bit for bit.
-DENSE_NORM_MAX_N = 150
-# Each bisection step halves a bracket that starts at +-1.001 R, where
-# R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g|| bounds the norm, so 64 steps
-# leave each extreme eigenvalue inside an interval of about 2^-63 R, below
-# the eps R to which the parts determine it.
-_BISECTION_STEPS = 64
 
 
 def rel_err(a, b) -> float:
@@ -309,142 +291,41 @@ def convergence_audit(trace, epsilon: float) -> bool:
     return trace.iterations_run <= budget
 
 
-def _count_above(c, w, kappa, lam, out):
-    """Eigenvalues above ``lam`` of each kernel, and the points to move.
-
-    Kernel p is D = diag(c_p) + U S U^T with U = [f, g] and S = [[kappa, -1],
-    [-1, 0]]; ``w`` holds its rows (f_i^2, f_i g_i, g_i^2) and ``lam[p]`` two
-    points.  det S = -1, so S^-1 exists, and Haynsworth inertia additivity on
-    the bordered matrix [[diag(c) - lam, U], [U^T, -S^-1]] gives
-
-        #{eig(D) > lam} = #{c_i > lam} + pos(T) - 1,
-        T = -S^-1 - U^T (diag(c) - lam)^-1 U,  -S^-1 = [[0, 1], [1, kappa]],
-
-    with pos(T) read off the trace and determinant of the 2x2 T, whose
-    entries come from one batched matmul.  A point on a pole c_i, or so near
-    one that 1 / (c_i - lam) overflows, gives a non-finite T and is flagged;
-    the caller ignores the divide, overflow and invalid warnings that it
-    raises.  ``out`` is an (m, 2, n) scratch array.
-    """
-    np.subtract(c[:, None, :], lam[:, :, None], out=out)
-    above = np.count_nonzero(out > 0.0, axis=-1)
-    np.divide(1.0, out, out=out)
-    sums = out @ w
-    t11 = -sums[..., 0]
-    t12 = 1.0 - sums[..., 1]
-    t22 = kappa[:, None] - sums[..., 2]
-    det = t11 * t22 - t12 * t12
-    trace = t11 + t22
-    pos = np.where(det > 0.0, 2 * (trace > 0.0), np.where(det < 0.0, 1, trace > 0.0))
-    return above + pos - 1, ~np.isfinite(det)
-
-
-def _bisection_norm(parts: KernelParts, radius: np.ndarray) -> float:
-    """Largest spectral norm in a stack of structured kernels (or of one), in O(m n) memory.
-
-    Bisects on the count of ``_count_above`` for lam_max and lam_min of every
-    kernel together: column 0 of the bracket keeps >= 1 eigenvalue above
-    ``lo`` and none above ``hi``, column 1 keeps all n above ``lo`` and fewer
-    above ``hi``.  A midpoint on a pole moves towards ``hi``.  The bracket
-    starts just outside +-R, the bound ``kernel_norm`` computes for each
-    kernel; a kernel with R = 0 is the zero kernel, of norm 0.0, and is left out.
-
-    After every step a kernel is dropped once its norm bracket lies wholly
-    below another's: its upper bound max(hi_max, -lo_min) is below the
-    largest lower bound max(lo_max, -hi_min) in the stack (a tie is kept).
-    Its final estimate could not be the largest, and every kept kernel keeps
-    its own product block and bracket sequence, so the result is bitwise
-    that of bisecting all of them.  On the 11 probe kernels of a planted
-    instance at n = 1000, d = 20 (seeds 0-14) this passes 104-154
-    kernel-steps to ``_count_above`` instead of 704.  A dropped kernel can
-    no longer raise "kernel eigenvalue count is not finite", as it could
-    not change the result.
-    """
-    c, f, g = (np.atleast_2d(v) for v in (parts.c, parts.f, parts.g))
-    live = radius > 0.0
-    c, f, g, kappa = c[live], f[live], g[live], np.atleast_1d(parts.kappa)[live]
-    w = np.stack([f * f, f * g, g * g], axis=-1)
-    # a little above R, so that rounding in R cannot cut off an eigenvalue
-    hi = np.repeat(1.001 * radius[live, None], 2, axis=1)
-    lo = -hi
-    target = np.array([1, c.shape[1]])
-    out = np.empty(c.shape[:1] + (2,) + c.shape[1:])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            count, redo = _count_above(c, w, kappa, mid, out)
-            for _ in range(_BISECTION_STEPS):
-                if not redo.any():
-                    break
-                # off the pole: halfway towards hi, or onto hi once the
-                # bracket is too narrow for a point in between
-                step = mid + 0.5 * (hi - mid)
-                mid = np.where(redo, np.where(step > mid, step, hi), mid)
-                count, redo = _count_above(c, w, kappa, mid, out)
-            else:
-                raise NonFiniteEvaluation("kernel eigenvalue count is not finite")
-            up = count >= target
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-            keep = np.maximum(hi[:, 0], -lo[:, 1]) >= np.maximum(lo[:, 0], -hi[:, 1]).max()
-            if not keep.all():
-                c, w, kappa, lo, hi = c[keep], w[keep], kappa[keep], lo[keep], hi[keep]
-                out = out[: c.shape[0]]
-    lam = 0.5 * (lo + hi)
-    return float(np.maximum(lam[:, 0], -lam[:, 1]).max())
-
-
-def kernel_norm(parts: KernelParts) -> float:
-    """Largest spectral norm over one structured kernel or a stack; 0.0 for an empty stack.
-
-    Up to ``DENSE_NORM_MAX_N`` rows it is one eigvalsh of the dense stack,
-    and above it ``_bisection_norm`` of the parts, in O(m n) memory.  Both
-    paths share the bound R = max|c| + |kappa| ||f||^2 + 2 ||f|| ||g|| of each
-    kernel.  Where every R is 0 the norm is 0.0.  Where R, or the width
-    2 (1.001 R) of the bisection's bracket, is not finite it raises
-    NonFiniteEvaluation at any n: past half the float64 maximum the
-    bisection's midpoints would overflow to inf.
-    """
-    c, f, g = (np.atleast_2d(v) for v in (parts.c, parts.f, parts.g))
-    # a non-finite bound is reported by the check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_norm = np.linalg.norm(f, axis=1)
-        g_norm = np.linalg.norm(g, axis=1)
-        radius = np.abs(c).max(axis=1) + np.abs(parts.kappa) * f_norm**2 + 2.0 * f_norm * g_norm
-        finite = np.isfinite(2.0 * (1.001 * radius)).all()
-    if not finite:
-        raise NonFiniteEvaluation("kernel norm bound R or its bracket width 2.002 R is not finite")
-    if not (radius > 0.0).any():
-        return 0.0
-    if parts.f.shape[-1] > DENSE_NORM_MAX_N:
-        return _bisection_norm(parts, radius)
-    return float(np.abs(np.linalg.eigvalsh(parts.dense())).max())
-
-
 def kernel_bound(inst: ProblemInstance, probe_points) -> float:
-    """Largest spectral norm of the loss kernels (ridge excluded) over probe points.
+    """Largest kernel-norm bound R of the loss kernels (ridge excluded) over probe points.
 
-    ``kernel_norm`` of the kernel stack of one stacked state of the points,
-    of which there must be at least one.  Reruns are bitwise equal.
+    The largest ``KernelParts.norm_bound`` of the kernel stack of one
+    stacked state of the points, of which there must be at least one.  R
+    bounds each kernel's 2-norm from the parts in O(n) per point, and no
+    n-by-n kernel is built.  A bound that is not finite raises
+    NonFiniteEvaluation.
     """
     points = _float_array(probe_points, "probe_points")
     if points.shape[:1] == (0,):
         raise DomainError("probe_points must hold at least one point")
-    return kernel_norm(loss_kernel_parts(make_state(inst, points), inst))
+    state = make_state(inst, points)
+    # a non-finite bound is reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = loss_kernel_parts(state, inst).norm_bound()
+    if not np.isfinite(bound).all():
+        raise NonFiniteEvaluation("kernel norm bound R is not finite")
+    return float(bound.max())
 
 
 def ridge_weights(inst: ProblemInstance, level: float, probe_points) -> np.ndarray:
     """Uniform ridge weights making the total Hessian >= level * I.
 
-    Measures the curvature-kernel bound K over the probe points and returns
-    w with w_i^2 = 100 K + level / sigma_min(A)^2, which dominates the
-    possibly-indefinite kernels with two orders of headroom.
+    Takes the kernel-norm bound R over the probe points and returns w with
+    w_i^2 = 100 R + level / sigma_min(A)^2, which dominates the
+    possibly-indefinite kernels with two orders of headroom.  A w^2 that is
+    not finite raises NonFiniteEvaluation.
     """
     if not math.isfinite(level) or level < 0:
         raise DomainError(f"level must be finite and >= 0, got {level!r}")
     smin = float(np.linalg.svd(inst.a, compute_uv=False)[-1])
     if level > 0 and smin <= 0:
         raise DomainError("A is rank deficient; no ridge weight plants a positive level")
-    k_hat = kernel_bound(inst, probe_points)
-    w2 = 100.0 * k_hat + (level / smin**2 if level > 0 else 0.0)
+    w2 = 100.0 * kernel_bound(inst, probe_points) + (level / smin**2 if level > 0 else 0.0)
+    if not math.isfinite(w2):
+        raise NonFiniteEvaluation("ridge weight w^2 = 100 R + level / sigma_min(A)^2 is not finite")
     return np.full(inst.n, math.sqrt(w2))

@@ -14,7 +14,7 @@ import pytest
 
 import softmaxopt as so
 from calculus_oracles import grad_f_inner
-from kernel_oracles import unpruned_bisection_norm
+from kernel_oracles import total_kernel
 from softmaxopt import suite
 from softmaxopt.cli import build_parser, main
 
@@ -51,21 +51,16 @@ class TestGen:
         ref, _ = so.generate_planted(so.GeneratorSpec(n=10, d=3, ridge_l=1.0, seed=9))
         assert np.array_equal(inst.a, ref.a)
 
-    def test_bisection_path_matches_the_unpruned_oracle(self, capsys, monkeypatch):
-        # n = 400 sizes the ridge by bisection, which PINNED_GEN (n = 20) never takes
-        args = ["gen", "--n", 400, "--d", 10, "--seed", 0]
-        assert run(args) == 0
-        pruned = capsys.readouterr().out
-        calls = []
-
-        def unpruned(parts, radius):
-            calls.append(parts)
-            return unpruned_bisection_norm(parts)
-
-        monkeypatch.setattr(so.verify, "_bisection_norm", unpruned)
-        assert run(args) == 0
-        assert calls
-        assert capsys.readouterr().out == pruned
+    @pytest.mark.parametrize(("n", "d", "seed"), [(20, 5, s) for s in range(5)] + [(400, 10, 0)])
+    def test_ridge_dominates_the_dense_kernel_norm(self, capsys, n, d, seed):
+        # w^2 = 100 R + 1 / sigma_min(A)^2 with R >= ||D(x_star)||_2, the loss
+        # kernel's 2-norm at the optimum, here from the oracle's dense kernel
+        assert run(["gen", "--n", n, "--d", d, "--seed", seed]) == 0
+        inst = so.ProblemInstance.from_dict(json.loads(capsys.readouterr().out))
+        loss_only = so.ProblemInstance(a=inst.a, b=inst.b, w=np.zeros(n))
+        kernel = total_kernel(so.make_state(loss_only, inst.x_star), loss_only)
+        smin = np.linalg.svd(inst.a, compute_uv=False)[-1]
+        assert inst.w[0] ** 2 >= 100.0 * np.linalg.norm(kernel, 2) + 1.0 / smin**2
 
     def test_pinned_values(self, capsys):
         assert run(["gen", "--n", 20, "--d", 5, "--seed", 0]) == 0
@@ -156,7 +151,7 @@ PINNED_GEN = {
     "a_row_0": [-0.13538399477079927, -0.03026917478335956, -0.1850554886001589,
                 -0.06706749563154243, 0.21700120835768247],
     "b_sum": 1.0000000000000002,
-    "w_sum": 100.9709916068868,
+    "w_sum": 129.41359494787326,
 }
 
 # Figures of the `verify --seed 0 --out` report, pinned exactly: the report is
@@ -166,66 +161,69 @@ PINNED_VERIFY = {
     "max_rel_err": 6.414041520130809e-10,
     "max_rel_err_fd": 3.1014835871062685e-07,
     "max_rel_err_entry_formula": 2.220446049250313e-16,
-    "psd_eigmins": [12.340468029496199, 12.338944796812081, 12.333634454209843,
-                    8.353978441192114, 8.354961147717903, 8.352443262502458,
-                    20.21171580315886, 20.212052430637957, 20.20924551126788],
-    "max_spread": 1.003707821388007,
+    "psd_eigmins": [20.83281690113466, 20.83129378693333, 20.82598414647722,
+                    12.92856421862759, 12.92954788097639, 12.927026721159377,
+                    26.867959014858858, 26.86829540969365, 26.865487208610904],
+    "max_spread": 1.0037076607849404,
 }
 
 # `landscape --n 8 --d 3 --seed 3 --half-width 0.5 --resolution 5`, recorded
-# while cross entropy took the log of the normalised f; the log-space
-# evaluation must stay within rtol 1e-12 of it.
+# once the planted ridge was sized from the kernel-norm bound R; the columns
+# without w (u, v, l_exp, l_cent) are bitwise those of the R-free recipe, and
+# later versions must stay within rtol 1e-12 of it.
 PINNED_LANDSCAPE_CSV = (
-    "-0.5,-0.5,0.020590473108815087,0.9306089782708828,88.1231405944882,89.0743400458679\n"
-    "-0.5,-0.25,0.015750514145018917,0.9146968121951571,77.10774802017717,78.03819534651734\n"
-    "-0.5,0.0,0.01206075721766218,0.9025340583283412,73.43595049540684,74.35054531095285\n"
-    "-0.5,0.25,0.009340183757888525,0.8938479046929916,77.10774802017721,78.01093610862809\n"
-    "-0.5,0.5,0.00741927755310417,0.8883777133508884,88.12314059448826,89.01893758539225\n"
-    "-0.25,-0.5,0.006655361949051664,0.8810401641425655,33.04617772293308,33.9338732490247\n"
-    "-0.25,-0.25,0.004233175407112118,0.8719363153724737,22.030785148622062,22.906954639401647\n"
-    "-0.25,0.0,0.0025995419439559997,0.8658740790250112,18.358987623851732,19.2274612448207\n"
-    "-0.25,0.25,0.0015918702103269948,0.8625943274110627,22.030785148622073,22.894971346243462\n"
-    "-0.25,0.5,0.0010685113045603937,0.8618540271405074,33.04617772293312,33.90910026137819\n"
-    "0.0,-0.5,0.0008315738855863632,0.8595866062155215,14.687190099081379,15.547608279182487\n"
-    "0.0,-0.25,0.00018642998493617776,0.8560234829549945,3.671797524770341,4.528007437710272\n"
+    "-0.5,-0.5,0.020590473108815132,0.9306089782708831,595.0424775620993,595.993677013479\n"
+    "-0.5,-0.25,0.01575051414501892,0.9146968121951571,520.662167866837,521.5926151931772\n"
+    "-0.5,0.0,0.01206075721766218,0.9025340583283412,495.8687313017496,496.78332611729564\n"
+    "-0.5,0.25,0.009340183757888526,0.8938479046929916,520.6621678668371,521.5653559552879\n"
+    "-0.5,0.5,0.00741927755310417,0.8883777133508884,595.0424775620993,595.9382745530033\n"
+    "-0.25,-0.5,0.006655361949051657,0.8810401641425656,223.14092908578723,224.02862461187885\n"
+    "-0.25,-0.25,0.004233175407112115,0.8719363153724738,148.76061939052482,149.6367888813044\n"
+    "-0.25,0.0,0.0025995419439559984,0.8658740790250112,123.9671828254374,124.83565644640638\n"
+    "-0.25,0.25,0.0015918702103269885,0.8625943274110625,148.76061939052482,149.62480558814622\n"
+    "-0.25,0.5,0.0010685113045603883,0.8618540271405074,223.14092908578738,224.00385162423245\n"
+    "0.0,-0.5,0.0008315738855863632,0.8595866062155215,99.1737462603499,100.03416444045101\n"
+    "0.0,-0.25,0.00018642998493617776,0.8560234829549946,24.793436565087475,25.649646478027407\n"
     "0.0,0.0,0.0,0.8548879099774479,0.0,0.8548879099774479\n"
-    "0.0,0.25,0.0001491434924006016,0.8559495456321969,3.671797524770341,4.527896213894938\n"
-    "0.0,0.5,0.00053263841277612,0.8589957005931568,14.687190099081379,15.546718438087312\n"
-    "0.25,-0.5,0.000673402407097453,0.8606043072897342,33.046177722933095,33.907455432629924\n"
-    "0.25,-0.25,0.001147201063324076,0.8614811572362031,22.030785148622016,22.893413506921544\n"
-    "0.25,0.0,0.0018274307292322663,0.864267145019127,18.358987623851696,19.225082199600056\n"
-    "0.25,0.25,0.0026334199083221095,0.8687667540785443,22.030785148622073,22.90218532260894\n"
-    "0.25,0.5,0.003502543320102945,0.8748017593755902,33.04617772293305,33.92448202562875\n"
-    "0.5,-0.5,0.0038776452372618424,0.8793830852218314,88.12314059448829,89.00640132494739\n"
-    "0.5,-0.25,0.004932462622719664,0.8837660765195234,77.10774802017721,77.99644655931945\n"
-    "0.5,0.0,0.006027266825537703,0.8896312996806308,73.43595049540689,74.33160906191306\n"
-    "0.5,0.25,0.007116634246682168,0.8968183471862269,77.10774802017728,78.0116830016102\n"
-    "0.5,0.5,0.00816783310498856,0.9051825081622894,88.12314059448826,89.03649093575554\n"
+    "0.0,0.25,0.00014914349240060056,0.855949545632197,24.793436565087475,25.649535254212072\n"
+    "0.0,0.5,0.00053263841277612,0.8589957005931568,99.1737462603499,100.03327459935583\n"
+    "0.25,-0.5,0.0006734024070974528,0.8606043072897341,223.14092908578738,224.0022067954842\n"
+    "0.25,-0.25,0.0011472010633240765,0.8614811572362031,148.76061939052482,149.62324774882435\n"
+    "0.25,0.0,0.0018274307292322663,0.8642671450191273,123.9671828254374,124.83327740118577\n"
+    "0.25,0.25,0.0026334199083221013,0.8687667540785443,148.76061939052482,149.6320195645117\n"
+    "0.25,0.5,0.0035025433201029445,0.8748017593755902,223.14092908578723,224.01923338848292\n"
+    "0.5,-0.5,0.0038776452372618433,0.8793830852218314,595.0424775620993,595.9257382925584\n"
+    "0.5,-0.25,0.004932462622719663,0.8837660765195233,520.6621678668371,521.5508664059794\n"
+    "0.5,0.0,0.006027266825537703,0.8896312996806307,495.8687313017496,496.76438986825576\n"
+    "0.5,0.25,0.007116634246682145,0.896818347186227,520.662167866837,521.5661028482699\n"
+    "0.5,0.5,0.00816783310498856,0.9051825081622893,595.0424775620993,595.9558279033665\n"
 )
 
 # `nce --seed 0 --seeds 2` with default flags, recorded while a batch held its
 # negatives as a tuple of vectors; later versions must stay within rtol 1e-12.
-# sha256 of `landscape` CSVs in the shapes the benchmark writes, recorded from
-# the row-at-a-time grid and CSV writer: the blocked ones keep every byte.
+# sha256 of `landscape` CSVs in the shapes the benchmark writes.  First
+# recorded from the row-at-a-time grid and CSV writer, which the blocked ones
+# matched byte for byte; re-recorded, with the grid code unchanged, when the
+# planted ridge moved to the kernel-norm bound R.
 # An "instance" entry is `gen --n --d --ridge-l 1.0 --seed`, then
 # `landscape --instance --resolution`; the others generate their instances.
 PINNED_LANDSCAPE_SHA256 = [
     ("instance", (20, 5, 0, 101),
-     "c06849eff3b1b1efb64f62f1cf597fb514bcbc0df8a26c5145b8f151385ac9b0"),
+     "61d28a538aef81af36aa8c312a76aded8187686bcb05531d40144c15526e0aef"),
     ("instance", (20, 5, 1, 21),
-     "224b0575485315b904491425dc9b9f69bc1c3603cf48d76f35f3a75a29b4a768"),
+     "c3b119e25576a96b96173e1d08269780623e5536cffb2eabe23d7d650ba6f0b3"),
     ("instance", (1000, 20, 2, 21),
-     "7318744dcbcf1767fb3f21ef93ac1407221e5d1f0402d2c888b206a6c954647b"),
+     "7bbc98cb6a77d46965dbaa38c329c956d62536a67215149a37d4570ff48f2512"),
     ("instance", (8, 3, 0, 5),
-     "36ea8c9fb23dfc332c6adbe8133a639ec6f33faf45885f18fac346920452b77e"),
+     "fc9542500a3024a7481134e7d559ba6a1a024114f8d6822971d4dab89174ae1c"),
     ("--n 20 --d 5 --ridge-l 1.0 --seed 3 --avg-seeds 5 --resolution 41", None,
-     "d0aba665e12ebfe39b09dc1b708957f6b2344be29226bf0e3c48e24f1350e156"),
+     "b8ddf51824ec0456233843e03c06a26abdfe0500e18db20ad1d2b40f2d33347b"),
     ("--n 20 --d 5 --ridge-l 1.0 --seed 4 --avg-seeds 2 --resolution 21", None,
-     "745cd1a0a8afc79f0e7553a8919ff82aa9d383c3e1be40be407339ff8e22a6e1"),
+     "3c9c98f694a55f3975505c3cb265fdb5c0a34e9f6b93a949cebd8b22bfc0dfb2"),
     ("--n 8 --d 3 --ridge-l 1.0 --seed 0 --avg-seeds 2 --resolution 5", None,
-     "cdcdfaaf3128baa2a202f3b6ac66b68914e04cd9a6cd6cb90cf2ea381a03d83e"),
+     "9c211d72d4ee4cb2b894777b62b041f5ce777089b87ad605fab757375f3f1152"),
     ("--n 8 --d 3 --seed 3 --half-width 0.5 --resolution 5", None,
-     "44277a8ab142eadb5f0ed3a93c829e0cdc0e4deafb2e419b273b0fef7e6b7123"),
+     "aa31b7644193c75506e1c47bc6b7850020ceaf1cb580288147e04902048f371c"),
 ]
 
 PINNED_NCE_CSV = (

@@ -547,7 +547,7 @@ PUBLIC_NAMES = [
     "default_directions", "fd_gradient", "fd_hessian", "generate_planted", "grad_cent",
     "grad_exp", "grad_reg", "grad_total", "gradient_descent_baseline",
     "hessian_cent", "hessian_exp", "hessian_total", "kernel_bound",
-    "kernel_norm", "landscape_grid", "lipschitz_probe", "loss_cent",
+    "landscape_grid", "lipschitz_probe", "loss_cent",
     "loss_exp", "loss_kernel_parts", "loss_reg", "loss_total", "make_state",
     "nce_gradients", "nce_loss", "newton_step", "paired_vs_shuffled_bounds",
     "psd_check", "rel_err", "ridge_weights", "sandwich_check", "solve",

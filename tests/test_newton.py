@@ -597,38 +597,39 @@ class TestStopBranchesWithoutPlantedOptimum:
 
 
 # Traces on planted n=20, d=5 seed 21 from basin_start(x_star, 0.5, 0),
-# recorded before the solver loops were merged.  The absolute floor covers
-# the roundoff-level tail of converged iterates.
+# first recorded before the solver loops were merged, and re-recorded, with
+# the solver unchanged, when the planted ridge moved to the kernel-norm bound
+# R.  The absolute floor covers the roundoff-level tail of converged iterates.
 PINNED_TRACES = {
     "exact": {
-        "loss": [7.529130792337328, 2.691779581129946, 2.6917795375363633],
-        "grad_norm": [26.575960773443768, 0.0026203579561703363, 3.9590355954635045e-11],
-        "err_to_opt": [0.5, 4.501677031524229e-05, 1.4216404009576593e-12],
+        "loss": [10.30495513686624, 2.6917795652386283, 2.691779537536363],
+        "grad_norm": [41.81550161040071, 0.002620431036720251, 1.5994426469804254e-11],
+        "err_to_opt": [0.5, 2.8608127174554248e-05, 3.6533067828101185e-13],
     },
     "sampled": {
-        "loss": [7.529130792337328, 2.6917795811299454, 2.6917795375363633],
-        "grad_norm": [26.575960773443768, 0.0026203579562030003, 3.9590355954635045e-11],
-        "err_to_opt": [0.5, 4.501677031505423e-05, 1.4216404009576593e-12],
+        "loss": [10.30495513686624, 2.6917795652386283, 2.691779537536363],
+        "grad_norm": [41.81550161040071, 0.002620431036707073, 1.5994426469804254e-11],
+        "err_to_opt": [0.5, 2.860812717428106e-05, 3.6533067828101185e-13],
     },
     "gd": {
         "loss": [
-            7.529130792337328, 5.494477558166902, 4.60886729899819, 4.032345110479241,
-            3.6543249039190417, 3.404069458326351, 3.2362652607154088,
-            3.1218544351778217, 3.042184390335677,
+            10.30495513686624, 7.10242452904078, 5.708022573172165, 4.800505893776039,
+            4.205601699865955, 3.8118602837409057, 3.547904979553584,
+            3.3679755416560013, 3.242704998640125,
         ],
         "grad_norm": [
-            26.575960773443768, 15.590544295840552, 12.570236929365516,
-            10.169254672606638, 8.263834534505357, 6.75574050584675,
-            5.566425437292095, 4.632671613339425, 3.903221843558091,
+            41.81550161040071, 24.538118088675763, 19.781998412909758,
+            16.001563985794963, 13.001766656327131, 10.627793267503453,
+            8.755869774044838, 7.286388979093519, 6.138597800182102,
         ],
         "err_to_opt": [
-            0.5, 0.42827134613629925, 0.37700579135090173, 0.33728436069293544,
-            0.30627637345369035, 0.28174410524135673, 0.2619638207208243,
-            0.24564285168091318, 0.2318351348383461,
+            0.5, 0.428239619690603, 0.3769553034043566, 0.3372265425370722,
+            0.30621837361528714, 0.28168994460726443, 0.2619153938274263,
+            0.2456007247636959, 0.23179912624790852,
         ],
     },
 }
-PINNED_GD_STEP = 0.004035607420850197  # 1 / lambda_max(H(x0))
+PINNED_GD_STEP = 0.002565180845104505  # 1 / lambda_max(H(x0))
 
 
 class TestPinnedValues:
@@ -784,13 +785,20 @@ class TestFarStarts:
         assert trace.iterates[-1].err_to_opt <= 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFarIterate:
-    """A start whose ridge gradient overflows float64 is a NonFiniteIterate, without a warning."""
+    """A start whose loss overflows float64 is a NonFiniteIterate, without a warning.
+
+    From ``scale x_star / ||x_star||`` on planted seed 1 at 1e307, the
+    default start, the ridge gradient overflows; on seed 0 at 1.5e308 the
+    max-shift of the logits does, inside ``make_state``; on seed 2 at 1e307
+    the ridge gradient meets inf - inf.
+    """
 
     @staticmethod
-    def start():
-        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=1))
-        return inst, 1e307 * x_star / np.linalg.norm(x_star)
+    def start(seed=1, scale=1e307):
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=seed))
+        return inst, scale * (x_star / np.linalg.norm(x_star))
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_solve(self, mode):
@@ -807,6 +815,19 @@ class TestFarIterate:
         inst, x0 = self.start()
         with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
             so.newton_step(inst, x0)
+
+    @pytest.mark.parametrize(("seed", "scale"), [(0, 1.5e308), (2, 1e307)])
+    def test_other_routes_to_an_infinite_loss(self, seed, scale):
+        inst, x0 = self.start(seed, scale)
+        runs = [
+            lambda: so.solve(inst, x0, so.SolverConfig(mode="exact")),
+            lambda: so.solve(inst, x0, so.SolverConfig(mode="sampled")),
+            lambda: so.gradient_descent_baseline(inst, x0, 0.1, 5),
+            lambda: so.newton_step(inst, x0),
+        ]
+        for run in runs:
+            with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
+                run()
 
 
 class TestTraceCsv:

@@ -51,13 +51,17 @@ class TestGeneratorSpec:
     def test_norm_cap_below_the_least_target_norm(self):
         # a probability vector b has ||b||_2 >= 1/sqrt(n) = 0.5 at n = 4
         with pytest.raises(DomainError, match="^norm_cap_r must be >= 1/sqrt"):
-            so.GeneratorSpec(n=4, d=1, norm_cap_r=0.49)
-        so.GeneratorSpec(n=4, d=1, norm_cap_r=0.5)
+            so.GeneratorSpec(n=4, d=1, conditioning=1.0, norm_cap_r=0.49)
+        so.GeneratorSpec(n=4, d=1, conditioning=1.0, norm_cap_r=0.5)
 
     def test_numpy_integer_sizes_are_accepted(self):
         spec = so.GeneratorSpec(n=np.int64(6), d=np.int32(2), seed=3)
         inst, _ = so.generate_planted(spec)
         assert (inst.n, inst.d) == (6, 2)
+
+
+# one column with a norm cap of 1/sqrt(n): every check but ||b||_2 <= 0.5 passes
+UNREACHABLE_SPEC = so.GeneratorSpec(n=4, d=1, conditioning=1.0, norm_cap_r=0.5, ridge_l=1.0)
 
 
 class TestGeneratePlanted:
@@ -102,8 +106,11 @@ class TestGeneratePlanted:
             assert so.psd_check(h, 0.99 * level).passed
 
     def test_unreachable_conditioning_fails(self):
-        with pytest.raises(GenerationFailure):
-            so.generate_planted(so.GeneratorSpec(n=4, d=1, conditioning=10.0, seed=6))
+        with pytest.raises(DomainError, match="^conditioning must be 1 when d = 1"):
+            so.GeneratorSpec(n=4, d=1, conditioning=10.0, seed=6)
+        # ||b||_2 = 0.5 only for the uniform b, which no draw with x_star != 0 gives
+        with pytest.raises(GenerationFailure, match=r"missed \|\|b\|\|_2 <= 0\.5$"):
+            so.generate_planted(UNREACHABLE_SPEC)
 
     def test_only_the_accepted_draw_sizes_a_ridge(self, monkeypatch):
         calls = []
@@ -114,8 +121,8 @@ class TestGeneratePlanted:
             return sized(*args)
 
         monkeypatch.setattr(planted_module, "ridge_weights", counting)
-        with pytest.raises(GenerationFailure, match="missed conditioning 10.0$"):
-            so.generate_planted(so.GeneratorSpec(n=4, d=1, conditioning=10.0, ridge_l=1.0))
+        with pytest.raises(GenerationFailure, match=r"missed \|\|b\|\|_2 <= 0\.5$"):
+            so.generate_planted(UNREACHABLE_SPEC)
         assert calls == []
         so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))
         assert len(calls) == 1
@@ -432,7 +439,7 @@ class TestBlockedOverflow:
     # center h dir_u: row u = -h is near the origin, and later rows grow
     # towards 2 h dir_u, so the first row to overflow is the seventh of nine
     CASES = {
-        "loss terms": (lambda inst: inst, 5e152, 2.4999999999999995e152),
+        "loss terms": (lambda inst: inst, 3.8e152, 1.9e152),
         "logits": (
             lambda inst: dataclasses.replace(inst, w=np.zeros(inst.n), use_cent=False),
             6e307,
