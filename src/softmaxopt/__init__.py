@@ -50,11 +50,9 @@ from .verify import (
     convergence_audit,
     fd_gradient,
     fd_hessian,
-    kernel_bound,
     lipschitz_probe,
     psd_check,
     rel_err,
-    ridge_weights,
     sandwich_check,
 )
 

@@ -67,10 +67,20 @@ class KernelParts:
 
         Each term bounds the 2-norm of its part of D.  One kernel gives a
         float; a stack gives one R per kernel, shape (m,), each row bitwise
-        its kernel's own R.
+        its kernel's own R.  The norm squares the entries, so ``||g||``
+        overflows from ``|g_i|`` about 1.3e154 on; where it does and g is
+        finite it is taken as ``m ||g / m||`` with ``m = max|g_i|``.
         """
         f_norm = np.linalg.norm(self.f, axis=-1)
-        g_norm = np.linalg.norm(self.g, axis=-1)
+        with np.errstate(over="ignore"):  # an overflowed ||g|| is retaken below
+            g_norm = np.linalg.norm(self.g, axis=-1)
+        if not np.isfinite(g_norm).all():
+            m = np.abs(self.g).max(axis=-1)
+            # 0 / 0 on zero rows and inf / inf on non-finite ones: neither is taken
+            with np.errstate(invalid="ignore"):
+                scaled = m * np.linalg.norm(self.g / np.expand_dims(m, -1), axis=-1)
+            redo = ~np.isfinite(g_norm) & np.isfinite(self.g).all(axis=-1)
+            g_norm = np.where(redo, scaled, g_norm)
         bound = np.abs(self.c).max(axis=-1) + np.abs(self.kappa) * f_norm**2 + 2.0 * f_norm * g_norm
         return bound if bound.ndim else float(bound)
 

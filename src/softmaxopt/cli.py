@@ -9,8 +9,10 @@ landscape   evaluate the loss terms over a 2D grid, write CSV
 verify      run the seeded check suite, print a pass/fail table
 nce         run the correlated-vs-shuffled contrastive experiment
 
-All outputs are byte-reproducible for a fixed --seed (solver step timings
-are only written when --timings is passed).
+All outputs are byte-reproducible for a fixed --seed under one BLAS
+library and thread count (solver step timings are only written when
+--timings is passed).  Another thread count may change the last bits of
+the Hessian's congruence gemm, and with them solve's trace and summary.
 """
 
 from __future__ import annotations

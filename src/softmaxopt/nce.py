@@ -140,11 +140,11 @@ def paired_vs_shuffled_bounds(
     array bounds and of ``Generator.choice``'s Floyd branch, and change only
     where ``choice`` would shuffle a tail instead (``pool_size > 10001`` and
     ``k - 1 > (pool_size - 1) // 50``).  The draws are kept as
-    ``2 (epochs + 1) pool_size k`` indices (about 160 KB at the defaults),
-    and one pass's candidates of both chains are gathered at a time, every
-    pass into the same ``(pool_size, 2, k, dim_partner)`` buffer (98 KB at
-    the defaults).  The bounds are summed anchor by anchor as
-    Python floats.  A learning rate that overflows either chain's weight
+    ``2 (epochs + 1) pool_size k`` int32 indices (about 80 KB at the
+    defaults), and one pass's candidates of both chains are gathered at a
+    time, every pass into the same ``(pool_size, 2, k, dim_partner)``
+    buffer (98 KB at the defaults).  The bounds are summed anchor by anchor
+    as Python floats.  A learning rate that overflows either chain's weight
     raises NonFiniteInput naming ``learning_rate``.
     """
     _require_seed(seed)
@@ -226,9 +226,12 @@ def _draw_passes(rng, passes: int, pool_size: int, k: int) -> np.ndarray:
     afterwards are bitwise those of the per-anchor ``choice`` loop.  Above
     that, ``choice`` shuffles a tail of the whole population instead, and
     the rows here, though distinct, in range and free of the anchor, differ
-    from its.
+    from its.  The rows are int32 while ``2 pool_size`` fits in it, half the
+    memory of ``intp`` for the same gather.
     """
-    rows = np.empty((passes, pool_size, k), dtype=np.intp)
+    # the caller shifts the shuffled chain's rows by pool_size
+    dtype = np.int32 if 2 * pool_size <= np.iinfo(np.int32).max else np.intp
+    rows = np.empty((passes, pool_size, k), dtype=dtype)
     rows[..., 0] = np.arange(pool_size)
     block = max(1, _DRAW_FLAGS // pool_size)
     for pass_rows in rows:

@@ -5,9 +5,11 @@ norm below the cap, picks an optimum x_star inside the norm ball, and sets
 the target b to the prediction vector at x_star.  That choice zeroes both
 the squared-residual and the cross-entropy gradients there, and the ridge
 term is recentered at x_star, so the full gradient vanishes at x_star
-exactly.  Ridge weights are sized from the kernel-norm bound R over probe
-points around x_star, so the total Hessian stays above the requested
-strong-convexity level.
+exactly.  The ridge is uniform, with w^2 = RIDGE_HEADROOM R + l / sigma_min(A)^2,
+where R is the largest kernel-norm bound (``KernelParts.norm_bound``) of the
+loss kernels at 11 probe points around x_star: it dominates those possibly
+indefinite kernels with two orders of headroom, so the total Hessian stays
+above the requested strong-convexity level l.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, GenerationFailure
+from .calculus import loss_kernel_parts
+from .exceptions import DomainError, GenerationFailure, NonFiniteEvaluation
 from .model import (
     ProblemInstance,
     _log_p_and_p,
@@ -25,10 +28,12 @@ from .model import (
     _require_ints,
     _require_seed,
     _seeded_rng,
+    make_state,
 )
-from .verify import ridge_weights
 
 _COND_TOL = 1e-9
+# w^2 is this many times the kernel-norm bound R, plus the planted level's share
+RIDGE_HEADROOM = 100.0
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,9 @@ def _orthonormal_columns(rng, rows: int, cols: int) -> np.ndarray:
 def generate_planted(spec: GeneratorSpec) -> tuple[ProblemInstance, np.ndarray]:
     """Build an instance whose total gradient is exactly zero at x_star.
 
-    Only the draw that meets the conditioning and the norm caps sizes a ridge.
+    Only the draw that meets the conditioning and the norm caps sizes a
+    ridge, from its own singular values and one stacked state of its probe
+    points.  A w^2 that overflows raises NonFiniteEvaluation.
     """
     rng = np.random.default_rng(spec.seed)
     r_cap = spec.norm_cap_r
@@ -110,8 +117,17 @@ def generate_planted(spec: GeneratorSpec) -> tuple[ProblemInstance, np.ndarray]:
 
     inst = ProblemInstance(a=a, b=b, w=np.zeros(spec.n), x_star=x_star, reg_mode="centered")
     if spec.ridge_l > 0.0:
-        w = ridge_weights(inst, spec.ridge_l, probes)
-        inst = ProblemInstance(a=a, b=inst.b, w=w, x_star=x_star, reg_mode="centered")
+        # f and b are probability vectors at every probe, so R is finite;
+        # sigma_min > 0 as the draw met its conditioning
+        bound = float(loss_kernel_parts(make_state(inst, probes), inst).norm_bound().max())
+        w2 = RIDGE_HEADROOM * bound + spec.ridge_l / float(measured[-1]) ** 2
+        if not math.isfinite(w2):
+            raise NonFiniteEvaluation(
+                f"ridge weight w^2 = {RIDGE_HEADROOM:g} R + ridge_l / sigma_min(A)^2 is not finite"
+            )
+        inst = ProblemInstance(
+            a=a, b=inst.b, w=np.full(spec.n, math.sqrt(w2)), x_star=x_star, reg_mode="centered"
+        )
     return inst, x_star
 
 

@@ -25,7 +25,7 @@ from .calculus import (
 from .exceptions import DomainError
 from .model import ProblemInstance, _require_seed, loss_cent, make_state, state_losses
 from .newton import SolverConfig, solve
-from .planted import GeneratorSpec, basin_start, generate_planted
+from .planted import RIDGE_HEADROOM, GeneratorSpec, basin_start, generate_planted
 from .verify import (
     convergence_audit,
     fd_gradient,
@@ -162,14 +162,14 @@ def check_psd_recipe(seed: int) -> CheckResult:
 def check_sandwich(seed: int) -> CheckResult:
     """Dominant ridge weights push W^2 within 1% of the shifted kernel.
 
-    W^2 = 100 R + 1, with the kernel-norm bound R that the ridge recipe
-    takes, from the parts that also give the dense kernel.  The window
-    holds only if ||D||_2 <= W^2 / 99, about R + 0.01, so the check also
-    tests that R bounds the norm.
+    W^2 = RIDGE_HEADROOM R + 1, with the kernel-norm bound R that the
+    planted ridge takes, from the parts that also give the dense kernel.
+    The 1% window holds only if ||D||_2 <= W^2 / 99, just above R, so the
+    check also tests that R bounds the norm.
     """
     inst0, x = random_instance(seed, n_max=20, d_max=5)
     parts = loss_kernel_parts(make_state(inst0, x), inst0)
-    w2 = 100.0 * parts.norm_bound() + 1.0
+    w2 = RIDGE_HEADROOM * parts.norm_bound() + 1.0
     shifted = parts.dense() + w2 * np.eye(inst0.n)
     ok = sandwich_check(w2 * np.eye(inst0.n), shifted, 0.99, 1.01)
     return CheckResult(name="sandwich", passed=ok, detail={"w_squared": w2, "lo": 0.99, "hi": 1.01})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import hessian_total, loss_kernel_parts
+from .calculus import hessian_total
 from .exceptions import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -26,7 +26,6 @@ from .exceptions import (
 )
 from .model import (
     ProblemInstance,
-    _float_array,
     _require_ints,
     _seeded_rng,
     _vector,
@@ -290,42 +289,3 @@ def convergence_audit(trace, epsilon: float) -> bool:
     budget = math.ceil(math.log2(max(errs[0] / epsilon, 1.0))) + 5
     return trace.iterations_run <= budget
 
-
-def kernel_bound(inst: ProblemInstance, probe_points) -> float:
-    """Largest kernel-norm bound R of the loss kernels (ridge excluded) over probe points.
-
-    The largest ``KernelParts.norm_bound`` of the kernel stack of one
-    stacked state of the points, of which there must be at least one.  R
-    bounds each kernel's 2-norm from the parts in O(n) per point, and no
-    n-by-n kernel is built.  A bound that is not finite raises
-    NonFiniteEvaluation.
-    """
-    points = _float_array(probe_points, "probe_points")
-    if points.shape[:1] == (0,):
-        raise DomainError("probe_points must hold at least one point")
-    state = make_state(inst, points)
-    # a non-finite bound is reported by the check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = loss_kernel_parts(state, inst).norm_bound()
-    if not np.isfinite(bound).all():
-        raise NonFiniteEvaluation("kernel norm bound R is not finite")
-    return float(bound.max())
-
-
-def ridge_weights(inst: ProblemInstance, level: float, probe_points) -> np.ndarray:
-    """Uniform ridge weights making the total Hessian >= level * I.
-
-    Takes the kernel-norm bound R over the probe points and returns w with
-    w_i^2 = 100 R + level / sigma_min(A)^2, which dominates the
-    possibly-indefinite kernels with two orders of headroom.  A w^2 that is
-    not finite raises NonFiniteEvaluation.
-    """
-    if not math.isfinite(level) or level < 0:
-        raise DomainError(f"level must be finite and >= 0, got {level!r}")
-    smin = float(np.linalg.svd(inst.a, compute_uv=False)[-1])
-    if level > 0 and smin <= 0:
-        raise DomainError("A is rank deficient; no ridge weight plants a positive level")
-    w2 = 100.0 * kernel_bound(inst, probe_points) + (level / smin**2 if level > 0 else 0.0)
-    if not math.isfinite(w2):
-        raise NonFiniteEvaluation("ridge weight w^2 = 100 R + level / sigma_min(A)^2 is not finite")
-    return np.full(inst.n, math.sqrt(w2))

@@ -62,6 +62,13 @@ class TestGen:
         smin = np.linalg.svd(inst.a, compute_uv=False)[-1]
         assert inst.w[0] ** 2 >= 100.0 * np.linalg.norm(kernel, 2) + 1.0 / smin**2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ridge_weight_exits_one(self, capsys):
+        assert run(["gen", "--ridge-l", 1e308]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NonFiniteEvaluation: ridge weight w^2 = 100 R")
+
     def test_pinned_values(self, capsys):
         assert run(["gen", "--n", 20, "--d", 5, "--seed", 0]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -298,7 +298,7 @@ class TestStackedPoints:
     def test_bad_point_shapes(self, shape):
         inst = stack_instance(20, "both")
         points = [[0.0] * 3, [0.0] * 2] if shape == "ragged" else np.zeros(shape)
-        for fn in (so.model.logits, so.make_state, so.loss_reg, so.loss_total, so.kernel_bound):
+        for fn in (so.model.logits, so.make_state, so.loss_reg, so.loss_total):
             with pytest.raises(DimensionMismatch):
                 fn(inst, points)
         with pytest.raises(DimensionMismatch):
@@ -546,11 +546,11 @@ PUBLIC_NAMES = [
     "SpectralReport", "approx_hessian", "average_grids", "basin_start", "convergence_audit",
     "default_directions", "fd_gradient", "fd_hessian", "generate_planted", "grad_cent",
     "grad_exp", "grad_reg", "grad_total", "gradient_descent_baseline",
-    "hessian_cent", "hessian_exp", "hessian_total", "kernel_bound",
+    "hessian_cent", "hessian_exp", "hessian_total",
     "landscape_grid", "lipschitz_probe", "loss_cent",
     "loss_exp", "loss_kernel_parts", "loss_reg", "loss_total", "make_state",
     "nce_gradients", "nce_loss", "newton_step", "paired_vs_shuffled_bounds",
-    "psd_check", "rel_err", "ridge_weights", "sandwich_check", "solve",
+    "psd_check", "rel_err", "sandwich_check", "solve",
     "total_kernel_parts",
 ]
 

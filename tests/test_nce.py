@@ -210,8 +210,8 @@ class TestNegativeDraw:
 
 class TestDrawMemory:
     def test_peak_holds_one_pass_of_temporaries(self):
-        # the default experiment's 26 passes: the rows take 160,192 bytes,
-        # and each pass's shift adds about 5 KB on top
+        # the default experiment's 26 passes: the int32 rows take 79,872
+        # bytes, and each pass's shift adds about 5 KB on top
         rng = np.random.default_rng(0)
         so.nce._draw_passes(rng, 1, 96, 8)
         tracemalloc.start()
@@ -220,8 +220,25 @@ class TestDrawMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.nbytes == 26 * 96 * 8 * 8
+        assert rows.nbytes == 26 * 96 * 8 * 4
         assert peak < 200_000
+
+    @pytest.mark.parametrize(("pool_size", "k"), [(1, 1), (96, 8), (300, 300), (2000, 64)])
+    def test_int32_rows_equal_the_intp_rows(self, pool_size, k):
+        # the shuffled chain's rows are shifted by pool_size, so 2 pool_size
+        # must fit in int32; the rows are the per-anchor draws' intp rows
+        rows = so.nce._draw_passes(np.random.default_rng(5), 2, pool_size, k)
+        assert rows.dtype == np.int32
+        ref = np.random.default_rng(5)
+        wide = np.array([
+            [np.insert(ref.choice(np.delete(np.arange(pool_size), i), k - 1, replace=False), 0, i)
+             for i in range(pool_size)]
+            for _ in range(2)
+        ])
+        assert wide.dtype == np.intp
+        assert np.array_equal(rows, wide)
+        pool = np.random.default_rng(6).standard_normal((2 * pool_size, 3))
+        assert np.array_equal(np.take(pool, rows + pool_size, axis=0), pool[wide + pool_size])
 
 
 class TestExperimentMemory:

@@ -16,6 +16,7 @@ from softmaxopt.exceptions import (
     DimensionMismatch,
     DomainError,
     GenerationFailure,
+    NonFiniteEvaluation,
     NonFiniteInput,
 )
 
@@ -113,19 +114,41 @@ class TestGeneratePlanted:
             so.generate_planted(UNREACHABLE_SPEC)
 
     def test_only_the_accepted_draw_sizes_a_ridge(self, monkeypatch):
+        # the ridge takes one stacked state of the probe points: none for a
+        # spec whose draws all miss, one for an accepted draw
         calls = []
-        sized = planted_module.ridge_weights
 
         def counting(*args):
             calls.append(args)
-            return sized(*args)
+            return so.make_state(*args)
 
-        monkeypatch.setattr(planted_module, "ridge_weights", counting)
+        monkeypatch.setattr(planted_module, "make_state", counting)
         with pytest.raises(GenerationFailure, match=r"missed \|\|b\|\|_2 <= 0\.5$"):
             so.generate_planted(UNREACHABLE_SPEC)
         assert calls == []
         so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))
         assert len(calls) == 1
+
+    def test_one_svd_per_draw(self, monkeypatch):
+        # the ridge takes sigma_min(A) from the accepted draw's own SVD
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for seed in range(5):
+            calls.clear()
+            so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=seed))
+            assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ridge_weight_is_named(self):
+        # 1e308 / sigma_min(A)^2 overflows: a typed error, not a numpy warning
+        with pytest.raises(NonFiniteEvaluation, match="^ridge weight w\\^2 = 100 R"):
+            so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1e308))
 
     def test_basin_start_offset(self):
         x_star = np.array([1.0, -2.0, 0.5])

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import softmaxopt as so
+import softmaxopt.planted as planted_module
 from kernel_oracles import b_matrix, exp_kernel, total_kernel
 from softmaxopt.exceptions import (
     AsymmetricMatrix,
@@ -20,6 +21,7 @@ from softmaxopt.exceptions import (
     SamplingFailure,
 )
 from softmaxopt.newton import IterateRecord, SolveTrace
+from softmaxopt.planted import RIDGE_HEADROOM
 from softmaxopt.suite import check_sandwich, random_instance
 
 
@@ -260,7 +262,8 @@ class TestSandwichCheck:
     def test_suite_weight_is_the_ridge_recipe_bound(self, seed):
         inst, x = random_instance(seed, n_max=20, d_max=5)
         result = check_sandwich(seed)
-        assert result.detail["w_squared"] == 100.0 * so.kernel_bound(inst, [x]) + 1.0
+        parts = so.loss_kernel_parts(so.make_state(inst, x), inst)
+        assert result.detail["w_squared"] == RIDGE_HEADROOM * parts.norm_bound() + 1.0
 
 
 def spd(rng, k, floor=0.5):
@@ -324,34 +327,37 @@ class TestSandwichAgainstGeneralizedEigh:
 
 
 class TestRidgeRecipe:
+    """The planted ridge w^2 = 100 R + l / sigma_min(A)^2 of ``generate_planted``."""
+
+    def test_headroom_is_two_orders(self):
+        assert RIDGE_HEADROOM == 100.0
+
     @pytest.mark.parametrize("level", [0.1, 1.0, 10.0])
     def test_planted_level_is_met(self, level):
-        inst, x = random_instance(8, n_max=15, d_max=4)
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=15, d=4, ridge_l=level, seed=8))
         rng = np.random.default_rng(9)
-        probes = [x + 0.3 * rng.standard_normal(inst.d) for _ in range(6)] + [x]
-        w = so.ridge_weights(inst, level, probes)
-        sized = so.ProblemInstance(a=inst.a, b=inst.b, w=w)
-        for probe in probes:
-            h = so.hessian_total(so.make_state(sized, probe), sized)
+        probes = [so.basin_start(x_star, rho, rng) for rho in (0.3, 1.0) for _ in range(3)]
+        for probe in [x_star] + probes:
+            h = so.hessian_total(so.make_state(inst, probe), inst)
             assert so.psd_check(h, level).passed
 
-    def test_zero_level_zero_kernel_gives_zero_weights(self):
-        inst = so.ProblemInstance(
+    def test_zero_level_zero_kernel_gives_zero_weights(self, monkeypatch):
+        # ridge_l = 0 plants no ridge and takes no probe state; a zero loss
+        # kernel adds nothing to w^2 either
+        calls = []
+        monkeypatch.setattr(planted_module, "make_state", lambda *args: calls.append(args))
+        inst, _ = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=0.0, seed=8))
+        np.testing.assert_array_equal(inst.w, np.zeros(20))
+        assert calls == []
+        zero = so.ProblemInstance(
             a=np.eye(3), b=np.zeros(3), w=np.zeros(3), use_exp=False, use_cent=False
         )
-        w = so.ridge_weights(inst, 0.0, [np.zeros(3)])
-        np.testing.assert_array_equal(w, np.zeros(3))
+        assert stack_bound(zero, np.zeros((2, 3))) == 0.0
 
     @pytest.mark.parametrize("level", [float("nan"), float("inf"), -1.0])
     def test_bad_level_is_domain_error(self, level):
-        inst, x = random_instance(8, n_max=15, d_max=4)
-        with pytest.raises(DomainError, match="^level must be finite and >= 0"):
-            so.ridge_weights(inst, level, [x])
-
-    def test_no_probe_points_is_domain_error(self):
-        inst, _ = random_instance(8, n_max=15, d_max=4)
-        with pytest.raises(DomainError, match="probe_points"):
-            so.ridge_weights(inst, 1.0, [])
+        with pytest.raises(DomainError, match="ridge_l"):
+            so.GeneratorSpec(n=15, d=4, ridge_l=level)
 
 
 def kernel_instance(n, d=4):
@@ -363,7 +369,14 @@ def kernel_instance(n, d=4):
     return so.ProblemInstance(a=a, b=b, w=np.zeros(n)), probes
 
 
+def stack_bound(inst, probes) -> float:
+    """The largest kernel-norm bound R of the loss kernels at the probes, as the generator takes it."""
+    return float(so.loss_kernel_parts(so.make_state(inst, probes), inst).norm_bound().max())
+
+
 class TestKernelBound:
+    """R over a stack of probe points, and the generator that sizes its ridge from it."""
+
     @pytest.mark.parametrize("n", [1, 2, 20, 151, 400])
     def test_bounds_the_dense_two_norm(self, n):
         inst, probes = kernel_instance(n)
@@ -372,78 +385,60 @@ class TestKernelBound:
             state = so.make_state(inst, x)
             kernel = b_matrix(state, inst.b) + exp_kernel(state, inst)
             expected = max(expected, float(np.linalg.norm(kernel, 2)))
-        assert so.kernel_bound(inst, probes) >= (1.0 - 1e-12) * expected
+        assert stack_bound(inst, probes) >= (1.0 - 1e-12) * expected
 
     @pytest.mark.parametrize("n", [20, 400])
     def test_reruns_are_bitwise_equal(self, n):
-        inst, probes = kernel_instance(n)
-        assert so.kernel_bound(inst, probes) == so.kernel_bound(inst, probes)
+        spec = so.GeneratorSpec(n=n, d=4, ridge_l=1.0, seed=3)
+        assert so.generate_planted(spec)[0].w.tolist() == so.generate_planted(spec)[0].w.tolist()
 
     def test_zero_kernel_above_cutoff(self):
         inst, probes = kernel_instance(400)
         zero = so.ProblemInstance(
             a=inst.a, b=np.zeros(inst.n), w=inst.w, use_exp=False, use_cent=True
         )
-        assert so.kernel_bound(zero, probes) == 0.0
+        assert stack_bound(zero, probes) == 0.0
 
     def test_no_n_by_n_allocation(self):
         n = 3000
-        inst, probes = kernel_instance(n)
-        state = so.make_state(inst, probes[0])
+        spec = so.GeneratorSpec(n=n, d=4, ridge_l=1.0, seed=0)
+        inst, x_star = so.generate_planted(spec)
+        state = so.make_state(inst, x_star)
         # a first call outside the trace, so that one-time set-up does not count
-        so.kernel_bound(inst, probes[:1])
+        so.generate_planted(so.GeneratorSpec(n=20, d=4, ridge_l=1.0, seed=0))
         tracemalloc.start()
         try:
             so.hessian_total(state, inst)
             hessian_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            so.kernel_bound(inst, probes)
-            bound_peak = tracemalloc.get_traced_memory()[1]
+            so.generate_planted(spec)
+            generate_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert hessian_peak < n * n * 8
-        assert bound_peak < n * n * 8
+        assert generate_peak < n * n * 8
 
     @pytest.mark.parametrize("n", [20, 400])
     def test_one_state_per_call(self, n, monkeypatch):
-        inst, probes = kernel_instance(n)
+        # the 11 probe points of the accepted draw take one stacked state
         calls = []
 
         def counting(*args):
             calls.append(args)
             return so.make_state(*args)
 
-        monkeypatch.setattr(so.verify, "make_state", counting)
-        so.kernel_bound(inst, probes)
-        assert len(calls) == 1
+        monkeypatch.setattr(planted_module, "make_state", counting)
+        so.generate_planted(so.GeneratorSpec(n=n, d=4, ridge_l=1.0, seed=0))
+        assert [np.shape(points) for _, points in calls] == [(11, 4)]
 
-    def test_no_probe_points_is_domain_error(self):
-        inst, _ = kernel_instance(20)
-        with pytest.raises(DomainError, match="probe_points"):
-            so.kernel_bound(inst, [])
-
-    @staticmethod
-    def overflowing(scale):
-        # cross entropy alone at n = 20: <1, b> = 20 scale overflows from scale
-        # 1e307 on, and 100 R, about 200 scale, from scale 1e306 on
-        inst, probes = kernel_instance(20)
-        b = np.full(inst.n, scale)
-        return so.ProblemInstance(a=inst.a, b=b, w=inst.w, use_exp=False), probes
-
-    @pytest.mark.parametrize("scale", [1e307, 1e308])
-    def test_non_finite_bound_is_named(self, scale):
-        inst, probes = self.overflowing(scale)
-        with pytest.raises(NonFiniteEvaluation, match="^kernel norm bound R is not finite$"):
-            so.kernel_bound(inst, probes)
-        with pytest.raises(NonFiniteEvaluation, match="^kernel norm bound R is not finite$"):
-            so.ridge_weights(inst, 1.0, probes)
-
-    @pytest.mark.parametrize("scale", [1e306, 5e306])
-    def test_non_finite_ridge_weight_is_named(self, scale):
-        inst, probes = self.overflowing(scale)
-        assert np.isfinite(so.kernel_bound(inst, probes))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("level", [1e306, 5e306])
+    def test_non_finite_ridge_weight_is_named(self, level):
+        # sigma_min(A) = 0.9 * 0.25 / 100, so level / sigma_min^2 overflows;
+        # the cap 0.25 is just above 1/sqrt(20), which near-uniform b meet
+        spec = so.GeneratorSpec(n=20, d=5, conditioning=100.0, norm_cap_r=0.25, ridge_l=level)
         with pytest.raises(NonFiniteEvaluation, match="^ridge weight w\\^2 = 100 R"):
-            so.ridge_weights(inst, 1.0, probes)
+            so.generate_planted(spec)
 
 
 def loss_kernel_spectrum(inst, x):
@@ -529,11 +524,21 @@ class TestKernelNorm:
             assert bound >= (1.0 - 1e-12) * float(np.abs(evals).max())
             assert row == bound
 
-    def test_parts_entry_point_matches_kernel_bound(self):
-        for n in (20, 400):
-            inst, probes = kernel_instance(n)
-            parts = so.loss_kernel_parts(so.make_state(inst, probes), inst)
-            assert float(parts.norm_bound().max()) == so.kernel_bound(inst, probes)
+    def test_parts_entry_point_matches_kernel_bound(self, monkeypatch):
+        # the planted w is bitwise sqrt(100 R + l / sigma_min(A)^2), with R the
+        # largest norm_bound over the probe points the generator passed in
+        probes = []
+
+        def recording(inst, points):
+            probes.append(points)
+            return so.make_state(inst, points)
+
+        monkeypatch.setattr(planted_module, "make_state", recording)
+        for seed in range(3):
+            inst, _ = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=2.0, seed=seed))
+            smin = float(np.linalg.svd(inst.a, compute_uv=False)[-1])
+            w2 = RIDGE_HEADROOM * stack_bound(inst, probes[-1]) + 2.0 / smin**2
+            np.testing.assert_array_equal(inst.w, np.full(inst.n, np.sqrt(w2)))
 
     @pytest.mark.parametrize("n", [20, 151, 400])
     def test_stack_norm_is_the_largest_one_kernel_norm(self, n):
@@ -544,7 +549,7 @@ class TestKernelNorm:
         bounds = [so.loss_kernel_parts(so.make_state(inst, x), inst).norm_bound() for x in probes]
         assert len(set(bounds)) > 1
         assert stack.tolist() == bounds
-        assert so.kernel_bound(inst, probes) == max(bounds)
+        assert stack_bound(inst, probes) == max(bounds)
 
     def test_empty_stack(self):
         for n in (20, 400):
@@ -552,6 +557,27 @@ class TestKernelNorm:
             parts = so.loss_kernel_parts(so.make_state(inst, np.empty((0, inst.d))), inst)
             assert parts.f.shape == (0, n)
             assert parts.norm_bound().shape == (0,)
+
+    def test_overflowing_g_norm_is_rescaled(self):
+        # residual only with b = 1e160 at x = 0: |g_i| = 1.7e159, whose squares
+        # overflow, yet R is about 6.7e159; a stack with a finite row keeps its bits
+        rng = np.random.default_rng(73)
+        a = rng.standard_normal((6, 3))
+        big = so.ProblemInstance(a=a, b=np.full(6, 1e160), w=np.zeros(6), use_cent=False)
+        parts = so.loss_kernel_parts(so.make_state(big, np.zeros(3)), big)
+        m = float(np.abs(parts.g).max())
+        assert m > 1e159  # above sqrt of the float64 maximum, about 1.3e154
+        bound = parts.norm_bound()
+        assert np.isfinite(bound)
+        assert bound >= float(np.linalg.norm(parts.dense(), 2))
+        f_norm = np.linalg.norm(parts.f)
+        g_norm = m * np.linalg.norm(parts.g / m)
+        expected = np.abs(parts.c).max() + abs(parts.kappa) * f_norm**2 + 2.0 * f_norm * g_norm
+        assert bound == pytest.approx(expected, rel=1e-14)
+        small = so.ProblemInstance(a=a, b=np.full(6, 0.2), w=np.zeros(6), use_cent=False)
+        one = [so.loss_kernel_parts(so.make_state(inst, np.zeros(3)), inst) for inst in (big, small)]
+        stack = so.KernelParts(*(np.stack([getattr(p, k) for p in one]) for k in "c g kappa f".split()))
+        assert stack.norm_bound().tolist() == [p.norm_bound() for p in one]
 
 
 class TestLipschitzProbe:
