@@ -9,6 +9,12 @@ landscape   evaluate the loss terms over a 2D grid, write CSV
 verify      run the seeded check suite, print a pass/fail table
 nce         run the correlated-vs-shuffled contrastive experiment
 
+An option whose default the library owns is left out of the parsed
+namespace when it is not given, so the default of SolverConfig,
+GeneratorSpec, landscape_grid or paired_vs_shuffled_bounds applies.  The
+other defaults are the CLI's own; --ridge-l deliberately differs from
+GeneratorSpec's.
+
 All outputs are byte-reproducible for a fixed --seed under one BLAS
 library and thread count (solver step timings are only written when
 --timings is passed).  Another thread count may change the last bits of
@@ -28,7 +34,7 @@ from .exceptions import DomainError
 from .landscape import average_grids, landscape_grid
 from .model import ProblemInstance, _write_json, _write_text
 from .nce import paired_vs_shuffled_bounds
-from .newton import SolverConfig, solve
+from .newton import MODES, SolverConfig, solve
 from .planted import GeneratorSpec, basin_start, generate_planted
 from .suite import CHECK_NAMES, run_suite
 
@@ -36,15 +42,29 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITERS = 2
 
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(GeneratorSpec))
+_SOLVER_FIELDS = tuple(f.name for f in dataclasses.fields(SolverConfig))
+_GRID_OPTIONS = ("half_width", "resolution")
+_NCE_OPTIONS = ("dim_anchor", "dim_partner", "pool_size", "k", "epochs", "learning_rate")
+
+
+def _given(args, names) -> dict:
+    """The options among ``names`` that ``args`` holds, by name; the callee
+    supplies the default of every option that was not given."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=20, help="number of rows")
     parser.add_argument("--d", type=int, default=5, help="number of columns")
     parser.add_argument(
-        "--conditioning", type=float, default=5.0, help="target sigma_max/sigma_min of A"
+        "--conditioning",
+        type=float,
+        default=argparse.SUPPRESS,
+        help="target sigma_max/sigma_min of A",
     )
     parser.add_argument(
-        "--norm-cap-r", type=float, default=4.0, help="cap on ||A||, ||b||, ||x*||"
+        "--norm-cap-r", type=float, default=argparse.SUPPRESS, help="cap on ||A||, ||b||, ||x*||"
     )
     parser.add_argument(
         "--ridge-l", type=float, default=1.0, help="planted strong-convexity level"
@@ -52,14 +72,7 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> GeneratorSpec:
-    return GeneratorSpec(
-        n=args.n,
-        d=args.d,
-        conditioning=args.conditioning,
-        norm_cap_r=args.norm_cap_r,
-        ridge_l=args.ridge_l,
-        seed=args.seed,
-    )
+    return GeneratorSpec(**_given(args, _SPEC_FIELDS))
 
 
 def _load_or_generate(args) -> ProblemInstance:
@@ -71,7 +84,7 @@ def _load_or_generate(args) -> ProblemInstance:
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise DomainError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
 
@@ -84,14 +97,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_or_generate(args)
-    cfg = SolverConfig(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        mode=args.mode,
-        sample_epsilon=args.sample_epsilon,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
+    cfg = SolverConfig(**_given(args, _SOLVER_FIELDS))
     if args.x0 is not None:
         x0 = _parse_vector(args.x0, "--x0")
     elif inst.x_star is not None:
@@ -127,10 +133,7 @@ def _cmd_landscape(args) -> int:
             generate_planted(dataclasses.replace(spec, seed=args.seed + i))[0]
             for i in range(args.avg_seeds)
         ]
-    grids = [
-        landscape_grid(inst, center=center, half_width=args.half_width, resolution=args.resolution)
-        for inst in insts
-    ]
+    grids = [landscape_grid(inst, center=center, **_given(args, _GRID_OPTIONS)) for inst in insts]
     average_grids(grids).write_csv(args.out or sys.stdout)
     return EXIT_OK
 
@@ -167,15 +170,7 @@ def _cmd_nce(args) -> int:
         raise DomainError("--seeds must be >= 1")
     rows = []
     for i in range(args.seeds):
-        corr, shuf = paired_vs_shuffled_bounds(
-            args.seed + i,
-            dim_anchor=args.dim_anchor,
-            dim_partner=args.dim_partner,
-            pool_size=args.pool_size,
-            k=args.k,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-        )
+        corr, shuf = paired_vs_shuffled_bounds(args.seed + i, **_given(args, _NCE_OPTIONS))
         rows.append((args.seed + i, corr, shuf))
     _write_text(
         args.out or sys.stdout,
@@ -218,11 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--instance", help="instance JSON (otherwise generate)")
     _add_generator_flags(p_solve)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--epsilon", type=float, default=1e-10)
-    p_solve.add_argument("--delta", type=float, default=0.05)
-    p_solve.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p_solve.add_argument("--sample-epsilon", type=float, default=0.1)
-    p_solve.add_argument("--max-iters", type=int, default=50)
+    p_solve.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--delta", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--mode", choices=MODES, default=argparse.SUPPRESS)
+    p_solve.add_argument("--sample-epsilon", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
     p_solve.add_argument("--x0", help="comma-separated start point")
     p_solve.add_argument(
         "--x0-offset",
@@ -241,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--instance", help="instance JSON (otherwise generate)")
     _add_generator_flags(p_land)
     p_land.add_argument("--seed", type=int, default=0)
-    p_land.add_argument("--half-width", type=float, default=1.0)
-    p_land.add_argument("--resolution", type=int, default=21)
+    p_land.add_argument("--half-width", type=float, default=argparse.SUPPRESS)
+    p_land.add_argument("--resolution", type=int, default=argparse.SUPPRESS)
     p_land.add_argument("--center", help="comma-separated center point")
     p_land.add_argument(
         "--avg-seeds",
@@ -265,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_nce = sub.add_parser("nce", help="correlated-vs-shuffled bound experiment")
     p_nce.add_argument("--seed", type=int, default=0)
     p_nce.add_argument("--seeds", type=int, default=20, help="number of repetitions")
-    p_nce.add_argument("--k", type=int, default=8, help="candidates per batch")
-    p_nce.add_argument("--dim-anchor", type=int, default=8)
-    p_nce.add_argument("--dim-partner", type=int, default=8)
-    p_nce.add_argument("--pool-size", type=int, default=96)
-    p_nce.add_argument("--epochs", type=int, default=12)
-    p_nce.add_argument("--learning-rate", type=float, default=0.2)
+    p_nce.add_argument("--k", type=int, default=argparse.SUPPRESS, help="candidates per batch")
+    p_nce.add_argument("--dim-anchor", type=int, default=argparse.SUPPRESS)
+    p_nce.add_argument("--dim-partner", type=int, default=argparse.SUPPRESS)
+    p_nce.add_argument("--pool-size", type=int, default=argparse.SUPPRESS)
+    p_nce.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
+    p_nce.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
     p_nce.add_argument("--out", help="per-seed CSV path (default: stdout)")
     p_nce.add_argument("--summary", help="summary JSON path (default: stdout)")
     p_nce.set_defaults(func=_cmd_nce)

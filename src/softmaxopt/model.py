@@ -251,6 +251,8 @@ class ProblemInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemInstance":
+        if not isinstance(data, dict):
+            raise DomainError(f"the instance JSON must be an object, got {type(data).__name__}")
         n, d = _json_field(data, "n"), _json_field(data, "d")
         _require_ints(n=n, d=d)
         flags = {key: data.get(key, True) for key in ("use_exp", "use_cent")}

@@ -145,7 +145,7 @@ def approx_hessian(
     state: ModelState,
     sample_epsilon: float,
     seed,
-    delta: float = 0.05,
+    delta: float = SolverConfig.delta,
 ) -> np.ndarray:
     """Row-sampled spectral approximation of the total Hessian.
 

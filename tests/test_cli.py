@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 import softmaxopt as so
 from calculus_oracles import grad_f_inner
 from kernel_oracles import total_kernel
-from softmaxopt import suite
+from softmaxopt import cli, suite
 from softmaxopt.cli import build_parser, main
 
 
@@ -267,6 +268,10 @@ def test_non_finite_flag_is_domain_error(capsys, argv, name):
         (["verify", "--checks", "gradients,bogus"], "'bogus'"),
         (["solve", "--x0", "a,b"], "--x0"),
         (["landscape", "--center", "a,b"], "--center"),
+        # an empty field is an error, not a dropped one that shifts every later coordinate
+        (["solve", "--n", "10", "--d", "2", "--x0", "1,,2"], "--x0"),
+        (["solve", "--n", "10", "--d", "2", "--x0", "1,2,"], "--x0"),
+        (["landscape", "--n", "10", "--d", "2", "--center", ",0.5,,0.1"], "--center"),
         (["landscape", "--n", "20", "--d", "5", "--half-width", "1e308"], "half_width"),
         (["gen", "--seed", "-1"], "seed must be >= 0"),
         (["solve", "--instance", "{tmp}/inst.json", "--seed", "-1"], "seed must be >= 0"),
@@ -274,7 +279,8 @@ def test_non_finite_flag_is_domain_error(capsys, argv, name):
         (["verify", "--seed", "-1"], "seed must be >= 0"),
         (["nce", "--seed", "-1"], "seed must be >= 0"),
     ],
-    ids=["avg-seeds-with-instance", "unknown-check", "x0", "center", "half-width-span",
+    ids=["avg-seeds-with-instance", "unknown-check", "x0", "center",
+         "x0-empty-field", "x0-trailing-comma", "center-empty-field", "half-width-span",
          "gen-seed", "solve-seed", "landscape-seed", "verify-seed", "nce-seed"],
 )
 def test_bad_input_is_domain_error(tmp_path, capsys, monkeypatch, argv, named):
@@ -502,6 +508,15 @@ def test_quoted_number_in_instance_json_is_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: DomainError: A must be a list of numbers")
 
 
+def test_non_object_instance_json_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text("[1, 2]")
+    assert run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: DomainError: the instance JSON must be an object"
+    )
+
+
 class TestNceCommand:
     def test_pinned_values(self, tmp_path):
         csv_path = tmp_path / "bounds.csv"
@@ -627,6 +642,109 @@ def test_rerun_writes_the_same_bytes(tmp_path, capsys, argv):
         runs.append((path.read_bytes(), capsys.readouterr()))
     assert runs[0] == runs[1]
     assert runs[0][1].err == ""
+
+
+# Options whose default belongs to the library: SolverConfig, GeneratorSpec,
+# landscape_grid and paired_vs_shuffled_bounds.
+LIBRARY_DEFAULTED = (
+    "epsilon", "delta", "sample_epsilon", "max_iters", "mode",
+    "conditioning", "norm_cap_r",
+    "half_width", "resolution",
+    "k", "dim_anchor", "dim_partner", "pool_size", "epochs", "learning_rate",
+)
+
+
+class TestLibraryDefaults:
+    """An option that is not given reaches no callee; a given one reaches it unchanged."""
+
+    class Captured(Exception):
+        pass
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        calls = {}
+
+        def capture(name):
+            def stub(*args, **kwargs):
+                calls[name] = (args, kwargs)
+                raise self.Captured
+
+            return stub
+
+        for name in ("solve", "generate_planted", "landscape_grid", "paired_vs_shuffled_bounds"):
+            monkeypatch.setattr(cli, name, capture(name))
+        return calls
+
+    @pytest.fixture
+    def inst_path(self, tmp_path):
+        path = tmp_path / "inst.json"
+        so.generate_planted(so.GeneratorSpec(n=8, d=2, ridge_l=1.0, seed=0))[0].save(path)
+        return path
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "landscape", "nce"])
+    def test_ungiven_options_stay_out_of_the_namespace(self, command):
+        held = vars(build_parser().parse_args([command]))
+        assert [name for name in LIBRARY_DEFAULTED if name in held] == []
+
+    @pytest.mark.parametrize(
+        "argv, changes",
+        [
+            ([], {}),
+            (["--delta", "0.07", "--mode", "sampled"], {"delta": 0.07, "mode": "sampled"}),
+            (["--epsilon", "1e-8", "--sample-epsilon", "0.05", "--max-iters", "7", "--seed", "3"],
+             {"epsilon": 1e-8, "sample_epsilon": 0.05, "max_iters": 7, "seed": 3}),
+        ],
+        ids=["none", "delta-mode", "others"],
+    )
+    def test_solver_config(self, inst_path, captured, argv, changes):
+        assert run(["solve", "--instance", inst_path, *argv]) == 1
+        (_, _, cfg), _ = captured["solve"]
+        assert cfg == dataclasses.replace(so.SolverConfig(), **changes)
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "landscape"])
+    @pytest.mark.parametrize(
+        "argv, changes",
+        [
+            ([], {}),
+            (["--conditioning", "3", "--norm-cap-r", "2"], {"conditioning": 3.0, "norm_cap_r": 2.0}),
+            (["--n", "9", "--d", "4", "--ridge-l", "0.5", "--seed", "6"],
+             {"n": 9, "d": 4, "ridge_l": 0.5, "seed": 6}),
+        ],
+        ids=["none", "library", "cli"],
+    )
+    def test_generator_spec(self, captured, command, argv, changes):
+        assert run([command, *argv]) == 1
+        (spec,), _ = captured["generate_planted"]
+        cli_defaults = {"n": 20, "d": 5, "ridge_l": 1.0, "seed": 0}
+        assert spec == so.GeneratorSpec(**{**cli_defaults, **changes})
+
+    @pytest.mark.parametrize(
+        "argv, changes",
+        [
+            ([], {}),
+            (["--half-width", "0.3", "--resolution", "11"], {"half_width": 0.3, "resolution": 11}),
+        ],
+        ids=["none", "given"],
+    )
+    def test_landscape_grid(self, inst_path, captured, argv, changes):
+        assert run(["landscape", "--instance", inst_path, *argv]) == 1
+        (_,), kwargs = captured["landscape_grid"]
+        assert kwargs == {"center": None, **changes}
+
+    @pytest.mark.parametrize(
+        "argv, changes",
+        [
+            ([], {}),
+            (["--k", "3", "--dim-anchor", "3", "--dim-partner", "4", "--pool-size", "20",
+              "--epochs", "2", "--learning-rate", "0.1"],
+             {"k": 3, "dim_anchor": 3, "dim_partner": 4, "pool_size": 20, "epochs": 2,
+              "learning_rate": 0.1}),
+        ],
+        ids=["none", "given"],
+    )
+    def test_paired_vs_shuffled_bounds(self, captured, argv, changes):
+        assert run(["nce", "--seed", "5", *argv]) == 1
+        assert captured["paired_vs_shuffled_bounds"] == ((5,), changes)
 
 
 class TestParserPerProcess:

@@ -478,6 +478,13 @@ class TestInstanceJson:
             with pytest.raises(DomainError, match=f"^{key} must be a list of numbers"):
                 so.ProblemInstance.from_dict({**data, key: bad_list})
 
+    @pytest.mark.parametrize(
+        "data, name", [([1, 2], "list"), (3, "int"), ("s", "str"), (None, "NoneType")]
+    )
+    def test_non_object_top_level_is_domain_error(self, data, name):
+        with pytest.raises(DomainError, match=f"^the instance JSON must be an object, got {name}$"):
+            so.ProblemInstance.from_dict(data)
+
     def test_integer_entries_are_numbers(self):
         data = {"n": 2, "d": 2, "A": [1, -2, 3, 2**70], "b": [1, 0], "w": [0, 3],
                 "x_star": [2, 0], "reg_mode": "centered"}
