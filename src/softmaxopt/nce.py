@@ -86,11 +86,48 @@ def _positive_log_p(anchor, candidates, weight):
 
 def _positive_minus_mean(anchor, candidates, weight) -> np.ndarray:
     # q_1 - sigma @ Q, the factor both gradients share; one row per batch of a
-    # stack.  sigma is the p of _log_p_and_p, without the log p training never reads
-    z = _scores(anchor, candidates, weight)
-    sigma = np.exp(z - z.max(axis=-1, keepdims=True))
-    sigma /= sigma.sum(axis=-1, keepdims=True)
-    return candidates[..., 0, :] - (sigma[..., None, :] @ candidates)[..., 0, :]
+    # stack, in a workspace of its own, so no two calls share a buffer
+    batch = np.broadcast_shapes(anchor.shape[:-1], candidates.shape[:-2], weight.shape[:-2])
+    work = _workspace(batch, *candidates.shape[-2:])
+    return _positive_minus_mean_into(weight.swapaxes(-1, -2), anchor[..., None], candidates, work)
+
+
+def _workspace(batch: tuple, k: int, q: int) -> tuple:
+    """Buffers of ``_positive_minus_mean_into`` for a stack of shape ``batch``.
+
+    In order: ``W^T a`` (q, 1); the scores (k, 1) and their (k,) view; one
+    (1,) column for the max and then the sum; sigma (1, k) and its (k,)
+    view; ``sigma @ Q`` (1, q) and its (q,) view; the result (q,).  Each
+    reduction runs over a contiguous last axis, as on a fresh array.
+    """
+    scores = np.empty((*batch, k, 1))
+    sigma = np.empty((*batch, 1, k))
+    mean = np.empty((*batch, 1, q))
+    return (np.empty((*batch, q, 1)), scores, scores[..., 0], np.empty((*batch, 1)),
+            sigma, sigma[..., 0, :], mean, mean[..., 0, :], np.empty((*batch, q)))
+
+
+def _positive_minus_mean_into(weight_t, anchor_col, candidates, work) -> np.ndarray:
+    """q_1 - sigma @ Q, written into the last buffer of ``work`` and returned.
+
+    ``weight_t`` is W^T, ``anchor_col`` the anchor as a ``(..., p, 1)``
+    column and ``candidates`` is Q; ``work`` comes from ``_workspace``.  The
+    scores take the products of ``_scores``, and sigma is the p of
+    ``model._log_p_and_p``, from the same max-shift and last-axis sum,
+    without the ``log p`` training never reads.  Every call writes into
+    ``work``, so a caller that keeps the buffers and views makes no new
+    array per call.
+    """
+    w_t_anchor, scores, z, shift, sigma, p, mean, mean_row, diff = work
+    np.matmul(weight_t, anchor_col, out=w_t_anchor)
+    np.matmul(candidates, w_t_anchor, out=scores)
+    np.maximum.reduce(z, axis=-1, keepdims=True, out=shift)
+    np.subtract(z, shift, out=p)
+    np.exp(p, out=p)
+    np.add.reduce(p, axis=-1, keepdims=True, out=shift)
+    np.divide(p, shift, out=p)
+    np.matmul(sigma, candidates, out=mean)
+    return np.subtract(candidates[..., 0, :], mean_row, out=diff)
 
 
 def _scores(anchor, candidates, weight) -> np.ndarray:
@@ -140,12 +177,19 @@ def paired_vs_shuffled_bounds(
     array bounds and of ``Generator.choice``'s Floyd branch, and change only
     where ``choice`` would shuffle a tail instead (``pool_size > 10001`` and
     ``k - 1 > (pool_size - 1) // 50``).  The draws are kept as
-    ``2 (epochs + 1) pool_size k`` int32 indices (about 80 KB at the
-    defaults), and one pass's candidates of both chains are gathered at a
-    time, every pass into the same ``(pool_size, 2, k, dim_partner)``
-    buffer (98 KB at the defaults).  The bounds are summed anchor by anchor
-    as Python floats.  A learning rate that overflows either chain's weight
-    raises NonFiniteInput naming ``learning_rate``.
+    ``2 (epochs + 1) pool_size k`` indices, int16 while ``2 pool_size``
+    fits in it (39,936 bytes at the defaults), and one pass's candidates
+    of both chains are gathered at a time, every pass into the same
+    ``(pool_size, 2, k, dim_partner)`` buffer (98 KB at the defaults).
+    Training allocates its buffers once per seed: the workspace of
+    ``_positive_minus_mean_into``, views of W^T and of each anchor as a
+    column, and one ``step`` the size of the weight.  Each step is that
+    kernel's nine calls into the workspace, then ``step = a (x) diff``,
+    ``step *= learning_rate`` and ``weight += step``, the rounding of
+    ``weight + learning_rate * np.outer(a, diff)``, with no new array.
+    The bounds are summed anchor by anchor as Python floats.  A learning
+    rate that overflows either chain's weight raises NonFiniteInput naming
+    ``learning_rate``.
     """
     _require_seed(seed)
     _require_ints(
@@ -177,6 +221,13 @@ def paired_vs_shuffled_bounds(
 
     log_k = float(np.log(k))
     weight = np.zeros((2, dim_anchor, dim_partner))
+    # every training step works in these buffers and views, made once; the
+    # weight is only ever updated in place, so weight_t stays its transpose
+    weight_t = weight.swapaxes(-1, -2)
+    anchor_cols = anchors[:, :, None]
+    work = _workspace((2,), k, dim_partner)
+    diff_rows = work[-1][:, None, :]
+    step = np.empty_like(weight)
     # every pass, the scoring one too, gathers its candidates into this one
     # buffer; the indices are in range, so "clip" only spares take its copy
     gathered = np.empty((pool_size, 2, k, dim_partner))
@@ -189,10 +240,13 @@ def paired_vs_shuffled_bounds(
         # warning and leaving a NaN or Inf weight behind
         with np.errstate(over="raise", invalid="raise", under="ignore"):
             for epoch in range(epochs):
-                for anchor, candidates in zip(anchors, gather(epoch)):
-                    diff = _positive_minus_mean(anchor, candidates, weight)
-                    # np.outer(anchor, diff[c]) for each chain c, the same products
-                    weight += learning_rate * (anchor[:, None] * diff[:, None, :])
+                for anchor_col, candidates in zip(anchor_cols, gather(epoch)):
+                    _positive_minus_mean_into(weight_t, anchor_col, candidates, work)
+                    # np.outer(anchor, diff[c]) for each chain c, then times
+                    # learning_rate: the roundings of learning_rate * (a * d)
+                    np.multiply(anchor_col, diff_rows, out=step)
+                    step *= learning_rate
+                    weight += step
             log_p = _positive_log_p(anchors[:, None], gather(-1), weight)
     except FloatingPointError as exc:
         raise NonFiniteInput(
@@ -226,11 +280,14 @@ def _draw_passes(rng, passes: int, pool_size: int, k: int) -> np.ndarray:
     afterwards are bitwise those of the per-anchor ``choice`` loop.  Above
     that, ``choice`` shuffles a tail of the whole population instead, and
     the rows here, though distinct, in range and free of the anchor, differ
-    from its.  The rows are int32 while ``2 pool_size`` fits in it, half the
-    memory of ``intp`` for the same gather.
+    from its.  The rows take the narrowest of int16, int32 and ``intp`` that
+    holds ``2 pool_size``: a quarter of the memory of ``intp`` for the same
+    gather while ``pool_size <= 16383`` (39,936 bytes for the default
+    experiment's 26 passes of 96 anchors and 8 candidates), half of it
+    while ``pool_size <= 2**30 - 1``.
     """
     # the caller shifts the shuffled chain's rows by pool_size
-    dtype = np.int32 if 2 * pool_size <= np.iinfo(np.int32).max else np.intp
+    dtype = next(t for t in (np.int16, np.int32, np.intp) if 2 * pool_size <= np.iinfo(t).max)
     rows = np.empty((passes, pool_size, k), dtype=dtype)
     rows[..., 0] = np.arange(pool_size)
     block = max(1, _DRAW_FLAGS // pool_size)

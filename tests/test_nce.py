@@ -167,6 +167,19 @@ class TestNceGradients:
             )
             assert so.nce_loss(scaled) > so.nce_loss(batch)
 
+    def test_calls_share_no_buffer(self):
+        # each call owns its gradients and its q_1 - sigma Q factor: a later
+        # call of another batch leaves an earlier call's arrays as they were
+        first, second = random_batch(11), random_batch(12)
+        grads = so.nce_gradients(first)
+        diff = so.nce._positive_minus_mean(first.anchor, first.candidates, first.weight)
+        kept = [arr.copy() for arr in (*grads, diff)]
+        later = so.nce_gradients(second)
+        later_diff = so.nce._positive_minus_mean(second.anchor, second.candidates, second.weight)
+        for arr, copy in zip((*grads, diff), kept):
+            assert arr.tobytes() == copy.tobytes()
+            assert not any(np.shares_memory(arr, new) for new in (*later, later_diff))
+
 
 class TestNegativeDraw:
     # pool 2000 is drawn in several blocks of anchors, and every pool size
@@ -210,7 +223,7 @@ class TestNegativeDraw:
 
 class TestDrawMemory:
     def test_peak_holds_one_pass_of_temporaries(self):
-        # the default experiment's 26 passes: the int32 rows take 79,872
+        # the default experiment's 26 passes: the int16 rows take 39,936
         # bytes, and each pass's shift adds about 5 KB on top
         rng = np.random.default_rng(0)
         so.nce._draw_passes(rng, 1, 96, 8)
@@ -220,15 +233,16 @@ class TestDrawMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.nbytes == 26 * 96 * 8 * 4
+        assert rows.nbytes == 26 * 96 * 8 * 2
         assert peak < 200_000
 
     @pytest.mark.parametrize(("pool_size", "k"), [(1, 1), (96, 8), (300, 300), (2000, 64)])
     def test_int32_rows_equal_the_intp_rows(self, pool_size, k):
         # the shuffled chain's rows are shifted by pool_size, so 2 pool_size
-        # must fit in int32; the rows are the per-anchor draws' intp rows
+        # must fit the narrow dtype, int16 at these pool sizes; the rows are
+        # the per-anchor draws' intp rows
         rows = so.nce._draw_passes(np.random.default_rng(5), 2, pool_size, k)
-        assert rows.dtype == np.int32
+        assert rows.dtype == np.int16
         ref = np.random.default_rng(5)
         wide = np.array([
             [np.insert(ref.choice(np.delete(np.arange(pool_size), i), k - 1, replace=False), 0, i)
@@ -239,6 +253,22 @@ class TestDrawMemory:
         assert np.array_equal(rows, wide)
         pool = np.random.default_rng(6).standard_normal((2 * pool_size, 3))
         assert np.array_equal(np.take(pool, rows + pool_size, axis=0), pool[wide + pool_size])
+
+    @pytest.mark.parametrize(("pool_size", "dtype"), [(16383, np.int16), (16384, np.int32)])
+    def test_widest_pool_of_each_dtype(self, pool_size, dtype):
+        # 2 pool_size - 1, the shuffled chain's last row, is 32765 at pool 16383;
+        # one pool more and 2 pool_size no longer fits in int16
+        rows = so.nce._draw_passes(np.random.default_rng(8), 1, pool_size, 2)[0]
+        assert rows.dtype == dtype
+        ref = np.random.default_rng(8)
+        want = np.array([ref.choice(pool_size - 1, size=1, replace=False)[0] for _ in range(pool_size)])
+        want += want >= np.arange(pool_size)
+        assert np.array_equal(rows[:, 0], np.arange(pool_size))
+        assert np.array_equal(rows[:, 1], want)
+        shifted = rows + pool_size
+        assert shifted.dtype == dtype
+        assert np.array_equal(shifted, rows.astype(np.intp) + pool_size)
+        assert shifted.max() == 2 * pool_size - 1
 
 
 class TestExperimentMemory:
@@ -353,6 +383,20 @@ class TestPairedExperiment:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteInput, match="learning_rate"):
                 so.paired_vs_shuffled_bounds(0, learning_rate=1e308)
+        assert np.geterr() == before
+
+    # the ufunc that overflows first: the in-place step *= learning_rate, and
+    # the max-shift in the step's kernel; the two cases above overflow first
+    # in the kernel's scores matmul
+    @pytest.mark.parametrize(("seed", "learning_rate", "ufunc"), [
+        (2, 1e308, "multiply"), (2, 1e307, "subtract"),
+    ])
+    def test_overflow_in_each_step_call_is_typed(self, seed, learning_rate, ufunc):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteInput, match=rf"in {ufunc}\); lower learning_rate"):
+                so.paired_vs_shuffled_bounds(seed, learning_rate=learning_rate)
         assert np.geterr() == before
 
 
