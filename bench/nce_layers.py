@@ -17,7 +17,7 @@ lockstep steps):
 
 - ``draw_26_passes``: ``_draw_passes`` of the seed's 26 passes.
 - ``scoring_pass``: one gather of both chains' candidates and the
-  log-softmax at the positive of every anchor (``_positive_log_p``).
+  log-softmax at the positive of every anchor (``_nce_stack``).
 - ``seed``: the whole seed; ``seed_epochs0``, the same with ``epochs=0``.
 - ``cli_nce_seeds_1``: ``softmaxopt nce --seeds 1`` through ``cli.main``,
   writing its CSV and summary.
@@ -73,7 +73,7 @@ def layers(tmp: Path) -> dict:
 
     def scoring_pass():
         np.take(pool, rows, axis=0, out=gathered, mode="clip")
-        nce._positive_log_p(anchors[:, None], gathered, weight)
+        nce._nce_stack(anchors[:, None], gathered, weight)
 
     def cli_call():
         with contextlib.redirect_stdout(io.StringIO()):

@@ -255,6 +255,9 @@ class ProblemInstance:
             raise DomainError(f"the instance JSON must be an object, got {type(data).__name__}")
         n, d = _json_field(data, "n"), _json_field(data, "d")
         _require_ints(n=n, d=d)
+        for key, value in (("n", n), ("d", d)):
+            if value < 1:
+                raise DomainError(f"{key} must be >= 1, got {value!r}")
         flags = {key: data.get(key, True) for key in ("use_exp", "use_cent")}
         for key, value in flags.items():
             if not isinstance(value, bool):
@@ -279,8 +282,13 @@ class ProblemInstance:
 
     @classmethod
     def load(cls, path) -> "ProblemInstance":
+        """Read an instance JSON file; a file that is not UTF-8 JSON is a DomainError naming it."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise DomainError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,21 +310,27 @@ def logits(inst: ProblemInstance, x) -> np.ndarray:
     return _matvec(inst.a, x)
 
 
-def _log_p_and_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log p and p for p = exp(z) / <exp(z), 1>, from one max-shift of a finite z.
+def _softmax_into(z: np.ndarray, col=None, p=None) -> tuple[np.ndarray, np.ndarray]:
+    """p = exp(z) / <exp(z), 1> per last-axis row of a finite z, and the row sums: one softmax.
 
-    Each row along the last axis is one softmax; a row of a 2-D ``z`` gives
-    bitwise the values of that row passed alone.  The shift runs in place:
-    the ``log p`` returned is ``z`` itself, so a caller passes a ``z`` it
-    owns and no longer needs.
+    A row of a stack gives bitwise that row passed alone.  ``z`` is shifted
+    by its row max in place, after which ``z - log(col)`` is ``log p``.
+    ``col`` (last axis 1) and ``p`` are written into when given and made when
+    not; each reduction runs over a contiguous last axis, as on a fresh array.
     """
-    log_p = z
-    log_p -= z.max(axis=-1, keepdims=True)
-    p = np.exp(log_p)
-    total = p.sum(axis=-1, keepdims=True)
-    log_p -= np.log(total)
-    p /= total
-    return log_p, p
+    col = np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+    z -= col
+    p = np.exp(z, out=p)
+    np.add.reduce(p, axis=-1, keepdims=True, out=col)
+    p /= col
+    return p, col
+
+
+def _log_p_and_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p and p of ``_softmax_into``; the ``log p`` returned is ``z``, shifted in place."""
+    p, total = _softmax_into(z)
+    z -= np.log(total)
+    return z, p
 
 
 def make_state(inst: ProblemInstance, x) -> ModelState:

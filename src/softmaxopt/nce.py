@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError, NonFiniteInput
-from .model import _log_p_and_p, _require_ints, _require_seed
+from .model import _require_ints, _require_seed, _softmax_into
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ def nce_loss(batch: NceBatch) -> float:
     Always <= 0; computed with max-subtraction so large scores do not
     overflow.
     """
-    return float(_positive_log_p(batch.anchor, batch.candidates, batch.weight))
+    return float(_nce_stack(batch.anchor, batch.candidates, batch.weight)[0])
 
 
 def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -74,31 +74,31 @@ def nce_gradients(batch: NceBatch) -> tuple[np.ndarray, np.ndarray]:
     grad_W = anchor (q_1 - sum_k sigma_k q_k)^T and
     grad_anchor = W (q_1 - sum_k sigma_k q_k).
     """
-    diff = _positive_minus_mean(batch.anchor, batch.candidates, batch.weight)
+    diff = _nce_stack(batch.anchor, batch.candidates, batch.weight)[1]
     return np.outer(batch.anchor, diff), batch.weight @ diff
 
 
-def _positive_log_p(anchor, candidates, weight):
-    # log-softmax at candidate 0 of the scores; one value per batch of a stack
-    log_p, _ = _log_p_and_p(_scores(anchor, candidates, weight))
-    return log_p[..., 0]
+def _nce_stack(anchor, candidates, weight) -> tuple[np.ndarray, np.ndarray]:
+    """The log-softmax at the positive and ``q_1 - sigma Q``, for one batch or a stack.
 
-
-def _positive_minus_mean(anchor, candidates, weight) -> np.ndarray:
-    # q_1 - sigma @ Q, the factor both gradients share; one row per batch of a
-    # stack, in a workspace of its own, so no two calls share a buffer
+    ``anchor`` (..., p), ``candidates`` (..., k, q) and ``weight`` (..., p, q)
+    broadcast over their leading axes; each row of a stack is bitwise that
+    batch alone.  Each call runs the kernel in a fresh workspace of its own.
+    """
     batch = np.broadcast_shapes(anchor.shape[:-1], candidates.shape[:-2], weight.shape[:-2])
     work = _workspace(batch, *candidates.shape[-2:])
-    return _positive_minus_mean_into(weight.swapaxes(-1, -2), anchor[..., None], candidates, work)
+    diff = _positive_minus_mean_into(weight.swapaxes(-1, -2), anchor[..., None], candidates, work)
+    z, col = work[2], work[3]
+    return z[..., 0] - np.log(col[..., 0]), diff
 
 
 def _workspace(batch: tuple, k: int, q: int) -> tuple:
     """Buffers of ``_positive_minus_mean_into`` for a stack of shape ``batch``.
 
-    In order: ``W^T a`` (q, 1); the scores (k, 1) and their (k,) view; one
-    (1,) column for the max and then the sum; sigma (1, k) and its (k,)
-    view; ``sigma @ Q`` (1, q) and its (q,) view; the result (q,).  Each
-    reduction runs over a contiguous last axis, as on a fresh array.
+    In order: ``W^T a`` (q, 1); the scores (k, 1) and their (k,) view,
+    which the kernel leaves shifted by their max; the (1,) column of
+    ``model._softmax_into``, left holding the sum; sigma (1, k) and its
+    (k,) view; ``sigma @ Q`` (1, q) and its (q,) view; the result (q,).
     """
     scores = np.empty((*batch, k, 1))
     sigma = np.empty((*batch, 1, k))
@@ -112,34 +112,17 @@ def _positive_minus_mean_into(weight_t, anchor_col, candidates, work) -> np.ndar
 
     ``weight_t`` is W^T, ``anchor_col`` the anchor as a ``(..., p, 1)``
     column and ``candidates`` is Q; ``work`` comes from ``_workspace``.  The
-    scores take the products of ``_scores``, and sigma is the p of
-    ``model._log_p_and_p``, from the same max-shift and last-axis sum,
-    without the ``log p`` training never reads.  Every call writes into
-    ``work``, so a caller that keeps the buffers and views makes no new
-    array per call.
+    scores are ``Q (W^T a)``, each product a matmul of one batch's blocks as
+    ``model._matvec`` takes them, and sigma is their ``model._softmax_into``.
+    Every call writes into ``work``, so a caller that keeps the buffers and
+    views makes no new array per call.
     """
-    w_t_anchor, scores, z, shift, sigma, p, mean, mean_row, diff = work
+    w_t_anchor, scores, z, col, sigma, p, mean, mean_row, diff = work
     np.matmul(weight_t, anchor_col, out=w_t_anchor)
     np.matmul(candidates, w_t_anchor, out=scores)
-    np.maximum.reduce(z, axis=-1, keepdims=True, out=shift)
-    np.subtract(z, shift, out=p)
-    np.exp(p, out=p)
-    np.add.reduce(p, axis=-1, keepdims=True, out=shift)
-    np.divide(p, shift, out=p)
+    _softmax_into(z, col, p)
     np.matmul(sigma, candidates, out=mean)
     return np.subtract(candidates[..., 0, :], mean_row, out=diff)
-
-
-def _scores(anchor, candidates, weight) -> np.ndarray:
-    """candidates @ (W^T anchor) for one batch, or for a stack of batches.
-
-    ``anchor`` (..., p), ``candidates`` (..., k, q) and ``weight`` (..., p, q)
-    broadcast over their leading axes.  Every product is a matmul of one
-    batch's blocks, as ``model._matvec`` takes them, so each row of a stack is
-    bitwise that batch alone.
-    """
-    w_t_anchor = weight.swapaxes(-1, -2) @ anchor[..., None]
-    return (candidates @ w_t_anchor)[..., 0]
 
 
 # Mixing matrix of the synthetic correlated-pair experiment is fixed across
@@ -167,8 +150,8 @@ def paired_vs_shuffled_bounds(
 
     Both chains train in lockstep on one ``(2, dim_anchor, dim_partner)``
     weight stack: each step takes one anchor's candidates of both chains
-    through the stack-aware helpers ``nce_gradients`` and ``nce_loss`` use,
-    and each row of the stack is bitwise that chain trained alone.  All
+    through the kernel ``nce_gradients`` and ``nce_loss`` use, and each row
+    of the stack is bitwise that chain trained alone.  All
     negatives are drawn first, the correlated chain's ``epochs + 1`` passes
     and then the shuffled chain's, so the random stream is that of training
     one chain after the other.  Each pass is one batched Floyd draw plus
@@ -184,7 +167,7 @@ def paired_vs_shuffled_bounds(
     Training allocates its buffers once per seed: the workspace of
     ``_positive_minus_mean_into``, views of W^T and of each anchor as a
     column, and one ``step`` the size of the weight.  Each step is that
-    kernel's nine calls into the workspace, then ``step = a (x) diff``,
+    kernel run in the workspace, then ``step = a (x) diff``,
     ``step *= learning_rate`` and ``weight += step``, the rounding of
     ``weight + learning_rate * np.outer(a, diff)``, with no new array.
     The bounds are summed anchor by anchor as Python floats.  A learning
@@ -247,7 +230,7 @@ def paired_vs_shuffled_bounds(
                     np.multiply(anchor_col, diff_rows, out=step)
                     step *= learning_rate
                     weight += step
-            log_p = _positive_log_p(anchors[:, None], gather(-1), weight)
+            log_p = _nce_stack(anchors[:, None], gather(-1), weight)[0]
     except FloatingPointError as exc:
         raise NonFiniteInput(
             f"training overflowed float64 ({exc}); lower learning_rate, got {learning_rate!r}"

@@ -517,6 +517,16 @@ def test_non_object_instance_json_is_domain_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("content", [b'{"n": 20, "d": 5, "A": [0.1,', b"\xff\xfe{}"],
+                         ids=["truncated", "not-utf8"])
+def test_malformed_instance_file_is_domain_error(tmp_path, capsys, content):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    assert run(["solve", "--instance", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DomainError: {path} is not a UTF-8 JSON file")
+
+
 class TestNceCommand:
     def test_pinned_values(self, tmp_path):
         csv_path = tmp_path / "bounds.csv"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import types
 
 import numpy as np
@@ -449,6 +450,26 @@ class TestInstanceJson:
         so.ProblemInstance.from_dict(data)
         with pytest.raises(DomainError, match=f"^{key} must be"):
             so.ProblemInstance.from_dict({**data, key: value})
+
+    @pytest.mark.parametrize(
+        "n, d, key", [(-2, -1, "n"), (-1, -2, "n"), (1, -2, "d"), (0, 2, "n"), (2, 0, "d")]
+    )
+    def test_non_positive_sizes_name_the_field(self, n, d, key):
+        # checked before A is reshaped: numpy would reject two negative sizes
+        # with a bare ValueError and read one as a count of -2 entries
+        data = {"n": n, "d": d, "A": [1, 2], "b": [0.5, 0.5], "w": [0.0, 0.0]}
+        with pytest.raises(DomainError, match=f"^{key} must be >= 1, got {data[key]}$"):
+            so.ProblemInstance.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "content", [b'{"n": 2, "d": 2, "A": [1.0,', b"", b'{"n": 1}\xff'],
+        ids=["truncated", "empty", "not-utf8"],
+    )
+    def test_load_of_a_file_that_is_not_utf8_json_names_it(self, tmp_path, content):
+        path = tmp_path / "inst.json"
+        path.write_bytes(content)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))} is not a UTF-8 JSON file"):
+            so.ProblemInstance.load(path)
 
     @pytest.mark.parametrize("key", ["A", "b", "w", "x_star"])
     def test_non_number_entry_names_the_field(self, key):

@@ -1,5 +1,6 @@
 """Contrastive bound estimators: values, gradients and the paired experiment."""
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -172,10 +173,10 @@ class TestNceGradients:
         # call of another batch leaves an earlier call's arrays as they were
         first, second = random_batch(11), random_batch(12)
         grads = so.nce_gradients(first)
-        diff = so.nce._positive_minus_mean(first.anchor, first.candidates, first.weight)
+        diff = so.nce._nce_stack(first.anchor, first.candidates, first.weight)[1]
         kept = [arr.copy() for arr in (*grads, diff)]
         later = so.nce_gradients(second)
-        later_diff = so.nce._positive_minus_mean(second.anchor, second.candidates, second.weight)
+        later_diff = so.nce._nce_stack(second.anchor, second.candidates, second.weight)[1]
         for arr, copy in zip((*grads, diff), kept):
             assert arr.tobytes() == copy.tobytes()
             assert not any(np.shares_memory(arr, new) for new in (*later, later_diff))
@@ -298,8 +299,7 @@ class TestStackedHelpers:
     def test_rows_match_nce_gradients_and_loss(self, seed):
         batches = [random_batch(10 * seed + j) for j in range(3)]
         anchors, candidates, weights = self._stack(batches)
-        diff = so.nce._positive_minus_mean(anchors, candidates, weights)
-        log_p = so.nce._positive_log_p(anchors, candidates, weights)
+        log_p, diff = so.nce._nce_stack(anchors, candidates, weights)
         for j, batch in enumerate(batches):
             grad_w, grad_a = so.nce_gradients(batch)
             assert np.outer(batch.anchor, diff[j]).tobytes() == grad_w.tobytes()
@@ -312,7 +312,7 @@ class TestStackedHelpers:
         first, other = random_batch(seed), random_batch(100 + seed)
         batches = [first, so.NceBatch(first.anchor, other.positive, other.negatives, other.weight)]
         _, candidates, weights = self._stack(batches)
-        diff = so.nce._positive_minus_mean(first.anchor, candidates, weights)
+        diff = so.nce._nce_stack(first.anchor, candidates, weights)[1]
         for j, batch in enumerate(batches):
             assert np.outer(batch.anchor, diff[j]).tobytes() == so.nce_gradients(batch)[0].tobytes()
 
@@ -324,12 +324,47 @@ class TestStackedHelpers:
         weights = rng.standard_normal((2, p, q))
         anchors = rng.standard_normal((m, p))
         candidates = rng.standard_normal((m, 2, k, q))
-        log_p = so.nce._positive_log_p(anchors[:, None], candidates, weights)
+        log_p = so.nce._nce_stack(anchors[:, None], candidates, weights)[0]
         assert log_p.shape == (m, 2)
         for i in range(m):
             for c in range(2):
                 batch = so.NceBatch(anchors[i], candidates[i, c, 0], candidates[i, c, 1:], weights[c])
                 assert float(log_p[i, c]) == so.nce_loss(batch)
+
+
+class TestOneSoftmax:
+    """Training, scoring, states, landscapes and the generator share model._softmax_into."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        softmax = so.model._softmax_into
+
+        def counting(*args):
+            counted.append(args[0].shape)
+            return softmax(*args)
+
+        monkeypatch.setattr(so.model, "_softmax_into", counting)
+        monkeypatch.setattr(so.nce, "_softmax_into", counting)
+        return counted
+
+    def test_every_step_and_the_scoring_pass(self, calls):
+        # 12 epochs of 96 lockstep steps, then one scoring pass of all anchors
+        so.paired_vs_shuffled_bounds(0)
+        assert len(calls) == 12 * 96 + 1
+        assert calls[0] == (2, 8) and calls[-1] == (96, 2, 8)
+
+    def test_model_paths_reach_it(self, calls):
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=6, d=2, ridge_l=1.0, seed=0))
+        reached = [len(calls)]
+        so.make_state(inst, x_star)
+        reached.append(len(calls))
+        so.landscape_grid(inst, resolution=3)
+        reached.append(len(calls))
+        assert 0 < reached[0] < reached[1] < reached[2]
+
+    def test_nce_takes_no_exp_of_its_own(self):
+        assert "np.exp" not in inspect.getsource(so.nce)
 
 
 class TestBatchEquality:
