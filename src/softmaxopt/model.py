@@ -282,12 +282,23 @@ class ProblemInstance:
 
     @classmethod
     def load(cls, path) -> "ProblemInstance":
-        """Read an instance JSON file; a file that is not UTF-8 JSON is a DomainError naming it."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise DomainError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
+        """Read an instance JSON file; a file that is not UTF-8 JSON is a DomainError naming it.
+
+        The parser is orjson: at a fraction of ``json``'s cost, it gives
+        ``json``'s floats bit for bit on every numeral a float writer emits.
+        It holds to RFC 8259: a ``NaN``, ``Infinity`` or out-of-range literal
+        such as ``1e400`` makes the file not JSON, and an integer beyond 64
+        bits arrives as a float.
+        """
+        # imported here, so that only the commands that read an instance pay for it
+        import orjson
+
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError as exc:
+            raise DomainError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
         return cls.from_dict(data)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -527,6 +528,17 @@ def test_malformed_instance_file_is_domain_error(tmp_path, capsys, content):
     assert err.startswith(f"error: DomainError: {path} is not a UTF-8 JSON file")
 
 
+def test_nan_literal_instance_is_domain_error(tmp_path, capsys):
+    # gen's file with its first A entry replaced by a NaN literal, which is not JSON
+    path = tmp_path / "inst.json"
+    assert run(["gen", "--seed", 0, "--out", path]) == 0
+    text = path.read_text()
+    assert text.startswith('{"A": [')
+    path.write_text(re.sub(r"^\{\"A\": \[[^,]+", '{"A": [NaN', text))
+    assert run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: DomainError: {path} is not a UTF-8 JSON file")
+
+
 class TestNceCommand:
     def test_pinned_values(self, tmp_path):
         csv_path = tmp_path / "bounds.csv"
@@ -806,3 +818,28 @@ print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
+def test_only_reading_an_instance_imports_orjson(tmp_path):
+    # a fresh interpreter: the instance reader's parser is imported on first use
+    script = """
+import sys
+from softmaxopt.cli import main
+out = sys.argv[1]
+seen = []
+for argv in (["gen", "--out", f"{out}/inst.json"],
+             ["solve", "--out", f"{out}/a.csv", "--summary", f"{out}/a.json"],
+             ["solve", "--instance", f"{out}/inst.json", "--out", f"{out}/b.csv",
+              "--summary", f"{out}/b.json"]):
+    seen.append((main(argv), "orjson" in sys.modules))
+print(seen)
+"""
+    src = str(Path(so.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "[(0, False), (0, False), (0, True)]"

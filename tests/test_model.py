@@ -1,6 +1,7 @@
 """Data model, objective terms and their documented invariants."""
 
 import dataclasses
+import decimal
 import json
 import math
 import re
@@ -514,6 +515,111 @@ class TestInstanceJson:
         assert np.array_equal(inst.b, [1.0, 0.0])
         assert np.array_equal(inst.w, [0.0, 3.0])
         assert np.array_equal(inst.x_star, [2.0, 0.0])
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_literal_makes_the_file_not_json(self, tmp_path, literal):
+        # RFC 8259 has no NaN or Infinity, and 1e400 is no float64, so the
+        # file is refused before any array check sees the value
+        path = tmp_path / "inst.json"
+        path.write_text('{"n": 1, "d": 1, "A": [%s], "b": [1.0], "w": [1.0]}' % literal)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))} is not a UTF-8 JSON file"):
+            so.ProblemInstance.load(path)
+
+    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1, 10**30])
+    @pytest.mark.parametrize("key", ["n", "d"])
+    def test_size_beyond_64_bits_is_not_an_integer(self, tmp_path, key, value):
+        # the parser reads an integer beyond 64 bits as a float
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 1, "d": 1, "A": [1.0], "b": [1.0], "w": [1.0], key: value}))
+        with pytest.raises(DomainError, match=f"^{key} must be an integer, got "):
+            so.ProblemInstance.load(path)
+
+
+def float_sweep(seed=31):
+    """Finite float64 values: the edges of the format and seeded random bit patterns."""
+    rng = np.random.default_rng(seed)
+    info = np.finfo(np.float64)
+    largest_subnormal = np.nextafter(info.smallest_normal, 0.0)
+    edges = np.array([0.0, 1.0, 0.1, info.max, info.smallest_subnormal, info.smallest_normal,
+                      largest_subnormal, 2.0**53 + 2.0, 1e22, 1e23])
+    subnormal = rng.integers(1, 2**52, size=200, dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+    signs = np.where(rng.random(200) < 0.5, -1.0, 1.0)
+    values = np.concatenate([edges, -edges, signs * subnormal, bits[np.isfinite(bits)]])
+    return values.tolist()
+
+
+def integer_numerals(seed=31):
+    """Integer literals within and beyond 64 bits, some of them not float64 values."""
+    rng = np.random.default_rng(seed)
+    fixed = [0, 1, -1, 7, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), 2**64, 2**70 + 1,
+             10**22 + 1, 10**30 + 7, 2**1000 + 1]
+    long = [int("".join(map(str, rng.integers(0, 10, size=size)))) + 1
+            for size in rng.integers(19, 40, size=60)]
+    return [str(v) for v in fixed + long] + [str(-v) for v in long[:20]]
+
+
+def instance_text(numerals, d=4):
+    """Instance JSON whose A, b, w and x_star are the given numerals, as written."""
+    n = len(numerals) // d
+
+    def field(xs):
+        return "[" + ", ".join(xs) + "]"
+
+    return ('{"A": %s, "b": %s, "d": %d, "n": %d, "reg_mode": "centered", "use_cent": false, '
+            '"w": %s, "x_star": %s}' % (field(numerals[:n * d]), field(numerals[-n:]), d, n,
+                                        field(numerals[1:n + 1]), field(numerals[2:2 + d])))
+
+
+def assert_load_matches_json(path, saved=None):
+    """load(path) is bitwise json.loads + from_dict of the same file, and the saved instance."""
+    fast = so.ProblemInstance.load(path)
+    ref = so.ProblemInstance.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    for name in ("a", "b", "w", "x_star"):
+        assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
+        if saved is not None:
+            assert getattr(fast, name).tobytes() == getattr(saved, name).tobytes(), name
+
+
+class TestInstanceParity:
+    """The instance reader gives json's floats bit for bit."""
+
+    @pytest.mark.parametrize("n, d", [(20, 5), (1000, 20)])
+    def test_generated_instance(self, tmp_path, n, d):
+        inst, _ = so.generate_planted(so.GeneratorSpec(n=n, d=d, ridge_l=1.0, seed=0))
+        path = tmp_path / "inst.json"
+        inst.save(path)
+        assert_load_matches_json(path, inst)
+
+    @pytest.mark.parametrize(
+        "numeral", [repr, "{:.17g}".format, "{:.17e}".format], ids=["shortest", "17g", "17e"]
+    )
+    def test_float_sweep(self, tmp_path, numeral):
+        path = tmp_path / "sweep.json"
+        path.write_text(instance_text([numeral(v) for v in float_sweep()] + integer_numerals()))
+        assert_load_matches_json(path)
+
+    def test_exact_halfway_numerals_round_to_even(self, tmp_path):
+        # the exact decimal midpoint of two neighbouring floats: at most 752
+        # significant digits (for subnormals), short of the 768 past which
+        # orjson 3.8.3 breaks a padded tie away from even
+        values = float_sweep()[::20]
+        with decimal.localcontext() as context:
+            context.prec = 1100
+            numerals = [str((decimal.Decimal(v) + decimal.Decimal(math.nextafter(v, math.inf))) / 2)
+                        for v in values if abs(v) < np.finfo(np.float64).max]
+        path = tmp_path / "halfway.json"
+        path.write_text(instance_text(numerals))
+        assert_load_matches_json(path)
+
+    def test_save_load_round_trip_of_the_sweep(self, tmp_path):
+        values = np.array(float_sweep())
+        n, d = len(values) // 4, 4
+        inst = so.ProblemInstance(a=values[:n * d].reshape(n, d), b=values[-n:], w=values[1:n + 1],
+                                  x_star=values[2:2 + d], reg_mode="centered", use_cent=False)
+        path = tmp_path / "sweep.json"
+        inst.save(path)
+        assert_load_matches_json(path, inst)
 
 
 # One call per integer count of the public API, each with the named count set to v.
