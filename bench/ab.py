@@ -1,6 +1,6 @@
 """Interleaved in-process A/B timing of two source trees, written as JSON.
 
-    python3 bench/ab.py --base <rev> [--head <rev>] [--ops load_tall,nce_seed]
+    python3 bench/ab.py --base <rev> [--head <rev>] [--ops gen_tall,nce_seed]
                         [--pairs 30] [--out BENCH_ab_<base>_<head>.json]
 
 Run from a source checkout.  Each tree's ``src/`` comes from
@@ -11,23 +11,30 @@ imported into this one process, as ``softmaxopt_base`` and
 
 Before any timing, each op runs once on each side, and the two outputs
 must be equal: every byte the CLI writes (its files and standard output,
-and its exit code), or every bit of a loaded instance.  A difference stops
-the run.  Then come ``--pairs`` pairs.  In a pair every op runs
+and its exit code), every byte ``save`` writes, or every bit of a loaded
+instance.  A difference stops the run.  Each op then runs once more on each
+side under ``tracemalloc``, for its peak.  Reading an op's output back is
+neither timed nor traced.  Then come ``--pairs`` pairs.  In a pair every op runs
 ``CALLS`` (5) times on one side and then 5 times on the other,
 the side that goes first alternating from pair to pair, and each side's
 figure is the median of its calls' wall-clock seconds.  Per op, the file
 gives the median of the pairs' head/base ratios, the number of pairs in
 which head was faster, each side's median and quartiles over the pairs,
-every pair's figures, and a digest of the output both sides gave.
+every pair's figures, each side's tracemalloc peak, and a digest of the
+output both sides gave.
 
 The instances are ``gen --seed 0`` files that the base tree writes at
 three shapes: desk (20, 5), tall (1000, 20) and 2e5 (200000, 5, a 31 MB
-file).  The ops (all but ``load_2e5`` run by default):
+file).  The ops (all but the ``_2e5`` ones run by default):
 
 - ``load_<shape>``: ``ProblemInstance.load`` of that instance.
+- ``save_2e5``: ``ProblemInstance.save`` of that instance, loaded once by
+  the side's own tree, to a file.
+- ``gen_<shape>``: ``softmaxopt gen --n --d --seed 0 --out`` at that shape.
 - ``solve_exact_<desk|tall>``, ``solve_sampled_<desk|tall>``:
   ``softmaxopt solve --instance``, writing the trace CSV and the summary.
-- ``landscape_tall``: ``softmaxopt landscape --instance --resolution 21``.
+- ``landscape_desk``, ``landscape_tall``: ``softmaxopt landscape
+  --instance`` at resolution 101 and 21.
 - ``nce_seed``: ``softmaxopt nce --seeds 1``, which reads no instance, as
   a control.
 
@@ -54,6 +61,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,19 +69,26 @@ SIDES = ("base", "head")
 CALLS = 5
 SHAPES = {"desk": (20, 5), "tall": (1000, 20), "2e5": (200_000, 5)}
 SOLVE = "solve --instance {inst} --out {out}/trace.csv --summary {out}/summary.json"
-# op -> (instance shape or None, CLI argv template or None for a load)
+GEN = "gen --n {n} --d {d} --seed 0 --out {out}/inst.json"
+# op -> (instance shape or None, CLI argv template, or "load" or "save" for
+# that method of ProblemInstance on the instance)
 OPS = {
-    "load_desk": ("desk", None),
-    "load_tall": ("tall", None),
-    "load_2e5": ("2e5", None),
+    "load_desk": ("desk", "load"),
+    "load_tall": ("tall", "load"),
+    "load_2e5": ("2e5", "load"),
+    "save_2e5": ("2e5", "save"),
+    "gen_desk": (None, GEN.format(n=20, d=5, out="{out}")),
+    "gen_tall": (None, GEN.format(n=1000, d=20, out="{out}")),
+    "gen_2e5": (None, GEN.format(n=200_000, d=5, out="{out}")),
     "solve_exact_desk": ("desk", SOLVE),
     "solve_sampled_desk": ("desk", SOLVE + " --mode sampled"),
     "solve_exact_tall": ("tall", SOLVE),
     "solve_sampled_tall": ("tall", SOLVE + " --mode sampled"),
+    "landscape_desk": ("desk", "landscape --instance {inst} --resolution 101 --out {out}/grid.csv"),
     "landscape_tall": ("tall", "landscape --instance {inst} --resolution 21 --out {out}/grid.csv"),
     "nce_seed": (None, "nce --seeds 1 --out {out}/nce.csv --summary {out}/nce.json"),
 }
-DEFAULT_OPS = [op for op in OPS if op != "load_2e5"]
+DEFAULT_OPS = [op for op in OPS if not op.endswith("_2e5")]
 
 
 class OutputMismatch(RuntimeError):
@@ -126,8 +141,8 @@ def _cli_call(package, argv: list, out: Path):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = package.cli.main(argv)
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        return code, stdout.getvalue(), files
+        return lambda: (code, stdout.getvalue(),
+                        {p.name: p.read_bytes() for p in sorted(out.iterdir())})
 
     return call
 
@@ -136,13 +151,28 @@ def _load_call(package, path: Path):
     def call():
         inst = package.model.ProblemInstance.load(path)
         arrays = (inst.a, inst.b, inst.w, inst.x_star)
-        return [None if v is None else (v.shape, v.tobytes()) for v in arrays], inst.reg_mode
+        return lambda: ([None if v is None else (v.shape, v.tobytes()) for v in arrays],
+                        inst.reg_mode)
+
+    return call
+
+
+def _save_call(package, path: Path, out: Path):
+    inst = package.model.ProblemInstance.load(path)
+
+    def call():
+        inst.save(out / "inst.json")
+        return (out / "inst.json").read_bytes
 
     return call
 
 
 def build_calls(ops: list, packages: dict, tmp: Path) -> dict:
-    """op -> side -> a call that runs the op once on that side and returns its output."""
+    """op -> side -> a call that runs the op once on that side.
+
+    The call returns a function that reads the op's output, so that reading
+    it back is neither timed nor traced.
+    """
     instances = {}
     for shape in sorted({OPS[op][0] for op in ops} - {None}):
         n, d = SHAPES[shape]
@@ -155,11 +185,14 @@ def build_calls(ops: list, packages: dict, tmp: Path) -> dict:
         shape, template = OPS[op]
         calls[op] = {}
         for side, package in packages.items():
-            if template is None:
+            if template == "load":
                 calls[op][side] = _load_call(package, instances[shape])
                 continue
             out = tmp / side / op
             out.mkdir(parents=True)
+            if template == "save":
+                calls[op][side] = _save_call(package, instances[shape], out)
+                continue
             argv = [part.format(inst=instances.get(shape), out=out) for part in template.split()]
             calls[op][side] = _cli_call(package, argv, out)
     return calls
@@ -178,9 +211,21 @@ def _quartiles(values: list) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3}
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def measure(calls: dict, pairs: int) -> dict:
-    digests = {op: output_digest(op, {side: call() for side, call in sides.items()})
+    digests = {op: output_digest(op, {side: call()() for side, call in sides.items()})
                for op, sides in calls.items()}
+    peaks = {op: {side: traced_peak(call) for side, call in sides.items()}
+             for op, sides in calls.items()}
     seconds = {op: {side: [] for side in SIDES} for op in calls}
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -199,6 +244,7 @@ def measure(calls: dict, pairs: int) -> dict:
             "output_sha256": digests[op],
             "ratio_median": statistics.median(ratios),
             "head_faster": sum(r < 1.0 for r in ratios),
+            "peak_bytes": peaks[op],
             **{side: _quartiles(runs[side]) for side in SIDES},
             **{f"{side}_s": runs[side] for side in SIDES},
         }

@@ -24,6 +24,7 @@ per point, each bitwise the value of that point alone.
 from __future__ import annotations
 
 import array
+import itertools
 import json
 import math
 import numbers
@@ -152,9 +153,68 @@ def _write_text(dest, chunks) -> None:
         fh.writelines(chunks)
 
 
+# floats per block of the JSON writer's array text (64 KB of float64): the
+# most text it holds at once beyond the stream it writes to
+_TEXT_BLOCK = 2**13
+
+
+def _float_texts(arr) -> list[str]:
+    """``repr`` of each entry of a 1-D float64 array in one pass: the one float formatter.
+
+    orjson's shortest round-trip printer writes ``repr``'s text wherever
+    ``x == 0`` or ``1e-4 <= |x| < 1e16``.  Outside that window it spells the
+    same digits another way (``0.00001`` for ``1e-05``, ``1e16`` for
+    ``1e+16``, ``null`` for NaN and the infinities), so those entries take
+    ``repr`` instead, through one list of their own.
+    """
+    # imported here, as in ``ProblemInstance.load``, so a command that writes no array skips it
+    import orjson
+
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not arr.size:
+        return []
+    texts = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(arr)
+    outside = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (arr == 0.0)))
+    if outside.size:
+        for i, text in zip(outside.tolist(), repr(arr[outside].tolist())[1:-1].split(", ")):
+            texts[i] = text
+    return texts
+
+
+def _json_chunks(value):
+    """The text of ``json.dumps(value, sort_keys=True)``, in chunks.
+
+    A dict (with string keys) that holds an ``ndarray`` or a dict is written
+    key by key in sorted order, and every other value by one ``json.dumps``.
+    A finite 1-D float array is written ``_TEXT_BLOCK`` entries at a time
+    through ``_float_texts``, since ``json`` writes a finite float as its
+    ``repr``.
+    """
+    if isinstance(value, dict) and any(isinstance(v, (dict, np.ndarray)) for v in value.values()):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_chunks(value[key])
+        yield "}"
+    elif isinstance(value, np.ndarray):
+        yield "["
+        for start in range(0, value.size, _TEXT_BLOCK):
+            texts = _float_texts(value[start : start + _TEXT_BLOCK])
+            yield (", " if start else "") + ", ".join(texts)
+        yield "]"
+    else:
+        yield json.dumps(value, sort_keys=True)
+
+
 def _write_json(dest, payload) -> None:
-    """Write payload as one line of JSON with sorted keys: the package's one JSON writer."""
-    _write_text(dest, (json.dumps(payload, sort_keys=True), "\n"))
+    """Write payload as one line of JSON with sorted keys: the package's one JSON writer.
+
+    The bytes are ``json.dumps(payload, sort_keys=True)`` and a newline, with
+    an ``ndarray`` value written as its list would be; see ``_json_chunks``.
+    The text streams to ``dest`` a chunk at a time.
+    """
+    _write_text(dest, itertools.chain(_json_chunks(payload), ("\n",)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,17 +290,11 @@ class ProblemInstance:
             return self.x_star
         return np.zeros(self.d)
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict: n, d, row-major A, b, w, plus optional extras."""
-        out = {
-            "n": self.n,
-            "d": self.d,
-            "A": self.a.ravel().tolist(),
-            "b": self.b.tolist(),
-            "w": self.w.tolist(),
-        }
+    def _fields(self) -> dict:
+        """The instance JSON's fields, with row-major A, b, w and x_star as 1-D arrays."""
+        out = {"n": self.n, "d": self.d, "A": self.a.ravel(), "b": self.b, "w": self.w}
         if self.x_star is not None:
-            out["x_star"] = self.x_star.tolist()
+            out["x_star"] = self.x_star
         if self.reg_mode != "paper":
             out["reg_mode"] = self.reg_mode
         if not self.use_exp:
@@ -248,6 +302,11 @@ class ProblemInstance:
         if not self.use_cent:
             out["use_cent"] = False
         return out
+
+    def to_dict(self) -> dict:
+        """JSON-ready dict: n, d, row-major A, b, w, plus optional extras."""
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in self._fields().items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemInstance":
@@ -277,8 +336,13 @@ class ProblemInstance:
         )
 
     def save(self, path) -> None:
-        """Write the instance JSON to a path or an open text stream."""
-        _write_json(path, self.to_dict())
+        """Write the instance JSON to a path or an open text stream.
+
+        The bytes are ``json.dumps(self.to_dict(), sort_keys=True)`` and a
+        newline, but the arrays go to ``_write_json`` as they are: no list of
+        Python floats is built, and their text is held one block at a time.
+        """
+        _write_json(path, self._fields())
 
     @classmethod
     def load(cls, path) -> "ProblemInstance":

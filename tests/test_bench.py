@@ -27,7 +27,7 @@ def load_ab():
 def test_head_against_the_working_tree_writes_the_report(tmp_path):
     out = tmp_path / "ab.json"
     proc = subprocess.run(
-        [sys.executable, str(AB), "--base", "HEAD", "--ops", "load_desk", "--pairs", "2",
+        [sys.executable, str(AB), "--base", "HEAD", "--ops", "load_desk,gen_desk", "--pairs", "2",
          "--out", str(out)],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
@@ -41,16 +41,18 @@ def test_head_against_the_working_tree_writes_the_report(tmp_path):
         assert (report[side]["rev"], report[side]["commit"]) == (rev, commit)
         assert re.fullmatch("[0-9a-f]{64}", report[side]["source_sha256"])
     assert report["metadata"]["blas_thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
-    assert list(report["ops"]) == ["load_desk"]
-    op = report["ops"]["load_desk"]
-    assert set(op) == {"output_sha256", "ratio_median", "head_faster", "base", "head",
-                       "base_s", "head_s"}
-    assert re.fullmatch("[0-9a-f]{64}", op["output_sha256"])
-    assert 0 <= op["head_faster"] <= 2 and op["ratio_median"] > 0
-    for side in ("base", "head"):
-        assert set(op[side]) == SIDE_KEYS
-        assert len(op[f"{side}_s"]) == 2 and all(s > 0 for s in op[f"{side}_s"])
-        assert op[side]["q1_s"] <= op[side]["median_s"] <= op[side]["q3_s"]
+    assert sorted(report["ops"]) == ["gen_desk", "load_desk"]
+    for op in report["ops"].values():
+        assert set(op) == {"output_sha256", "ratio_median", "head_faster", "peak_bytes",
+                           "base", "head", "base_s", "head_s"}
+        assert re.fullmatch("[0-9a-f]{64}", op["output_sha256"])
+        assert 0 <= op["head_faster"] <= 2 and op["ratio_median"] > 0
+        assert set(op["peak_bytes"]) == {"base", "head"}
+        for side in ("base", "head"):
+            assert op["peak_bytes"][side] > 0
+            assert set(op[side]) == SIDE_KEYS
+            assert len(op[f"{side}_s"]) == 2 and all(s > 0 for s in op[f"{side}_s"])
+            assert op[side]["q1_s"] <= op[side]["median_s"] <= op[side]["q3_s"]
 
 
 def test_unequal_outputs_stop_the_run():

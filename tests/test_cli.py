@@ -820,17 +820,19 @@ print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
     assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
-def test_only_reading_an_instance_imports_orjson(tmp_path):
-    # a fresh interpreter: the instance reader's parser is imported on first use
+def test_only_array_io_imports_orjson(tmp_path):
+    # a fresh interpreter: the float formatter and the instance reader import
+    # orjson on first use, so a command that writes no float array and reads
+    # no instance never loads it
     script = """
 import sys
 from softmaxopt.cli import main
 out = sys.argv[1]
 seen = []
-for argv in (["gen", "--out", f"{out}/inst.json"],
-             ["solve", "--out", f"{out}/a.csv", "--summary", f"{out}/a.json"],
-             ["solve", "--instance", f"{out}/inst.json", "--out", f"{out}/b.csv",
-              "--summary", f"{out}/b.json"]):
+for argv in (["solve", "--out", f"{out}/a.csv", "--summary", f"{out}/a.json"],
+             ["nce", "--seeds", "1", "--epochs", "0", "--out", f"{out}/nce.csv",
+              "--summary", f"{out}/nce.json"],
+             ["gen", "--out", f"{out}/inst.json"]):
     seen.append((main(argv), "orjson" in sys.modules))
 print(seen)
 """

@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import io
 import json
 import math
 import re
@@ -11,12 +12,14 @@ import numpy as np
 import pytest
 
 import softmaxopt as so
+import writer_oracles
 from model_oracles import evaluate_alpha, evaluate_f, evaluate_u
 from softmaxopt.exceptions import (
     DimensionMismatch,
     DomainError,
     NonFiniteInput,
 )
+from softmaxopt.model import _TEXT_BLOCK, _float_texts, _write_json
 from softmaxopt.suite import random_instance
 
 
@@ -620,6 +623,124 @@ class TestInstanceParity:
         path = tmp_path / "sweep.json"
         inst.save(path)
         assert_load_matches_json(path, inst)
+
+
+def assert_repr_texts(arr):
+    assert _float_texts(arr) == [repr(v) for v in arr.tolist()]
+
+
+class TestFloatTexts:
+    """The float formatter writes ``repr`` of each entry, on the orjson installed."""
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16])
+    def test_window_edges(self, edge):
+        # below 1e-4 and from 1e16 on, orjson spells a float unlike repr
+        side = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+        assert_repr_texts(np.concatenate([side, -side]))
+
+    def test_special_values(self):
+        info = np.finfo(np.float64)
+        powers = 10.0 ** np.arange(17)  # integral floats 1.0 up to 1e16
+        integral = np.random.default_rng(3).integers(0, 10**16, size=500).astype(np.float64)
+        values = np.array([0.0, -0.0, 5e-324, info.smallest_normal, info.max, 2.0**53,
+                           1e-05, 1e16, 1e20, np.nan, np.inf, -np.inf])
+        arr = np.concatenate([values, -values, powers, -powers, powers - 1.0, integral])
+        assert_repr_texts(arr)
+
+    def test_non_contiguous_and_empty_input(self):
+        grid = np.random.default_rng(4).standard_normal((50, 3)) * 1e-3
+        assert_repr_texts(grid[:, 1])
+        assert_repr_texts(grid[::-2, 0])
+        assert _float_texts(np.empty(0)) == []
+        assert _float_texts(grid[:0, 2]) == []
+
+    def test_seeded_sweep(self):
+        # random bit patterns fall mostly outside the window, scaled normals
+        # mostly inside it
+        rng = np.random.default_rng(32)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+        scaled = rng.standard_normal(200_000) * 10.0 ** rng.uniform(-6.0, 18.0, size=200_000)
+        arr = np.concatenate([bits, scaled])
+        mag = np.abs(arr)
+        inside = ((mag >= 1e-4) & (mag < 1e16)).sum()
+        assert min(inside, arr.size - inside) > 100_000
+        assert_repr_texts(arr)
+
+
+def planted_instance(n=20, d=5, seed=0):
+    return so.generate_planted(so.GeneratorSpec(n=n, d=d, ridge_l=1.0, seed=seed))[0]
+
+
+class TestInstanceWriter:
+    """``save`` writes the stdlib's ``json.dumps`` of ``to_dict`` byte for byte."""
+
+    @staticmethod
+    def check(inst, tmp_path):
+        want = writer_oracles.instance_json(inst)
+        path = tmp_path / "inst.json"
+        inst.save(path)
+        assert path.read_bytes() == want.encode()
+        stream = io.StringIO()
+        inst.save(stream)
+        assert stream.getvalue() == want
+
+    @pytest.mark.parametrize("n, d", [(20, 5), (1000, 20)])
+    def test_planted_instance(self, tmp_path, n, d):
+        inst = planted_instance(n, d)
+        assert inst.reg_mode == "centered"
+        self.check(inst, tmp_path)
+
+    def test_paper_instance_without_x_star(self, tmp_path):
+        inst, _ = random_instance(21)
+        assert inst.x_star is None and inst.reg_mode == "paper"
+        self.check(inst, tmp_path)
+
+    @pytest.mark.parametrize("flags", [{"use_exp": False}, {"use_cent": False},
+                                       {"use_exp": False, "use_cent": False}])
+    def test_disabled_terms(self, tmp_path, flags):
+        self.check(dataclasses.replace(planted_instance(seed=1), **flags), tmp_path)
+
+    def test_one_by_one(self, tmp_path):
+        self.check(so.ProblemInstance(a=[[1e-05]], b=[1.0], w=[0.0]), tmp_path)
+
+    def test_entries_outside_the_window(self, tmp_path):
+        values = np.array([1e-05, 1e20, 5e-324, -0.0, 0.0, 1e16, -9.5e-05, 1.0, 0.1, -2.5])
+        inst = so.ProblemInstance(a=values.reshape(5, 2), b=np.abs(values[:5]),
+                                  w=values[5:], x_star=values[-2:], reg_mode="centered")
+        self.check(inst, tmp_path)
+
+    def test_nested_payload(self):
+        arr = np.array([1e-05, -0.0, 2.5, 1e16])
+        payload = {"z": {"y": arr, "x": [1, {"b": 2, "a": None}], "w": {}}, "a": np.empty(0),
+                   "m": "\u00e9", "k": 0.1}
+        plain = {"z": {"y": arr.tolist(), "x": [1, {"b": 2, "a": None}], "w": {}}, "a": [],
+                 "m": "\u00e9", "k": 0.1}
+        stream = io.StringIO()
+        _write_json(stream, payload)
+        assert stream.getvalue() == json.dumps(plain, sort_keys=True) + "\n"
+
+    def test_arrays_past_three_blocks_stream_a_block_at_a_time(self, tmp_path):
+        # every array holds 3 blocks + 7 entries, so its last block is partial
+        n = 3 * _TEXT_BLOCK + 7
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((n, 1)) * 10.0 ** rng.integers(-7, 20, size=(n, 1))
+        inst = so.ProblemInstance(a=a, b=rng.random(n), w=rng.standard_normal(n),
+                                  x_star=[0.5], reg_mode="centered")
+        self.check(inst, tmp_path)
+
+        class Chunks(io.StringIO):
+            sizes = []
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.sizes.append(len(chunk))
+                    self.write(chunk)
+
+        stream = Chunks()
+        inst.save(stream)
+        assert stream.getvalue() == writer_oracles.instance_json(inst)
+        # A, b and w take 4 blocks each; an entry is at most 24 characters and ", "
+        assert len(stream.sizes) > 12 and max(stream.sizes) <= 26 * _TEXT_BLOCK
 
 
 # One call per integer count of the public API, each with the named count set to v.

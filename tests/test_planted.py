@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import landscape_oracles
+import writer_oracles
 import softmaxopt as so
 import softmaxopt.landscape as landscape_module
 import softmaxopt.planted as planted_module
@@ -400,6 +401,48 @@ class TestBatchedLandscape:
         cells = [(u, v, a, b, c, a + b + c)
                  for u, row in zip(offs, values.tolist()) for v, (a, b, c) in zip(offs, row)]
         assert lines == [",".join(map(repr, cell)) for cell in cells]
+
+
+class TestLandscapeWriter:
+    """The CSV is the stdlib's ``repr`` of each column's floats, byte for byte."""
+
+    @staticmethod
+    def check(grid, tmp_path):
+        want = writer_oracles.landscape_csv(grid)
+        assert csv_text(grid) == want
+        grid.write_csv(tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == want.encode()
+
+    def test_desk_grid(self, tmp_path):
+        self.check(so.landscape_grid(planted(20, 5), resolution=101), tmp_path)
+
+    def test_averaged_grid(self, tmp_path):
+        grids = [so.landscape_grid(planted(20, 5, seed=s), resolution=41) for s in range(5)]
+        self.check(so.average_grids(grids), tmp_path)
+
+    def test_one_row_of_text_at_a_time(self, tmp_path):
+        # the 101^2 CSV is 1 MB of text; one row's is about 10 KB
+        grid = so.landscape_grid(planted(20, 5), resolution=101)
+        grid.write_csv(tmp_path / "grid.csv")
+        tracemalloc.start()
+        try:
+            grid.write_csv(tmp_path / "grid.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000, peak
+
+    def test_cells_outside_the_window(self, tmp_path):
+        # offsets of 5e-06 and below, and cells spread over 1e-8 to 1e20 with
+        # the window's edges among them
+        self.check(so.landscape_grid(planted(20, 5, seed=3), half_width=1e-5, resolution=5),
+                   tmp_path)
+        rng = np.random.default_rng(6)
+        values = 10.0 ** rng.uniform(-8.0, 20.0, size=(41, 41, 3))
+        values[0, :4, 0] = [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0)]
+        grid = so.LandscapeGrid(center=np.zeros(2), dir_u=np.eye(2)[0], dir_v=np.eye(2)[1],
+                                half_width=2e-4, resolution=41, values=values)
+        self.check(grid, tmp_path)
 
 
 def assert_bitwise(got, want):
