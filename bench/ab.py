@@ -7,48 +7,45 @@ Run from a source checkout.  Each tree's ``src/`` comes from
 ``git archive <rev> src``, which reads this repository's own objects; with
 no ``--head`` the head is the working tree's ``src/``.  Both packages are
 imported into this one process, as ``softmaxopt_base`` and
-``softmaxopt_head``, and every call runs on one BLAS thread.
+``softmaxopt_head``, and every call runs on one BLAS thread.  On a clean
+tree ``--base HEAD`` gives one tree's medians, and the noise floor.
 
-Before any timing, each op runs once on each side, and the two outputs
-must be equal: every byte the CLI writes (its files and standard output,
-and its exit code), every byte ``save`` writes, or every bit of a loaded
-instance.  A difference stops the run.  Each op then runs once more on each
-side under ``tracemalloc``, for its peak.  Reading an op's output back is
-neither timed nor traced.  Then come ``--pairs`` pairs.  In a pair every op runs
-``CALLS`` (5) times on one side and then 5 times on the other,
-the side that goes first alternating from pair to pair, and each side's
-figure is the median of its calls' wall-clock seconds.  Per op, the file
-gives the median of the pairs' head/base ratios, the number of pairs in
-which head was faster, each side's median and quartiles over the pairs,
-every pair's figures, each side's tracemalloc peak, and a digest of the
-output both sides gave.
+Each op in ``OPS`` is the shape of the instance it reads (or None) and a
+builder ``(package, instance path, out dir) -> call``; what the builder
+sets up, such as an instance loaded by the side's own tree, is not timed.
+Each op first runs once on each side, and the outputs must be equal: every
+byte the CLI writes (files, standard output, exit code), every byte
+``save`` writes, or every bit a library call returns (an array's shape,
+dtype and bytes, the ``repr`` of anything else); a difference stops the
+run.  It then runs once more on each side under ``tracemalloc``, for its
+peak.  Reading outputs back is neither timed nor traced.  In each of
+``--pairs`` pairs every op runs ``CALLS`` (5) times on one side and then on
+the other, the side that goes first alternating, and each side's figure is
+the median of its calls' wall-clock seconds.  Per op, the file gives the
+median of the pairs' head/base ratios, the number of pairs in which head
+was faster, each side's median and quartiles over the pairs, every pair's
+figures, each side's tracemalloc peak, and a digest of the output.
 
 The instances are ``gen --seed 0`` files that the base tree writes at
 three shapes: desk (20, 5), tall (1000, 20) and 2e5 (200000, 5, a 31 MB
-file).  The ops (all but the ``_2e5`` ones run by default):
-
-- ``load_<shape>``: ``ProblemInstance.load`` of that instance.
-- ``save_2e5``: ``ProblemInstance.save`` of that instance, loaded once by
-  the side's own tree, to a file.
-- ``gen_<shape>``: ``softmaxopt gen --n --d --seed 0 --out`` at that shape.
-- ``solve_exact_<desk|tall>``, ``solve_sampled_<desk|tall>``:
-  ``softmaxopt solve --instance``, writing the trace CSV and the summary.
-- ``landscape_desk``, ``landscape_tall``: ``softmaxopt landscape
-  --instance`` at resolution 101 and 21.
-- ``nce_seed``: ``softmaxopt nce --seeds 1``, which reads no instance, as
-  a control.
+file).  The ops, all but the ``_2e5`` ones run by default, are the CLI's
+``gen``, ``solve``, ``landscape`` and ``nce --seeds 1`` (``nce_seed``);
+``ProblemInstance.load`` and ``save``; ``make_state`` at ``x_star``; and
+the layers of one default NCE seed (96 anchors, K = 8, 12 epochs):
+``_draw_passes`` of its 26 passes and of 2, one scoring pass (a gather and
+``_nce_stack``), and ``paired_vs_shuffled_bounds(0)`` with and without
+``epochs=0``.
 
 The run metadata (CPU, ``nproc``, BLAS and its threads, Python and numpy
-versions) comes from ``perfbench/run.py``, as in ``bench/nce_layers.py``;
-each tree is named by its commit (null for the working tree, which may
-differ from any commit) and by a digest of its ``softmaxopt/*.py``,
-computed as ``perfbench/run.py`` computes ``source_sha256``.
+versions) comes from ``perfbench/run.py``.  Each tree is named by its commit
+(null for the working tree) and by its ``source_sha256``, as there.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -64,43 +61,135 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 CALLS = 5
 SHAPES = {"desk": (20, 5), "tall": (1000, 20), "2e5": (200_000, 5)}
+
+
+def _cli(template: str):
+    """The builder of ``cli.main`` on ``template``'s argv; its output is every byte it writes."""
+    def build(package, inst: Path, out: Path):
+        argv = [part.format(inst=inst, out=out) for part in template.split()]
+
+        def call():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = package.cli.main(argv)
+            return lambda: (code, stdout.getvalue(),
+                            {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+
+        return call
+
+    return build
+
+
+def _plain(value):
+    """A returned value as comparable data: an array's shape, dtype and bytes, else its repr."""
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    return repr(value)
+
+
+def _library(setup):
+    """The builder of the call ``setup(package, instance path)`` makes; the output is its return."""
+    def build(package, inst: Path, out: Path):
+        fn = setup(package, inst)
+        return lambda: functools.partial(_plain, fn())
+
+    return build
+
+
+def _save(package, inst: Path, out: Path):
+    """``ProblemInstance.save`` of the instance its own tree loaded; the output is the file."""
+    loaded = package.model.ProblemInstance.load(inst)
+
+    def call():
+        loaded.save(out / "inst.json")
+        return (out / "inst.json").read_bytes
+
+    return call
+
+
+def _load(package, inst: Path):
+    """``ProblemInstance.load``; the output is every field of the loaded instance."""
+    return lambda: tuple(vars(package.model.ProblemInstance.load(inst)).values())
+
+
+def _make_state(package, inst: Path):
+    """``make_state`` at ``x_star`` of the instance its own tree loaded."""
+    loaded = package.model.ProblemInstance.load(inst)
+
+    def call():
+        state = package.model.make_state(loaded, loaded.x_star)
+        return state.log_f, state.f
+
+    return call
+
+
+def _draw(passes: int):
+    """``_draw_passes`` of ``passes`` passes at the NCE experiment's defaults: 96 anchors, K = 8."""
+    return lambda package, inst: lambda: package.nce._draw_passes(np.random.default_rng(0), passes, 96, 8)
+
+
+def _scoring(package, inst: Path):
+    """The NCE scoring pass: one gather of both chains' candidates, then ``_nce_stack``."""
+    pool_size, k, dim = 96, 8, 8  # paired_vs_shuffled_bounds' defaults
+    rng = np.random.default_rng(0)
+    anchors = rng.standard_normal((pool_size, dim))
+    pool = rng.standard_normal((2 * pool_size, dim))
+    weight = 0.1 * rng.standard_normal((2, dim, dim))
+    rows = package.nce._draw_passes(rng, 2, pool_size, k)
+    rows[1] += pool_size
+    rows = rows.transpose(1, 0, 2)
+    gathered = np.empty((pool_size, 2, k, dim))
+
+    def call():
+        np.take(pool, rows, axis=0, out=gathered, mode="clip")
+        return package.nce._nce_stack(anchors[:, None], gathered, weight)
+
+    return call
+
+
+def _bounds(**kwargs):
+    """``paired_vs_shuffled_bounds(0, **kwargs)``."""
+    return lambda package, inst: lambda: package.nce.paired_vs_shuffled_bounds(0, **kwargs)
+
+
 SOLVE = "solve --instance {inst} --out {out}/trace.csv --summary {out}/summary.json"
 GEN = "gen --n {n} --d {d} --seed 0 --out {out}/inst.json"
-# op -> (instance shape or None, CLI argv template, or "load" or "save" for
-# that method of ProblemInstance on the instance)
 OPS = {
-    "load_desk": ("desk", "load"),
-    "load_tall": ("tall", "load"),
-    "load_2e5": ("2e5", "load"),
-    "save_2e5": ("2e5", "save"),
-    "gen_desk": (None, GEN.format(n=20, d=5, out="{out}")),
-    "gen_tall": (None, GEN.format(n=1000, d=20, out="{out}")),
-    "gen_2e5": (None, GEN.format(n=200_000, d=5, out="{out}")),
-    "solve_exact_desk": ("desk", SOLVE),
-    "solve_sampled_desk": ("desk", SOLVE + " --mode sampled"),
-    "solve_exact_tall": ("tall", SOLVE),
-    "solve_sampled_tall": ("tall", SOLVE + " --mode sampled"),
-    "landscape_desk": ("desk", "landscape --instance {inst} --resolution 101 --out {out}/grid.csv"),
-    "landscape_tall": ("tall", "landscape --instance {inst} --resolution 21 --out {out}/grid.csv"),
-    "nce_seed": (None, "nce --seeds 1 --out {out}/nce.csv --summary {out}/nce.json"),
+    "load_desk": ("desk", _library(_load)),
+    "load_tall": ("tall", _library(_load)),
+    "load_2e5": ("2e5", _library(_load)),
+    "save_2e5": ("2e5", _save),
+    "gen_desk": (None, _cli(GEN.format(n=20, d=5, out="{out}"))),
+    "gen_tall": (None, _cli(GEN.format(n=1000, d=20, out="{out}"))),
+    "gen_2e5": (None, _cli(GEN.format(n=200_000, d=5, out="{out}"))),
+    "make_state_desk": ("desk", _library(_make_state)),
+    "make_state_tall": ("tall", _library(_make_state)),
+    "solve_exact_desk": ("desk", _cli(SOLVE)),
+    "solve_sampled_desk": ("desk", _cli(SOLVE + " --mode sampled")),
+    "solve_exact_tall": ("tall", _cli(SOLVE)),
+    "solve_sampled_tall": ("tall", _cli(SOLVE + " --mode sampled")),
+    "landscape_desk": ("desk", _cli("landscape --instance {inst} --resolution 101 --out {out}/grid.csv")),
+    "landscape_tall": ("tall", _cli("landscape --instance {inst} --resolution 21 --out {out}/grid.csv")),
+    "nce_draw_26": (None, _library(_draw(26))),
+    "nce_draw_2": (None, _library(_draw(2))),
+    "nce_scoring": (None, _library(_scoring)),
+    "nce_bounds": (None, _library(_bounds())),
+    "nce_bounds_epochs0": (None, _library(_bounds(epochs=0))),
+    "nce_seed": (None, _cli("nce --seeds 1 --out {out}/nce.csv --summary {out}/nce.json")),
 }
 DEFAULT_OPS = [op for op in OPS if not op.endswith("_2e5")]
 
 
 class OutputMismatch(RuntimeError):
     """An op gave different outputs on the two sides."""
-
-
-def _perfbench():
-    """``perfbench/run.py`` as a module, without putting its directory on the path."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _git(*args) -> bytes:
@@ -123,48 +212,14 @@ def tree(rev: str | None, dest: Path) -> tuple[Path, dict]:
 
 
 def import_package(name: str, src: Path):
-    """The ``softmaxopt`` package under ``src`` imported as ``name``, with its cli and model."""
+    """The ``softmaxopt`` package under ``src`` imported as ``name``, with its cli."""
     init = src / "softmaxopt" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)]
-    )
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for sub in ("cli", "model"):
-        importlib.import_module(f"{name}.{sub}")
+    importlib.import_module(f"{name}.cli")  # __init__ imports model and nce
     return package
-
-
-def _cli_call(package, argv: list, out: Path):
-    def call():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = package.cli.main(argv)
-        return lambda: (code, stdout.getvalue(),
-                        {p.name: p.read_bytes() for p in sorted(out.iterdir())})
-
-    return call
-
-
-def _load_call(package, path: Path):
-    def call():
-        inst = package.model.ProblemInstance.load(path)
-        arrays = (inst.a, inst.b, inst.w, inst.x_star)
-        return lambda: ([None if v is None else (v.shape, v.tobytes()) for v in arrays],
-                        inst.reg_mode)
-
-    return call
-
-
-def _save_call(package, path: Path, out: Path):
-    inst = package.model.ProblemInstance.load(path)
-
-    def call():
-        inst.save(out / "inst.json")
-        return (out / "inst.json").read_bytes
-
-    return call
 
 
 def build_calls(ops: list, packages: dict, tmp: Path) -> dict:
@@ -173,28 +228,20 @@ def build_calls(ops: list, packages: dict, tmp: Path) -> dict:
     The call returns a function that reads the op's output, so that reading
     it back is neither timed nor traced.
     """
-    instances = {}
-    for shape in sorted({OPS[op][0] for op in ops} - {None}):
+    instances = {shape: tmp / f"{shape}.json" for shape in {OPS[op][0] for op in ops} - {None}}
+    for shape, path in instances.items():
         n, d = SHAPES[shape]
-        instances[shape] = tmp / f"{shape}.json"
-        argv = ["gen", "--n", str(n), "--d", str(d), "--seed", "0", "--out", str(instances[shape])]
+        argv = ["gen", "--n", str(n), "--d", str(d), "--seed", "0", "--out", str(path)]
         if packages["base"].cli.main(argv):
             raise RuntimeError(f"base gen failed: {argv}")
     calls = {}
     for op in ops:
-        shape, template = OPS[op]
+        shape, build = OPS[op]
         calls[op] = {}
         for side, package in packages.items():
-            if template == "load":
-                calls[op][side] = _load_call(package, instances[shape])
-                continue
             out = tmp / side / op
             out.mkdir(parents=True)
-            if template == "save":
-                calls[op][side] = _save_call(package, instances[shape], out)
-                continue
-            argv = [part.format(inst=instances.get(shape), out=out) for part in template.split()]
-            calls[op][side] = _cli_call(package, argv, out)
+            calls[op][side] = build(package, instances.get(shape), out)
     return calls
 
 
@@ -266,7 +313,10 @@ def main(argv=None) -> int:
         parser.error(f"unknown ops {unknown}; choose from {list(OPS)}")
     if args.pairs < 2:
         parser.error("--pairs must be >= 2, for quartiles")
-    perfbench = _perfbench()
+    # perfbench/run.py as a module, without putting its directory on the path
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    perfbench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench)
     perfbench.pin_blas_threads()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -43,6 +43,7 @@ from .model import (
     _require_ints,
     _require_seed,
     _seeded_rng,
+    _vector,
     _write_text,
     make_state,
     state_losses,
@@ -232,9 +233,10 @@ def _iterate(inst, x0, max_iters, step, epsilon) -> SolveTrace:
     too, is put to the step, so no verdict depends on the cap.  A step that
     cannot be formed (``_STEP_FAILURES``) raises before the cap and leaves the
     run unconverged at it.  ``_evaluate`` checks each iterate's finiteness and
-    each step its point, so a diverging run ends in NonFiniteIterate.
+    each step its point, so a diverging run ends in NonFiniteIterate.  The
+    start is checked once, here: one that is not 1-d is a DimensionMismatch.
     """
-    x = np.array(x0, dtype=np.float64)
+    x = _vector(x0, "x0").copy()
     iterates = []
     step_seconds = 0.0
     for t in range(max_iters + 1):
@@ -267,7 +269,7 @@ def newton_step(inst: ProblemInstance, x_t, cfg: SolverConfig = SolverConfig()) 
     Deterministic: a sampled draw comes from ``cfg.seed`` (0 by default), as
     in solve, and a point solve would reject raises NonFiniteIterate.
     """
-    state, _, g, grad_norm = _evaluate(inst, x_t, 0)
+    state, _, g, grad_norm = _evaluate(inst, _vector(x_t, "x_t"), 0)
     return _newton_update(inst, state, g, grad_norm, cfg, np.random.default_rng(cfg.seed), None)
 
 

@@ -13,6 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "bench" / "ab.py"
 SIDE_KEYS = {"median_s", "q1_s", "q3_s"}
+# a CLI op and three library calls: a load, an NCE layer and make_state
+OPS_RUN = ("load_desk", "gen_desk", "nce_bounds_epochs0", "make_state_desk")
 
 
 def load_ab():
@@ -27,7 +29,7 @@ def load_ab():
 def test_head_against_the_working_tree_writes_the_report(tmp_path):
     out = tmp_path / "ab.json"
     proc = subprocess.run(
-        [sys.executable, str(AB), "--base", "HEAD", "--ops", "load_desk,gen_desk", "--pairs", "2",
+        [sys.executable, str(AB), "--base", "HEAD", "--ops", ",".join(OPS_RUN), "--pairs", "2",
          "--out", str(out)],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
@@ -41,7 +43,7 @@ def test_head_against_the_working_tree_writes_the_report(tmp_path):
         assert (report[side]["rev"], report[side]["commit"]) == (rev, commit)
         assert re.fullmatch("[0-9a-f]{64}", report[side]["source_sha256"])
     assert report["metadata"]["blas_thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
-    assert sorted(report["ops"]) == ["gen_desk", "load_desk"]
+    assert sorted(report["ops"]) == sorted(OPS_RUN)
     for op in report["ops"].values():
         assert set(op) == {"output_sha256", "ratio_median", "head_faster", "peak_bytes",
                            "base", "head", "base_s", "head_s"}
@@ -53,6 +55,14 @@ def test_head_against_the_working_tree_writes_the_report(tmp_path):
             assert set(op[side]) == SIDE_KEYS
             assert len(op[f"{side}_s"]) == 2 and all(s > 0 for s in op[f"{side}_s"])
             assert op[side]["q1_s"] <= op[side]["median_s"] <= op[side]["q3_s"]
+
+
+def test_every_op_is_a_shape_and_a_builder():
+    ab = load_ab()
+    for op, entry in ab.OPS.items():
+        assert isinstance(entry, tuple) and len(entry) == 2, op
+        shape, build = entry
+        assert (shape is None or shape in ab.SHAPES) and callable(build), op
 
 
 def test_unequal_outputs_stop_the_run():

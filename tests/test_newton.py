@@ -12,6 +12,7 @@ import scipy.linalg
 import softmaxopt as so
 from kernel_oracles import total_kernel
 from softmaxopt.exceptions import (
+    DimensionMismatch,
     DomainError,
     KernelNotPSD,
     NonFiniteIterate,
@@ -828,6 +829,38 @@ class TestFarIterate:
         for run in runs:
             with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
                 run()
+
+
+class TestStackedStart:
+    """A start of shape (1, d) or (m, d) is a DimensionMismatch from every entry point.
+
+    ``make_state`` takes a stack of points, so only the solver's own check,
+    once per call, stops a stacked start before the calculus meets it.
+    """
+
+    @staticmethod
+    def start(rows):
+        inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, seed=0))
+        return inst, np.tile(so.basin_start(x_star, 1e-3, 0), (rows, 1))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_solve(self, rows, mode):
+        inst, x0 = self.start(rows)
+        with pytest.raises(DimensionMismatch, match=rf"^x0 must be 1-d, got shape \({rows}, 5\)$"):
+            so.solve(inst, x0, so.SolverConfig(mode=mode))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_gradient_descent_baseline(self, rows):
+        inst, x0 = self.start(rows)
+        with pytest.raises(DimensionMismatch, match=rf"^x0 must be 1-d, got shape \({rows}, 5\)$"):
+            so.gradient_descent_baseline(inst, x0, 0.1, 5)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_newton_step(self, rows):
+        inst, x0 = self.start(rows)
+        with pytest.raises(DimensionMismatch, match=rf"^x_t must be 1-d, got shape \({rows}, 5\)$"):
+            so.newton_step(inst, x0)
 
 
 class TestTraceCsv:
