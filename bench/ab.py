@@ -28,13 +28,16 @@ figures, each side's tracemalloc peak, and a digest of the output.
 
 The instances are ``gen --seed 0`` files that the base tree writes at
 three shapes: desk (20, 5), tall (1000, 20) and 2e5 (200000, 5, a 31 MB
-file).  The ops, all but the ``_2e5`` ones run by default, are the CLI's
-``gen``, ``solve``, ``landscape`` and ``nce --seeds 1`` (``nce_seed``);
-``ProblemInstance.load`` and ``save``; ``make_state`` at ``x_star``; and
-the layers of one default NCE seed (96 anchors, K = 8, 12 epochs):
-``_draw_passes`` of its 26 passes and of 2, one scoring pass (a gather and
-``_nce_stack``), and ``paired_vs_shuffled_bounds(0)`` with and without
-``epochs=0``.
+file).  The ops, all but the ``_2e5`` and ``_k1000`` ones run by default,
+are the CLI's ``gen``, ``solve``, ``landscape``, ``nce --seeds 1``
+(``nce_seed``) and ``nce --seeds 20`` (``nce_seeds_20``, the CLI's
+default count); ``ProblemInstance.load`` and ``save``; ``make_state`` at
+``x_star``; and the layers of one default NCE seed (96 anchors, K = 8,
+12 epochs): ``_draw_passes`` of its 26 passes and of 2, one scoring pass
+(a gather and ``_nce_stack``), and ``paired_vs_shuffled_bounds(0)`` with
+and without ``epochs=0``.  The ``_k1000`` ops time one NCE seed at
+pool = K = 1000 with ``--epochs 2``, its 6 passes of draws, and the same
+draws as one ``rng.choice`` per anchor, the loop the batched draw replaced.
 
 The run metadata (CPU, ``nproc``, BLAS and its threads, Python and numpy
 versions) comes from ``perfbench/run.py``.  Each tree is named by its commit
@@ -131,9 +134,25 @@ def _make_state(package, inst: Path):
     return call
 
 
-def _draw(passes: int):
-    """``_draw_passes`` of ``passes`` passes at the NCE experiment's defaults: 96 anchors, K = 8."""
-    return lambda package, inst: lambda: package.nce._draw_passes(np.random.default_rng(0), passes, 96, 8)
+def _draw(passes: int, pool_size: int = 96, k: int = 8):
+    """``_draw_passes`` of ``passes`` passes; the defaults are the NCE experiment's."""
+    return lambda package, inst: lambda: package.nce._draw_passes(
+        np.random.default_rng(0), passes, pool_size, k)
+
+
+def _choice_loop(passes: int, pool_size: int, k: int):
+    """The per-anchor ``rng.choice`` loop whose rows ``_draw_passes`` gives; the same on both sides."""
+    def call():
+        rng = np.random.default_rng(0)
+        rows = np.empty((passes, pool_size, k), dtype=np.intp)
+        rows[..., 0] = np.arange(pool_size)
+        for pass_rows in rows:
+            for i, row in enumerate(pass_rows):
+                drawn = rng.choice(pool_size - 1, size=k - 1, replace=False)
+                row[1:] = drawn + (drawn >= i)
+        return rows
+
+    return lambda package, inst: call
 
 
 def _scoring(package, inst: Path):
@@ -162,6 +181,7 @@ def _bounds(**kwargs):
 
 SOLVE = "solve --instance {inst} --out {out}/trace.csv --summary {out}/summary.json"
 GEN = "gen --n {n} --d {d} --seed 0 --out {out}/inst.json"
+NCE = "nce --seeds {seeds}{extra} --out {{out}}/nce.csv --summary {{out}}/nce.json"
 OPS = {
     "load_desk": ("desk", _library(_load)),
     "load_tall": ("tall", _library(_load)),
@@ -183,9 +203,13 @@ OPS = {
     "nce_scoring": (None, _library(_scoring)),
     "nce_bounds": (None, _library(_bounds())),
     "nce_bounds_epochs0": (None, _library(_bounds(epochs=0))),
-    "nce_seed": (None, _cli("nce --seeds 1 --out {out}/nce.csv --summary {out}/nce.json")),
+    "nce_seed": (None, _cli(NCE.format(seeds=1, extra=""))),
+    "nce_seeds_20": (None, _cli(NCE.format(seeds=20, extra=""))),
+    "nce_seed_k1000": (None, _cli(NCE.format(seeds=1, extra=" --pool-size 1000 --k 1000 --epochs 2"))),
+    "nce_draw_k1000": (None, _library(_draw(6, 1000, 1000))),
+    "nce_choice_k1000": (None, _library(_choice_loop(6, 1000, 1000))),
 }
-DEFAULT_OPS = [op for op in OPS if not op.endswith("_2e5")]
+DEFAULT_OPS = [op for op in OPS if not op.endswith(("_2e5", "_k1000"))]
 
 
 class OutputMismatch(RuntimeError):

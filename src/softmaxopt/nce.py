@@ -130,17 +130,14 @@ def _positive_minus_mean_into(weight_t, anchor_col, candidates, work) -> np.ndar
 _MIX_SEED = 20240613
 # Standard deviation of the Gaussian noise on each partner.
 _NOISE = 0.1
+# Seeds trained in one stack hold at most this many bytes of draw indices and
+# gathered candidates, counting 2 (epochs + 1) pool_size k indices of 4 bytes
+# and 2 pool_size k dim_partner floats a seed: 178 KB at the defaults, so 23
+# seeds to a stack, the CLI's default 20 among them.
+_STACK_BYTES = 2**22
 
 
-def paired_vs_shuffled_bounds(
-    seed: int,
-    dim_anchor: int = 8,
-    dim_partner: int = 8,
-    pool_size: int = 96,
-    k: int = 8,
-    epochs: int = 12,
-    learning_rate: float = 0.2,
-) -> tuple[float, float]:
+def paired_vs_shuffled_bounds(seed: int, **options) -> tuple[float, float]:
     """Train the bilinear weight by ascent on correlated and shuffled pairs.
 
     Partners are a fixed linear image of their anchors plus Gaussian noise of
@@ -148,33 +145,63 @@ def paired_vs_shuffled_bounds(
     break the pairing.  Returns the mean bound of each variant after
     training.  A working estimator separates the two: correlated > shuffled.
 
-    Both chains train in lockstep on one ``(2, dim_anchor, dim_partner)``
-    weight stack: each step takes one anchor's candidates of both chains
-    through the kernel ``nce_gradients`` and ``nce_loss`` use, and each row
-    of the stack is bitwise that chain trained alone.  All
-    negatives are drawn first, the correlated chain's ``epochs + 1`` passes
-    and then the shuffled chain's, so the random stream is that of training
-    one chain after the other.  Each pass is one batched Floyd draw plus
-    shuffle (``_draw_passes``), the stream of one ``rng.choice`` per anchor:
-    the bounds rest on numpy's streams of ``Generator.integers`` with int64
-    array bounds and of ``Generator.choice``'s Floyd branch, and change only
-    where ``choice`` would shuffle a tail instead (``pool_size > 10001`` and
-    ``k - 1 > (pool_size - 1) // 50``).  The draws are kept as
-    ``2 (epochs + 1) pool_size k`` indices, int16 while ``2 pool_size``
-    fits in it (39,936 bytes at the defaults), and one pass's candidates
-    of both chains are gathered at a time, every pass into the same
-    ``(pool_size, 2, k, dim_partner)`` buffer (98 KB at the defaults).
-    Training allocates its buffers once per seed: the workspace of
+    The keyword ``options`` are ``dim_anchor`` (default 8), ``dim_partner``
+    (8), ``pool_size`` (96), ``k`` (8), ``epochs`` (12) and ``learning_rate``
+    (0.2).  This is the one-seed case of ``_bounds``, which trains many
+    seeds in one stack and gives each seed's bounds bitwise as this call
+    does; its docstring says how.
+    """
+    return _bounds([seed], **options)[0]
+
+
+def _bounds(
+    seeds,
+    dim_anchor: int = 8,
+    dim_partner: int = 8,
+    pool_size: int = 96,
+    k: int = 8,
+    epochs: int = 12,
+    learning_rate: float = 0.2,
+) -> list[tuple[float, float]]:
+    """``paired_vs_shuffled_bounds`` of every seed in ``seeds``, in order, trained in lockstep.
+
+    Each seed draws from its own ``default_rng(seed)`` in the order of
+    training it alone: its anchors, partners and permutation, then all of
+    its negatives, the correlated chain's ``epochs + 1`` passes and then the
+    shuffled chain's (``_draw_passes``).  The draws are bitwise those of one
+    ``rng.choice`` per anchor, so the bounds rest on numpy's streams of
+    ``Generator.integers`` with int64 array bounds and of
+    ``Generator.choice``'s Floyd branch, and change only where ``choice``
+    would shuffle a tail instead (``pool_size > 10001`` and
+    ``k - 1 > (pool_size - 1) // 50``).
+
+    The seeds are stacked in chunks of at most ``_STACK_BYTES`` of draw
+    indices and gathered candidates, so memory grows with one chunk, not
+    with the number of seeds.  A chunk of S seeds trains its 2 S chains in
+    lockstep on one flat ``(2 S, dim_anchor, dim_partner)`` weight stack,
+    seed j's correlated chain in row 2 j and its shuffled chain in row
+    2 j + 1: each step takes one anchor's candidates of every chain through
+    the kernel ``nce_gradients`` and ``nce_loss`` use, with each seed's
+    anchor repeated for its two chains, and each row of the stack is
+    bitwise that chain trained alone.  The chunk keeps its
+    ``2 S (epochs + 1) pool_size k`` draw indices in the narrowest of
+    int16, int32 and ``intp`` that holds ``2 S pool_size`` (39,936 bytes a
+    seed at the defaults), and gathers one pass's candidates of all its
+    chains at a time, every pass into the same ``(pool_size, 2 S, k,
+    dim_partner)`` buffer (98 KB a seed at the defaults).  Training
+    allocates its buffers once per chunk: the workspace of
     ``_positive_minus_mean_into``, views of W^T and of each anchor as a
     column, and one ``step`` the size of the weight.  Each step is that
     kernel run in the workspace, then ``step = a (x) diff``,
     ``step *= learning_rate`` and ``weight += step``, the rounding of
     ``weight + learning_rate * np.outer(a, diff)``, with no new array.
-    The bounds are summed anchor by anchor as Python floats.  A learning
-    rate that overflows either chain's weight raises NonFiniteInput naming
+    Each bound is summed anchor by anchor as Python floats.  A learning
+    rate that overflows any chain's weight raises NonFiniteInput naming
     ``learning_rate``.
     """
-    _require_seed(seed)
+    seeds = list(seeds)
+    for seed in seeds:
+        _require_seed(seed)
     _require_ints(
         dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
     )
@@ -188,32 +215,48 @@ def paired_vs_shuffled_bounds(
         raise DomainError("learning_rate must be finite and > 0")
     mix = np.random.default_rng(_MIX_SEED).standard_normal((dim_partner, dim_anchor))
     mix /= np.sqrt(dim_anchor)
-    rng = np.random.default_rng(seed)
-    anchors = rng.standard_normal((pool_size, dim_anchor))
-    partners = anchors @ mix.T + _NOISE * rng.standard_normal((pool_size, dim_partner))
-    shuffled = partners[rng.permutation(pool_size)]
+    seed_bytes = 2 * pool_size * k * ((epochs + 1) * 4 + dim_partner * 8)
+    chunk = max(1, _STACK_BYTES // seed_bytes)
+    bounds = []
+    for start in range(0, len(seeds), chunk):
+        bounds += _train_stack(seeds[start:start + chunk], mix, pool_size, k, epochs, learning_rate)
+    return bounds
 
+
+def _train_stack(seeds, mix, pool_size, k, epochs, learning_rate) -> list[tuple[float, float]]:
+    """The bounds of each seed in ``seeds``, all trained on one weight stack, as ``_bounds`` says."""
+    dim_partner, dim_anchor = mix.shape
+    chains = 2 * len(seeds)
     passes = epochs + 1
-    # pool rows pool_size + i hold the shuffled partners; the draws are the
-    # correlated chain's passes, then the shuffled chain's, so rows[e, i] holds
-    # both chains' candidates of anchor i in pass e
-    rows = _draw_passes(rng, 2 * passes, pool_size, k).reshape(2, passes, pool_size, k)
-    rows[1] += pool_size
-    rows = rows.transpose(1, 2, 0, 3)
-    pool = np.concatenate([partners, shuffled])
+    # chain c of the stack is seed c // 2's correlated (c even) or shuffled
+    # chain: anchors[i, c] holds the seed's anchor i, pool rows c pool_size + i
+    # the chain's partners, and rows[e, i, c] its candidates of anchor i in pass e
+    anchors = np.empty((pool_size, chains, dim_anchor))
+    pool = np.empty((chains, pool_size, dim_partner))
+    rows = np.empty((passes, pool_size, chains, k), dtype=_index_dtype(chains * pool_size))
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        drawn = rng.standard_normal((pool_size, dim_anchor))
+        anchors[:, 2 * j:2 * j + 2] = drawn[:, None]
+        pool[2 * j] = drawn @ mix.T + _NOISE * rng.standard_normal((pool_size, dim_partner))
+        np.take(pool[2 * j], rng.permutation(pool_size), axis=0, out=pool[2 * j + 1])
+        rows[:, :, 2 * j:2 * j + 2] = _draw_passes(rng, 2 * passes, pool_size, k).reshape(
+            2, passes, pool_size, k).transpose(1, 2, 0, 3)
+    rows += np.arange(0, chains * pool_size, pool_size, dtype=rows.dtype)[:, None]
+    pool = pool.reshape(-1, dim_partner)
 
     log_k = float(np.log(k))
-    weight = np.zeros((2, dim_anchor, dim_partner))
+    weight = np.zeros((chains, dim_anchor, dim_partner))
     # every training step works in these buffers and views, made once; the
     # weight is only ever updated in place, so weight_t stays its transpose
     weight_t = weight.swapaxes(-1, -2)
-    anchor_cols = anchors[:, :, None]
-    work = _workspace((2,), k, dim_partner)
+    anchor_cols = anchors[..., None]
+    work = _workspace((chains,), k, dim_partner)
     diff_rows = work[-1][:, None, :]
     step = np.empty_like(weight)
     # every pass, the scoring one too, gathers its candidates into this one
     # buffer; the indices are in range, so "clip" only spares take its copy
-    gathered = np.empty((pool_size, 2, k, dim_partner))
+    gathered = np.empty((pool_size, chains, k, dim_partner))
 
     def gather(e):
         return np.take(pool, rows[e], axis=0, out=gathered, mode="clip")
@@ -230,7 +273,7 @@ def paired_vs_shuffled_bounds(
                     np.multiply(anchor_col, diff_rows, out=step)
                     step *= learning_rate
                     weight += step
-            log_p = _nce_stack(anchors[:, None], gather(-1), weight)[0]
+            log_p = _nce_stack(anchors, gather(-1), weight)[0]
     except FloatingPointError as exc:
         raise NonFiniteInput(
             f"training overflowed float64 ({exc}); lower learning_rate, got {learning_rate!r}"
@@ -242,12 +285,22 @@ def paired_vs_shuffled_bounds(
         for value in chain:
             total += value + log_k
         bounds.append(total / pool_size)
-    return bounds[0], bounds[1]
+    return list(zip(bounds[::2], bounds[1::2]))
 
 
-# Anchors drawn in one block are at most this many flags of their
-# (anchors, pool_size - 1) table of taken positions (1 MB of bools).
-_DRAW_FLAGS = 2**20
+def _index_dtype(top: int):
+    """The narrowest of int16, int32 and ``intp`` whose maximum is at least ``top``."""
+    return next(t for t in (np.int16, np.int32, np.intp) if top <= np.iinfo(t).max)
+
+
+# A draw block takes this many anchors, whichever passes they belong to (4
+# passes of the default 96 anchors): each step of the Floyd draw is a few
+# numpy calls across the block, and from a few hundred anchors on their cost
+# per call is small beside the work per anchor.
+_DRAW_ANCHORS = 384
+# A block takes fewer anchors where their taken flags and int64 draws, under
+# pool_size + 32 k bytes an anchor, would pass this many bytes.
+_DRAW_BYTES = 2**25
 
 
 def _draw_passes(rng, passes: int, pool_size: int, k: int) -> np.ndarray:
@@ -255,31 +308,32 @@ def _draw_passes(rng, passes: int, pool_size: int, k: int) -> np.ndarray:
 
     Pass by pass and in anchor order, row [e, i] takes the positions of
     ``rng.choice(pool_size - 1, size=k - 1, replace=False)`` among the other
-    rows; positions at or after i skip it, in one array operation per pass.
-    Each pass is drawn by ``_floyd_samples``, one batched Floyd draw plus
-    shuffle per block of anchors.  Wherever numpy's ``choice`` takes its
-    Floyd branch (``pool_size - 1 <= 10000`` or
-    ``k - 1 <= (pool_size - 1) // 50``) the rows and the generator's state
-    afterwards are bitwise those of the per-anchor ``choice`` loop.  Above
-    that, ``choice`` shuffles a tail of the whole population instead, and
-    the rows here, though distinct, in range and free of the anchor, differ
-    from its.  The rows take the narrowest of int16, int32 and ``intp`` that
-    holds ``2 pool_size``: a quarter of the memory of ``intp`` for the same
-    gather while ``pool_size <= 16383`` (39,936 bytes for the default
-    experiment's 26 passes of 96 anchors and 8 candidates), half of it
-    while ``pool_size <= 2**30 - 1``.
+    rows; positions at or after i skip it, in one array operation over all
+    passes.  The anchors of all passes, in that order, are drawn by
+    ``_floyd_samples`` in blocks of ``_DRAW_ANCHORS`` (fewer where a block
+    would pass ``_DRAW_BYTES``), a block ending wherever it ends, mid-pass
+    or not.  Wherever numpy's ``choice`` takes its Floyd branch
+    (``pool_size - 1 <= 10000`` or ``k - 1 <= (pool_size - 1) // 50``) the
+    rows and the generator's state afterwards are bitwise those of the
+    per-anchor ``choice`` loop.  Above that, ``choice`` shuffles a tail of
+    the whole population instead, and the rows here, though distinct, in
+    range and free of the anchor, differ from its.  The rows take the
+    narrowest of int16, int32 and ``intp`` that holds ``2 pool_size``: a
+    quarter of the memory of ``intp`` for the same gather while
+    ``pool_size <= 16383`` (39,936 bytes for the default experiment's 26
+    passes of 96 anchors and 8 candidates), half of it while
+    ``pool_size <= 2**30 - 1``.
     """
-    # the caller shifts the shuffled chain's rows by pool_size
-    dtype = next(t for t in (np.int16, np.int32, np.intp) if 2 * pool_size <= np.iinfo(t).max)
-    rows = np.empty((passes, pool_size, k), dtype=dtype)
+    # narrow enough that the rows, shifted to the second of two pools, still fit
+    rows = np.empty((passes, pool_size, k), dtype=_index_dtype(2 * pool_size))
     rows[..., 0] = np.arange(pool_size)
-    block = max(1, _DRAW_FLAGS // pool_size)
-    for pass_rows in rows:
-        others = pass_rows[:, 1:]
-        for start in range(0, pool_size, block):
-            chunk = others[start:start + block]
-            chunk[...] = _floyd_samples(rng, len(chunk), pool_size - 1, k - 1).T
-        others += others >= pass_rows[:, :1]
+    flat = rows.reshape(-1, k)
+    others = flat[:, 1:]
+    block = max(1, min(_DRAW_ANCHORS, _DRAW_BYTES // (pool_size + 32 * k)))
+    for start in range(0, len(others), block):
+        chunk = others[start:start + block]
+        chunk[...] = _floyd_samples(rng, len(chunk), pool_size - 1, k - 1).T
+    others += others >= flat[:, :1]
     return rows
 
 

@@ -1,8 +1,9 @@
 """The paired-vs-shuffled NCE experiment as a per-batch loop, as a test oracle.
 
 The package runs the experiment as an array loop
-(``softmaxopt.nce.paired_vs_shuffled_bounds``): one negative draw and one
-gather per pass over the pool, and one shared helper for the gradient step.
+(``softmaxopt.nce._bounds``): many seeds on one weight stack, negatives
+drawn in blocks of anchors, one gather per pass over the pool, and one
+shared kernel for the gradient step.
 The loop here builds and validates one ``NceBatch`` per sample, draws its
 negatives alone and trains and scores it through the public
 ``nce_gradients`` and ``nce_loss`` (the bound is ``nce_loss + log K``), so

@@ -470,6 +470,32 @@ class TestVerify:
         (check,) = json.loads(report.read_text())["checks"]
         assert check["detail"]["max_rel_err_entry_formula"] == worst
 
+    def test_overflow_in_a_stack_of_seeds_is_non_finite_input(self, tmp_path, capsys):
+        summary = tmp_path / "s.json"
+        assert run(["nce", "--seeds", 3, "--learning-rate", 1e308, "--summary", summary]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: NonFiniteInput: .*learning_rate.*\n", captured.err)
+        assert captured.out == "" and not summary.exists()
+
+    def test_seeds_in_one_run_equal_a_run_per_seed(self, tmp_path):
+        # the rows of five one-seed runs, and the summary the per-seed loop
+        # wrote from them: their means by np.mean, with sorted keys
+        rows = []
+        for seed in range(3, 8):
+            path = tmp_path / f"seed_{seed}.csv"
+            assert run(["nce", "--seed", seed, "--seeds", 1, "--out", path,
+                        "--summary", tmp_path / f"seed_{seed}.json"]) == 0
+            head, row = path.read_text().splitlines(keepends=True)
+            rows.append(row)
+        assert run(["nce", "--seed", 3, "--seeds", 5, "--out", tmp_path / "all.csv",
+                    "--summary", tmp_path / "all.json"]) == 0
+        assert (tmp_path / "all.csv").read_text() == head + "".join(rows)
+        fields = [[float(v) for v in row.split(",")[1:]] for row in rows]
+        corr = float(np.mean([c for c, _ in fields]))
+        shuf = float(np.mean([u for _, u in fields]))
+        summary = {"seeds": 5, "mean_correlated": corr, "mean_shuffled": shuf, "margin": corr - shuf}
+        assert (tmp_path / "all.json").read_text() == json.dumps(summary, sort_keys=True) + "\n"
+
     def test_byte_reproducible(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):
@@ -667,7 +693,7 @@ def test_rerun_writes_the_same_bytes(tmp_path, capsys, argv):
 
 
 # Options whose default belongs to the library: SolverConfig, GeneratorSpec,
-# landscape_grid and paired_vs_shuffled_bounds.
+# landscape_grid and the NCE experiment's nce._bounds.
 LIBRARY_DEFAULTED = (
     "epsilon", "delta", "sample_epsilon", "max_iters", "mode",
     "conditioning", "norm_cap_r",
@@ -693,7 +719,7 @@ class TestLibraryDefaults:
 
             return stub
 
-        for name in ("solve", "generate_planted", "landscape_grid", "paired_vs_shuffled_bounds"):
+        for name in ("solve", "generate_planted", "landscape_grid", "_bounds"):
             monkeypatch.setattr(cli, name, capture(name))
         return calls
 
@@ -765,8 +791,9 @@ class TestLibraryDefaults:
         ids=["none", "given"],
     )
     def test_paired_vs_shuffled_bounds(self, captured, argv, changes):
+        # every seed reaches the experiment in one call
         assert run(["nce", "--seed", "5", *argv]) == 1
-        assert captured["paired_vs_shuffled_bounds"] == ((5,), changes)
+        assert captured["_bounds"] == ((range(5, 25),), changes)
 
 
 class TestParserPerProcess:

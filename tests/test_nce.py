@@ -272,6 +272,30 @@ class TestDrawMemory:
         assert shifted.max() == 2 * pool_size - 1
 
 
+class TestDrawBlocks:
+    def test_a_block_ending_mid_pass(self, monkeypatch):
+        # blocks of 150 anchors over passes of 96: the second block starts in
+        # pass 1 and ends in pass 3, the last one is shorter
+        monkeypatch.setattr(so.nce, "_DRAW_ANCHORS", 150)
+        calls = []
+        floyd = so.nce._floyd_samples
+
+        def counted(rng, count, population, size):
+            calls.append(count)
+            return floyd(rng, count, population, size)
+
+        monkeypatch.setattr(so.nce, "_floyd_samples", counted)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        rows = so.nce._draw_passes(rng, 4, 96, 8)
+        assert calls == [150, 150, 84]
+        for pass_rows in rows:
+            for i in range(96):
+                want = ref.choice(95, size=7, replace=False)
+                assert pass_rows[i, 0] == i
+                assert np.array_equal(pass_rows[i, 1:], want + (want >= i))
+        assert rng.random() == ref.random()
+
+
 class TestExperimentMemory:
     def test_passes_share_one_gather_buffer(self):
         # a pass's (pool_size, 2, k, q) gather is 98,304 bytes at the defaults;
@@ -462,3 +486,78 @@ class TestArrayLoopMatchesPerBatchOracle:
     def test_edge_configs(self, config):
         got = so.paired_vs_shuffled_bounds(0, **config)
         assert got == nce_oracles.paired_vs_shuffled_bounds(0, **config)
+
+
+class TestSeedStack:
+    """``_bounds`` trains many seeds on one weight stack, each seed bitwise alone."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        sizes = []
+        train = so.nce._train_stack
+
+        def recorded(seeds, *args):
+            sizes.append(len(seeds))
+            return train(seeds, *args)
+
+        monkeypatch.setattr(so.nce, "_train_stack", recorded)
+        return sizes
+
+    def test_twenty_seeds_equal_the_oracle(self, stacks):
+        got = so.nce._bounds(range(20))
+        assert stacks == [20]
+        assert got == [nce_oracles.paired_vs_shuffled_bounds(seed) for seed in range(20)]
+
+    @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+    def test_edge_configs_at_three_seeds(self, monkeypatch, stacks, config):
+        # one stack of three seeds, however many bytes a seed of the config takes
+        monkeypatch.setattr(so.nce, "_STACK_BYTES", 2**30)
+        got = so.nce._bounds([4, 0, 9], **config)
+        assert stacks == [3]
+        assert got == [nce_oracles.paired_vs_shuffled_bounds(seed, **config) for seed in (4, 0, 9)]
+
+    def test_chunks_give_the_same_bounds(self, monkeypatch, stacks):
+        # room for two seeds of 3 epochs (122,880 bytes each) a stack: seven
+        # seeds train in four stacks
+        monkeypatch.setattr(so.nce, "_STACK_BYTES", 250_000)
+        got = so.nce._bounds(range(7), epochs=3)
+        assert stacks == [2, 2, 2, 1]
+        assert got == [so.paired_vs_shuffled_bounds(seed, epochs=3) for seed in range(7)]
+
+    def test_indices_widen_with_the_stack(self, monkeypatch, stacks):
+        # 2 S pool_size is 32768 for two seeds of pool 8192, past int16, while
+        # each seed alone draws and gathers int16 indices
+        monkeypatch.setattr(so.nce, "_STACK_BYTES", 2**30)
+        chosen = []
+        index_dtype = so.nce._index_dtype
+
+        def recorded(top):
+            chosen.append((top, index_dtype(top)))
+            return chosen[-1][1]
+
+        monkeypatch.setattr(so.nce, "_index_dtype", recorded)
+        config = {"pool_size": 8192, "k": 2, "epochs": 0}
+        got = so.nce._bounds([0, 1], **config)
+        assert stacks == [2] and (32768, np.int32) in chosen
+        chosen.clear()
+        alone = [so.paired_vs_shuffled_bounds(seed, **config) for seed in (0, 1)]
+        assert {dtype for _, dtype in chosen} == {np.int16}
+        assert got == alone
+
+    def test_memory_is_one_chunks(self, stacks):
+        # forty default seeds train in two stacks and peak as the larger alone
+        def peak(seeds):
+            so.nce._bounds(seeds)
+            tracemalloc.start()
+            try:
+                so.nce._bounds(seeds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_40 = peak(range(40))
+        first = stacks[0]
+        assert stacks[-2:] == [first, 40 - first] and first < 40
+        peak_chunk = peak(range(first))
+        assert peak_40 < 1.02 * peak_chunk, (peak_40, peak_chunk)
+        assert peak_chunk < 1.5 * so.nce._STACK_BYTES
