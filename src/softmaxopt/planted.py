@@ -24,10 +24,12 @@ from .exceptions import DomainError, GenerationFailure, NonFiniteEvaluation
 from .model import (
     ProblemInstance,
     _log_p_and_p,
+    _require_finite,
     _require_finite_fields,
     _require_ints,
     _require_seed,
     _seeded_rng,
+    _vector,
     make_state,
 )
 
@@ -144,5 +146,6 @@ def basin_start(x_star, offset: float, seed) -> np.ndarray:
     if not math.isfinite(offset) or offset < 0:
         raise DomainError(f"offset must be finite and >= 0, got {offset!r}")
     rng = _seeded_rng(seed)
-    x_star = np.asarray(x_star, dtype=np.float64)
+    x_star = _vector(x_star, "x_star")
+    _require_finite(x_star, "x_star")
     return x_star + offset * _unit(rng, x_star.size)

@@ -57,6 +57,15 @@ def test_head_against_the_working_tree_writes_the_report(tmp_path):
             assert op[side]["q1_s"] <= op[side]["median_s"] <= op[side]["q3_s"]
 
 
+def test_every_default_op_runs_on_the_working_tree(tmp_path):
+    # once each, with no git, so an op whose target is renamed fails in any copy
+    ab = load_ab()
+    src, _ = ab.tree(None, tmp_path)
+    package = ab.import_package("softmaxopt_base", src)
+    for sides in ab.build_calls(ab.DEFAULT_OPS, {"base": package}, tmp_path).values():
+        sides["base"]()()
+
+
 def test_every_op_is_a_shape_and_a_builder():
     ab = load_ab()
     for op, entry in ab.OPS.items():

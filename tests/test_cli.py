@@ -315,6 +315,44 @@ def test_usage_error_exits_one(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["solve", "--seed", "1", "--x0={far}"], "error: NonFiniteIterate: iterate 0 has loss inf"),
+        (["gen", "--n", "20000", "--d", "20", "--norm-cap-r", "0.001"],
+         "error: DomainError: norm_cap_r must be >= 1/sqrt(n)"),
+        (["landscape", "--n", "20", "--d", "5", "--half-width", "1e300"],
+         "error: OverflowError: loss terms overflow float64"),
+    ],
+    ids=["far-iterate", "norm-cap-below-one-over-sqrt-n", "landscape-overflow"],
+)
+def test_typed_failure_exits_one(capsys, argv, line):
+    # far: 1e307 x_star / ||x_star|| on planted seed 1, whose loss overflows
+    _, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=1))
+    far = ",".join(repr(float(v)) for v in 1e307 * x_star / np.linalg.norm(x_star))
+    assert run([a.format(far=far) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(line)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "20000", "--d", "20"],
+        ["solve", "--n", "3000", "--d", "20", "--mode", "sampled"],
+        ["landscape", "--n", "20", "--d", "5", "--resolution", "301"],
+        ["nce", "--seeds", "1", "--pool-size", "2000", "--k", "64", "--epochs", "1"],
+    ],
+    ids=["gen-20000", "sampled-3000", "landscape-301", "nce-pool-2000"],
+)
+def test_large_run_exits_zero(tmp_path, argv):
+    # with no RuntimeWarning: the tall gen sizes its ridge and sampled mode
+    # steps without an n-by-n kernel, the grid goes one row of cells a block,
+    # and pool 2000 draws its negatives in several blocks of anchors
+    assert run([*argv, "--out", tmp_path / "out"]) == 0
+
+
 def test_help_exits_zero(capsys):
     assert run(["solve", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: softmaxopt solve")
@@ -816,6 +854,17 @@ class TestParserPerProcess:
         assert vars(build_parser().parse_args(["solve"])) == vars(fresh)
 
 
+def run_child(script: str, *args, **env) -> str:
+    """The standard output of a fresh interpreter that runs ``script`` on this source tree."""
+    src = str(Path(so.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env), timeout=120, check=True,
+    )
+    return done.stdout
+
+
 def test_desk_commands_load_no_scipy(tmp_path):
     # a fresh interpreter, so that modules the test session imported do not count
     script = """
@@ -836,15 +885,7 @@ runs = [
 codes = [main(argv) for argv in runs]
 print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 """
-    src = str(Path(so.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
+    assert run_child(script, tmp_path).splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_only_array_io_imports_orjson(tmp_path):
@@ -863,12 +904,31 @@ for argv in (["solve", "--out", f"{out}/a.csv", "--summary", f"{out}/a.json"],
     seen.append((main(argv), "orjson" in sys.modules))
 print(seen)
 """
-    src = str(Path(so.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    assert done.stdout.strip().splitlines()[-1] == "[(0, False), (0, False), (0, True)]"
+    assert run_child(script, tmp_path).splitlines()[-1] == "[(0, False), (0, False), (0, True)]"
+
+
+def test_fixed_blas_thread_count_reproduces_every_byte(tmp_path):
+    # two fresh children per OPENBLAS_NUM_THREADS, set on the child only;
+    # bytes are compared within a count, as the gemms may round apart across counts
+    script = """
+import sys
+from softmaxopt.cli import main
+out, size = sys.argv[1], ["--n", "2000", "--d", "40", "--seed", "3"]
+runs = [
+    ["gen", *size, "--out", f"{out}/gen.json"],
+    ["solve", *size, "--out", f"{out}/exact.csv", "--summary", f"{out}/exact.json"],
+    ["solve", *size, "--mode", "sampled", "--out", f"{out}/sampled.csv",
+     "--summary", f"{out}/sampled.json"],
+    ["verify", "--seed", "3", "--out", f"{out}/verify.json"],
+]
+print([main(argv) for argv in runs])
+"""
+    for threads in ("1", "2"):
+        runs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{threads}{tag}"
+            out.mkdir()
+            printed = run_child(script, out, OPENBLAS_NUM_THREADS=threads)
+            runs.append((printed, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0][0].endswith("[0, 0, 0, 0]\n") and len(runs[0][1]) == 6
+        assert runs[0] == runs[1]

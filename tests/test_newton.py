@@ -398,9 +398,13 @@ class TestVerdictIndependentOfCap:
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_newton_without_planted_optimum(self, mode):
-        for seed in range(30):
-            base, x = random_instance(seed)
-            inst = so.ProblemInstance(a=base.a, b=base.b, w=np.ones(base.n))
+        # random instances with a unit ridge, then gen's default instance
+        # without x_star and reg_mode, from the CLI's start there
+        planted = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))[0]
+        cases = [(so.ProblemInstance(a=base.a, b=base.b, w=np.ones(base.n)), x)
+                 for base, x in map(random_instance, range(30))]
+        cases.append((so.ProblemInstance(a=planted.a, b=planted.b, w=planted.w), np.zeros(5)))
+        for seed, (inst, x) in enumerate(cases):
             cfg = so.SolverConfig(mode=mode, seed=seed)
             full = so.solve(inst, x, cfg)
             capped = so.solve(inst, x, dataclasses.replace(cfg, max_iters=full.iterations_run))
@@ -462,6 +466,37 @@ class TestStepFailsAtCap:
         assert not trace.converged and trace.iterations_run == 0
         with pytest.raises(NonFiniteIterate, match="gradient step"):
             so.gradient_descent_baseline(inst, np.array([1.0]), 1e308, 3)
+
+
+def scaled_ridge(inst, s):
+    """inst with its ridge weights times s; x_star stays stationary, as f(x_star) = b."""
+    return dataclasses.replace(inst, w=s * inst.w)
+
+
+# Instances on which Newton has work to do: planted with norm cap 16 and
+# ridge_l 1, then the ridge scaled down.  Rows are (shape, scale, offset);
+# each runs seeds 0-4 (the generator's, the start's and the solver's) in both
+# modes.  README records each solve's outcome.
+LONG_PATH_CASES = [((20, 5), scale, offset) for scale in (1e-2, 1e-3, 0.0)
+                   for offset in (0.4, 4.0, 12.0)] + [((1000, 20), 1e-3, 12.0)]
+
+
+class TestLongPathCases:
+    def test_every_solve_ends_in_a_typed_outcome(self):
+        # converged, capped, or a step that cannot be formed; no RuntimeWarning
+        for (n, d), scale, offset in LONG_PATH_CASES:
+            for seed in range(5):
+                spec = so.GeneratorSpec(n=n, d=d, norm_cap_r=16.0, ridge_l=1.0, seed=seed)
+                inst, x_star = so.generate_planted(spec)
+                inst = scaled_ridge(inst, scale)
+                x0 = so.basin_start(x_star, offset, [seed, 7])
+                for mode in ("exact", "sampled"):
+                    cfg = so.SolverConfig(mode=mode, seed=seed)
+                    try:
+                        trace = so.solve(inst, x0, cfg)
+                    except so.newton._STEP_FAILURES:
+                        continue
+                    assert trace.converged or trace.iterations_run == cfg.max_iters
 
 
 class TestSolverConfig:

@@ -166,6 +166,15 @@ class TestGeneratePlanted:
         with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
             so.basin_start(np.zeros(3), 1.0, seed)
 
+    @pytest.mark.parametrize(("x_star", "error", "message"), [
+        (np.zeros((2, 3)), DimensionMismatch, "^x_star must be 1-d, got shape \\(2, 3\\)$"),
+        (np.zeros((1, 3)), DimensionMismatch, "^x_star must be 1-d, got shape \\(1, 3\\)$"),
+        ([float("nan"), 0.0], NonFiniteInput, "^x_star contains NaN or Inf$"),
+    ], ids=["stack", "one-row-stack", "nan"])
+    def test_basin_start_rejects_bad_x_star(self, x_star, error, message):
+        with pytest.raises(error, match=message):
+            so.basin_start(x_star, 1.0, 0)
+
     def test_basin_start_takes_a_generator_or_a_seed_list(self):
         x_star = np.array([1.0, -2.0, 0.5])
         from_list = so.basin_start(x_star, 1.0, [3, 101])
