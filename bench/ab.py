@@ -31,7 +31,12 @@ three shapes: desk (20, 5), tall (1000, 20) and 2e5 (200000, 5, a 31 MB
 file).  The ops, all but the ``_2e5`` and ``_k1000`` ones run by default,
 are the CLI's ``gen``, ``solve``, ``landscape``, ``nce --seeds 1``
 (``nce_seed``) and ``nce --seeds 20`` (``nce_seeds_20``, the CLI's
-default count); ``ProblemInstance.load`` and ``save``; ``make_state`` at
+default count); ``solve`` in each mode on two instances where Newton has
+work to do (``solve_long_*``, built in-process: planted with
+``norm_cap_r = 16``, ``ridge_l = 1`` and seed 0, the ridge then scaled by
+1e-2 at desk and 1e-3 at tall, from ``basin_start(x_star, offset, [0, 7])``
+at offsets 4 and 12, 6 steps and the 50-step cap, as ``LONG_PATH_CASES``
+in ``tests/test_newton.py`` records); ``ProblemInstance.load`` and ``save``; ``make_state`` at
 ``x_star``; and the layers of one default NCE seed (96 anchors, K = 8,
 12 epochs): ``_draw_passes`` of its 26 passes and of 2, one scoring pass
 (a gather and ``_nce_stack``), and ``paired_vs_shuffled_bounds(0)`` with
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -134,6 +140,31 @@ def _make_state(package, inst: Path):
     return call
 
 
+def _scaled_ridge(inst, s):
+    """inst with its ridge weights times s; a copy of ``scaled_ridge`` in ``tests/test_newton.py``."""
+    return dataclasses.replace(inst, w=s * inst.w)
+
+
+def _long_path(shape: str, scale: float, offset: float, mode: str):
+    """``solve`` of a planted instance with its ridge scaled; the output is the trace's CSV text."""
+    def setup(package, inst: Path):
+        n, d = SHAPES[shape]
+        spec = package.GeneratorSpec(n=n, d=d, norm_cap_r=16.0, ridge_l=1.0, seed=0)
+        planted, x_star = package.generate_planted(spec)
+        planted = _scaled_ridge(planted, scale)
+        x0 = package.basin_start(x_star, offset, [0, 7])
+        cfg = package.SolverConfig(mode=mode)
+
+        def call():
+            text = io.StringIO()
+            package.solve(planted, x0, cfg).write_csv(text)
+            return text.getvalue()
+
+        return call
+
+    return setup
+
+
 def _draw(passes: int, pool_size: int = 96, k: int = 8):
     """``_draw_passes`` of ``passes`` passes; the defaults are the NCE experiment's."""
     return lambda package, inst: lambda: package.nce._draw_passes(
@@ -196,6 +227,10 @@ OPS = {
     "solve_sampled_desk": ("desk", _cli(SOLVE + " --mode sampled")),
     "solve_exact_tall": ("tall", _cli(SOLVE)),
     "solve_sampled_tall": ("tall", _cli(SOLVE + " --mode sampled")),
+    "solve_long_desk_exact": (None, _library(_long_path("desk", 1e-2, 4.0, "exact"))),
+    "solve_long_desk_sampled": (None, _library(_long_path("desk", 1e-2, 4.0, "sampled"))),
+    "solve_long_tall_exact": (None, _library(_long_path("tall", 1e-3, 12.0, "exact"))),
+    "solve_long_tall_sampled": (None, _library(_long_path("tall", 1e-3, 12.0, "sampled"))),
     "landscape_desk": ("desk", _cli("landscape --instance {inst} --resolution 101 --out {out}/grid.csv")),
     "landscape_tall": ("tall", _cli("landscape --instance {inst} --resolution 21 --out {out}/grid.csv")),
     "nce_draw_26": (None, _library(_draw(26))),

@@ -159,7 +159,10 @@ _TEXT_BLOCK = 2**13
 
 
 def _float_texts(arr) -> list[str]:
-    """``repr`` of each entry of a 1-D float64 array in one pass: the one float formatter.
+    """``repr`` of each entry of a 1-D float64 array in one pass: the one formatter of float arrays.
+
+    Scalar fields, such as those of the trace and ``nce`` CSVs, are written
+    with ``repr`` itself, which gives the same text.
 
     orjson's shortest round-trip printer writes ``repr``'s text wherever
     ``x == 0`` or ``1e-4 <= |x| < 1e16``.  Outside that window it spells the

@@ -168,7 +168,8 @@ def approx_hessian(
     zero kernel's H, the zero matrix, returned without a draw.  A zero
     factor of any other kernel (its rows cancelled in rounding), or any
     other estimate that ``_singular`` rejects (an empty draw gives the zero
-    matrix), raises SamplingDegenerate.
+    matrix), raises SamplingDegenerate.  Row norms or an estimate that
+    overflow float64 raise NonFiniteIterate, without a numpy warning.
     """
     if not 0.0 < sample_epsilon < 1.0:
         raise DomainError("sample_epsilon must lie in (0, 1)")
@@ -178,22 +179,34 @@ def approx_hessian(
     n, d = inst.n, inst.d
     if d > n:
         raise SamplingDegenerate(f"d = {d} exceeds n = {n}; kernel rank cannot reach d")
-    parts = total_kernel_parts(state, inst)
-    c_mat = parts.factor(inst.a)
-    row2 = np.einsum("ij,ij->i", c_mat, c_mat)
-    total = float(row2.sum())
-    if total <= 0.0:
-        if parts.kappa == 0.0 and not (parts.c.any() or parts.g.any()):
-            return np.zeros((d, d))
-        raise SamplingDegenerate("all rows of the factored Hessian are zero")
-    count = math.ceil(SAMPLE_OVERSAMPLING * d * math.log(d / delta) / sample_epsilon**2)
-    probs = np.minimum(1.0, count * row2 / total)
-    keep = rng.random(n) < probs
-    scaled = c_mat[keep] / np.sqrt(probs[keep])[:, None]
-    approx = scaled.T @ scaled
+    # an overflow is reported by the checks below; with a finite total, a
+    # count * row2 that overflows is a probability of 1 all the same
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = total_kernel_parts(state, inst)
+        c_mat = parts.factor(inst.a)
+        row2 = np.einsum("ij,ij->i", c_mat, c_mat)
+        total = float(row2.sum())
+        if not math.isfinite(total):
+            raise NonFiniteIterate("sampled Hessian's row-norm total is not finite")
+        if total <= 0.0:
+            if parts.kappa == 0.0 and not (parts.c.any() or parts.g.any()):
+                return np.zeros((d, d))
+            raise SamplingDegenerate("all rows of the factored Hessian are zero")
+        count = math.ceil(SAMPLE_OVERSAMPLING * d * math.log(d / delta) / sample_epsilon**2)
+        probs = np.minimum(1.0, count * row2 / total)
+        keep = rng.random(n) < probs
+        scaled = c_mat[keep] / np.sqrt(probs[keep])[:, None]
+        approx = _finite_hessian(scaled.T @ scaled)
     if not keep.all() and _singular(np.linalg.eigvalsh(approx)):
         raise SamplingDegenerate("sampled row set has rank below d")
     return approx
+
+
+def _finite_hessian(hess: np.ndarray) -> np.ndarray:
+    """hess, checked: an entry that overflowed float64 raises NonFiniteIterate."""
+    if not np.isfinite(hess).all():
+        raise NonFiniteIterate("Hessian is not finite")
+    return hess
 
 
 def _singular(evs: np.ndarray) -> bool:
@@ -209,17 +222,23 @@ def _newton_update(inst, state, g, grad_norm, cfg: SolverConfig, rng, epsilon):
     The decomposition serves, in this order, Newton's stop rule (None when
     epsilon is given and ``grad_norm`` = ||g|| <= epsilon * eigmin(H)), the
     SingularHessian guard (``_singular``) and the step x - V ((V^T g) / lam).
+    An H or a step that overflows float64 raises NonFiniteIterate, without
+    a numpy warning.
     """
-    if cfg.mode == "sampled":
-        hess = approx_hessian(inst, state, cfg.sample_epsilon, rng, delta=cfg.delta)
-    else:
-        hess = hessian_total(state, inst)
-    evs, vecs = np.linalg.eigh(hess)
-    if epsilon is not None and grad_norm <= epsilon * max(float(evs[0]), 0.0):
-        return None
-    if _singular(evs):
-        raise SingularHessian(f"Hessian eigmin {evs[0]:.3g} is below 1e-12 of its spectral radius")
-    x_next = state.x - vecs @ ((vecs.T @ g) / evs)
+    # an overflow in H or in the step is reported by the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.mode == "sampled":
+            hess = approx_hessian(inst, state, cfg.sample_epsilon, rng, delta=cfg.delta)
+        else:
+            hess = _finite_hessian(hessian_total(state, inst))
+        evs, vecs = np.linalg.eigh(hess)
+        if epsilon is not None and grad_norm <= epsilon * max(float(evs[0]), 0.0):
+            return None
+        if _singular(evs):
+            raise SingularHessian(
+                f"Hessian eigmin {evs[0]:.3g} is below 1e-12 of its spectral radius"
+            )
+        x_next = state.x - vecs @ ((vecs.T @ g) / evs)
     if not np.all(np.isfinite(x_next)):
         raise NonFiniteIterate("Newton step produced NaN or Inf")
     return x_next

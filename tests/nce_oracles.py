@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from softmaxopt.exceptions import DomainError
-from softmaxopt.model import _require_ints
 from softmaxopt.nce import _MIX_SEED, _NOISE, NceBatch, nce_gradients, nce_loss
 
 
@@ -29,17 +27,6 @@ def paired_vs_shuffled_bounds(
     learning_rate: float = 0.2,
 ) -> tuple[float, float]:
     """Mean bound of the correlated and of the shuffled pairs after training."""
-    _require_ints(
-        dim_anchor=dim_anchor, dim_partner=dim_partner, pool_size=pool_size, k=k, epochs=epochs
-    )
-    if k < 1 or k > pool_size:
-        raise DomainError("need 1 <= k <= pool_size")
-    if dim_anchor < 1 or dim_partner < 1:
-        raise DomainError("dim_anchor and dim_partner must be >= 1")
-    if epochs < 0:
-        raise DomainError("epochs must be >= 0")
-    if not np.isfinite(learning_rate) or learning_rate <= 0:
-        raise DomainError("learning_rate must be finite and > 0")
     mix = np.random.default_rng(_MIX_SEED).standard_normal((dim_partner, dim_anchor))
     mix /= np.sqrt(dim_anchor)
     rng = np.random.default_rng(seed)

@@ -139,6 +139,16 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_instance_without_x_star_starts_at_zero(self, tmp_path):
+        planted, _ = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0))
+        inst = so.ProblemInstance(a=planted.a, b=planted.b, w=planted.w)
+        inst.save(tmp_path / "inst.json")
+        trace = tmp_path / "trace.csv"
+        assert run(["solve", "--instance", tmp_path / "inst.json", "--out", trace]) == 0
+        want = io.StringIO()
+        so.solve(inst, np.zeros(inst.d), so.SolverConfig()).write_csv(want)
+        assert trace.read_text() == want.getvalue()
+
     def test_byte_reproducible(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -920,6 +930,9 @@ runs = [
     ["solve", *size, "--mode", "sampled", "--out", f"{out}/sampled.csv",
      "--summary", f"{out}/sampled.json"],
     ["verify", "--seed", "3", "--out", f"{out}/verify.json"],
+    # at d = 2 the draw keeps about a third of the 20000 rows
+    ["solve", "--n", "20000", "--d", "2", "--mode", "sampled", "--out", f"{out}/drop.csv",
+     "--summary", f"{out}/drop.json"],
 ]
 print([main(argv) for argv in runs])
 """
@@ -930,5 +943,5 @@ print([main(argv) for argv in runs])
             out.mkdir()
             printed = run_child(script, out, OPENBLAS_NUM_THREADS=threads)
             runs.append((printed, {p.name: p.read_bytes() for p in out.iterdir()}))
-        assert runs[0][0].endswith("[0, 0, 0, 0]\n") and len(runs[0][1]) == 6
+        assert runs[0][0].endswith("[0, 0, 0, 0, 0]\n") and len(runs[0][1]) == 8
         assert runs[0] == runs[1]

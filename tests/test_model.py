@@ -390,6 +390,12 @@ class TestProblemInstanceValidation:
             simple_instance(np.eye(2), b=[1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch):
             so.ProblemInstance(a=np.ones(3), b=np.ones(3), w=np.ones(3))
+        with pytest.raises(DimensionMismatch, match="^a must be at least 1x1"):
+            so.ProblemInstance(a=np.ones((0, 2)), b=np.ones(0), w=np.ones(0))
+        with pytest.raises(DimensionMismatch, match="^w must have length 2"):
+            simple_instance(np.eye(2), w=[1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch, match="^x_star must have length 2"):
+            simple_instance(np.eye(2), x_star=[1.0])
 
     def test_ragged_matrix_is_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match="^a must hold equal-length rows"):
@@ -447,7 +453,8 @@ class TestInstanceJson:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("use_cent", "false"), ("use_exp", 0), ("use_cent", None), ("n", 2.7), ("d", 2.0)],
+        [("use_cent", "false"), ("use_exp", 0), ("use_cent", None), ("n", 2.7), ("d", 2.0),
+         ("reg_mode", "ridge")],
     )
     def test_uncoerced_fields(self, key, value):
         data = {"n": 2, "d": 2, "A": [1.0, 2.0, 3.0, 4.0], "b": [0.5, 0.5], "w": [0.0, 0.0]}

@@ -1,5 +1,6 @@
 """Contrastive bound estimators: values, gradients and the paired experiment."""
 
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 import nce_oracles
 import softmaxopt as so
-from softmaxopt.exceptions import DomainError, NonFiniteInput
+from softmaxopt.exceptions import DimensionMismatch, DomainError, NonFiniteInput
 
 
 def random_batch(seed, p=6, q=5, k=4):
@@ -391,6 +392,18 @@ class TestOneSoftmax:
         assert "np.exp" not in inspect.getsource(so.nce)
 
 
+class TestBatchShapes:
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("anchor", np.ones((1, 6)), "^anchor/positive must be vectors"),
+        ("weight", np.ones((5, 6)), "^weight must be 6x5, got"),
+        ("negatives", (np.ones(5), np.ones(4)), "^all candidates must share"),
+    ], ids=["anchor-2d", "weight-shape", "ragged-negatives"])
+    def test_bad_shape_is_dimension_mismatch(self, field, value, message):
+        batch = random_batch(3)
+        with pytest.raises(DimensionMismatch, match=message):
+            dataclasses.replace(batch, **{field: value})
+
+
 class TestBatchEquality:
     def test_comparing_batches_does_not_raise(self):
         a, b = random_batch(3), random_batch(3)
@@ -476,18 +489,6 @@ EDGE_CONFIGS = {
 }
 
 
-class TestArrayLoopMatchesPerBatchOracle:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_default_config(self, seed):
-        got = so.paired_vs_shuffled_bounds(seed)
-        assert got == nce_oracles.paired_vs_shuffled_bounds(seed)
-
-    @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
-    def test_edge_configs(self, config):
-        got = so.paired_vs_shuffled_bounds(0, **config)
-        assert got == nce_oracles.paired_vs_shuffled_bounds(0, **config)
-
-
 class TestSeedStack:
     """``_bounds`` trains many seeds on one weight stack, each seed bitwise alone."""
 
@@ -504,17 +505,19 @@ class TestSeedStack:
         return sizes
 
     def test_twenty_seeds_equal_the_oracle(self, stacks):
-        got = so.nce._bounds(range(20))
+        want = [nce_oracles.paired_vs_shuffled_bounds(seed) for seed in range(20)]
+        assert so.nce._bounds(range(20)) == want
         assert stacks == [20]
-        assert got == [nce_oracles.paired_vs_shuffled_bounds(seed) for seed in range(20)]
+        assert [so.paired_vs_shuffled_bounds(seed) for seed in range(20)] == want
 
     @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
     def test_edge_configs_at_three_seeds(self, monkeypatch, stacks, config):
         # one stack of three seeds, however many bytes a seed of the config takes
         monkeypatch.setattr(so.nce, "_STACK_BYTES", 2**30)
-        got = so.nce._bounds([4, 0, 9], **config)
+        want = [nce_oracles.paired_vs_shuffled_bounds(seed, **config) for seed in (4, 0, 9)]
+        assert so.nce._bounds([4, 0, 9], **config) == want
         assert stacks == [3]
-        assert got == [nce_oracles.paired_vs_shuffled_bounds(seed, **config) for seed in (4, 0, 9)]
+        assert [so.paired_vs_shuffled_bounds(seed, **config) for seed in (4, 0, 9)] == want
 
     def test_chunks_give_the_same_bounds(self, monkeypatch, stacks):
         # room for two seeds of 3 epochs (122,880 bytes each) a stack: seven

@@ -159,8 +159,13 @@ class TestApproxHessian:
     def test_estimator_domain_is_wider_than_solver_regime(self):
         # approx_hessian accepts (0, 1); SolverConfig keeps (0, 0.1] and (0, 0.1)
         inst, x_star = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))
-        approx = so.approx_hessian(inst, so.make_state(inst, x_star), 0.5, 0, delta=0.5)
+        state = so.make_state(inst, x_star)
+        approx = so.approx_hessian(inst, state, 0.5, 0, delta=0.5)
         assert approx.shape == (5, 5)
+        with pytest.raises(DomainError, match=r"^sample_epsilon must lie in \(0, 1\)"):
+            so.approx_hessian(inst, state, 1.0, 0)
+        with pytest.raises(DomainError, match=r"^delta must lie in \(0, 1\)"):
+            so.approx_hessian(inst, state, 0.5, 0, delta=1.0)
         with pytest.raises(DomainError, match="^sample_epsilon"):
             so.SolverConfig(mode="sampled", sample_epsilon=0.5)
         with pytest.raises(DomainError, match="^delta"):
@@ -588,6 +593,8 @@ class TestBaseline:
         inst, _ = random_instance(61)
         with pytest.raises(DomainError):
             so.gradient_descent_baseline(inst, np.zeros(inst.d), 0.0, 5)
+        with pytest.raises(DomainError, match="^iters must be >= 0"):
+            so.gradient_descent_baseline(inst, np.zeros(inst.d), 0.1, -1)
 
     @pytest.mark.parametrize("step_size", [float("nan"), float("inf")])
     def test_non_finite_step_size_is_domain_error(self, step_size):
@@ -852,17 +859,92 @@ class TestFarIterate:
         with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
             so.newton_step(inst, x0)
 
-    @pytest.mark.parametrize(("seed", "scale"), [(0, 1.5e308), (2, 1e307)])
-    def test_other_routes_to_an_infinite_loss(self, seed, scale):
-        inst, x0 = self.start(seed, scale)
-        runs = [
+    @staticmethod
+    def runs(inst, x0):
+        return [
             lambda: so.solve(inst, x0, so.SolverConfig(mode="exact")),
             lambda: so.solve(inst, x0, so.SolverConfig(mode="sampled")),
             lambda: so.gradient_descent_baseline(inst, x0, 0.1, 5),
             lambda: so.newton_step(inst, x0),
         ]
-        for run in runs:
+
+    @pytest.mark.parametrize(("seed", "scale"), [(0, 1.5e308), (2, 1e307)])
+    def test_other_routes_to_an_infinite_loss(self, seed, scale):
+        inst, x0 = self.start(seed, scale)
+        for run in self.runs(inst, x0):
             with pytest.raises(NonFiniteIterate, match="^iterate 0 has loss inf"):
+                run()
+
+    def test_logits_beyond_float64(self):
+        # A x overflows inside make_state itself
+        inst, _ = self.start()
+        for run in self.runs(inst, np.full(5, 1e308)):
+            with pytest.raises(NonFiniteIterate, match="^iterate escaped the representable range"):
+                run()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingHessian:
+    """A Hessian or a Newton step that overflows float64 is a NonFiniteIterate, without a warning.
+
+    Constant ridge weights sqrt(w2) on 50 standard normal rows with a uniform
+    target keep the optimum at x = 0, where the gradient is 0.  The Hessian
+    is finite at w2 = 1e306; from 1e307 on, its entries overflow (exact
+    mode) and so does the sum of the sampled row norms (sampled mode).
+    """
+
+    @staticmethod
+    def ridge(w2):
+        a = np.random.default_rng(0).standard_normal((50, 3))
+        return so.ProblemInstance(a=a, b=np.full(50, 1 / 50), w=np.full(50, np.sqrt(w2)))
+
+    def test_finite_at_1e306(self):
+        inst = self.ridge(1e306)
+        for mode in ("exact", "sampled"):
+            trace = so.solve(inst, np.zeros(3), so.SolverConfig(mode=mode))
+            assert trace.converged and trace.iterations_run == 0
+        np.testing.assert_array_equal(so.newton_step(inst, np.zeros(3)), np.zeros(3))
+        state = so.make_state(inst, np.zeros(3))
+        assert np.isfinite(so.approx_hessian(inst, state, 0.1, 0)).all()
+
+    @pytest.mark.parametrize("w2", [1e307, 1e308])
+    def test_overflow_is_typed(self, w2):
+        inst = self.ridge(w2)
+        state = so.make_state(inst, np.zeros(3))
+        runs = [
+            (lambda: so.solve(inst, np.zeros(3), so.SolverConfig()), "^Hessian is not finite"),
+            (lambda: so.newton_step(inst, np.zeros(3)), "^Hessian is not finite"),
+            (lambda: so.solve(inst, np.zeros(3), so.SolverConfig(mode="sampled")), "row-norm total"),
+            (lambda: so.approx_hessian(inst, state, 0.1, 0), "row-norm total"),
+        ]
+        for run, message in runs:
+            with pytest.raises(NonFiniteIterate, match=message):
+                run()
+
+    def test_overflowing_sampled_estimate(self):
+        # a count of 1 keeps each of 100 equal rows with probability 1/100,
+        # each kept row then weighs the whole total 1e308; seed 1 keeps two
+        n = 100
+        inst = so.ProblemInstance(
+            a=np.ones((n, 1)), b=np.zeros(n), w=np.full(n, np.sqrt(1e308 / n)),
+            use_exp=False, use_cent=False,
+        )
+        state = so.make_state(inst, np.zeros(1))
+        with pytest.raises(NonFiniteIterate, match="^Hessian is not finite"):
+            so.approx_hessian(inst, state, 0.99, 1, delta=0.99)
+
+    def test_overflowing_step(self):
+        # logits 0 and -702 give f_2 about 1e-305, so H is about 1e-313 and
+        # g = -5e-5: the step V (V^T g) / lam overflows
+        inst = so.ProblemInstance(a=[[0.0], [1e-4]], b=[0.5, 0.5], w=[0.0, 0.0], use_exp=False)
+        x0 = np.array([-7.02e6])
+        runs = [
+            lambda: so.solve(inst, x0, so.SolverConfig(mode="exact")),
+            lambda: so.solve(inst, x0, so.SolverConfig(mode="sampled")),
+            lambda: so.newton_step(inst, x0),
+        ]
+        for run in runs:
+            with pytest.raises(NonFiniteIterate, match="^Newton step produced NaN or Inf"):
                 run()
 
 

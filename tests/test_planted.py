@@ -56,6 +56,14 @@ class TestGeneratorSpec:
             so.GeneratorSpec(n=4, d=1, conditioning=1.0, norm_cap_r=0.49)
         so.GeneratorSpec(n=4, d=1, conditioning=1.0, norm_cap_r=0.5)
 
+    @pytest.mark.parametrize(("name", "value", "message"), [
+        ("n", 0, "n and d must be positive"),
+        ("ridge_l", -1.0, "ridge_l must be >= 0"),
+    ], ids=["n", "ridge_l"])
+    def test_out_of_range_field_is_domain_error(self, name, value, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            so.GeneratorSpec(**{"n": 5, "d": 2, name: value})
+
     def test_numpy_integer_sizes_are_accepted(self):
         spec = so.GeneratorSpec(n=np.int64(6), d=np.int32(2), seed=3)
         inst, _ = so.generate_planted(spec)
@@ -77,13 +85,14 @@ class TestGeneratePlanted:
         assert np.linalg.norm(so.grad_total(so.make_state(inst, x_star), inst)) <= 1e-10
 
     def test_deterministic(self):
-        spec = so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=2)
-        a, xa = so.generate_planted(spec)
-        b, xb = so.generate_planted(spec)
-        assert np.array_equal(a.a, b.a)
-        assert np.array_equal(a.b, b.b)
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(xa, xb)
+        for n, d, seed in [(20, 5, 2), (20, 4, 3), (400, 4, 3)]:
+            spec = so.GeneratorSpec(n=n, d=d, ridge_l=1.0, seed=seed)
+            a, xa = so.generate_planted(spec)
+            b, xb = so.generate_planted(spec)
+            assert np.array_equal(a.a, b.a)
+            assert np.array_equal(a.b, b.b)
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(xa, xb)
 
     def test_norm_caps_and_conditioning(self):
         spec = so.GeneratorSpec(n=15, d=4, conditioning=7.0, norm_cap_r=4.0, seed=3)
@@ -100,12 +109,20 @@ class TestGeneratePlanted:
         assert inst.b.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_planted_level_reached(self):
+        # 0.99 of the level at x_star, and the level itself at x_star and at
+        # six basin probes of another draw
         for level in (0.1, 1.0, 10.0):
             inst, x_star = so.generate_planted(
                 so.GeneratorSpec(n=20, d=5, ridge_l=level, seed=5)
             )
             h = so.hessian_total(so.make_state(inst, x_star), inst)
             assert so.psd_check(h, 0.99 * level).passed
+            inst, x_star = so.generate_planted(so.GeneratorSpec(n=15, d=4, ridge_l=level, seed=8))
+            rng = np.random.default_rng(9)
+            probes = [so.basin_start(x_star, rho, rng) for rho in (0.3, 1.0) for _ in range(3)]
+            for probe in [x_star] + probes:
+                h = so.hessian_total(so.make_state(inst, probe), inst)
+                assert so.psd_check(h, level).passed
 
     def test_unreachable_conditioning_fails(self):
         with pytest.raises(DomainError, match="^conditioning must be 1 when d = 1"):
@@ -115,8 +132,9 @@ class TestGeneratePlanted:
             so.generate_planted(UNREACHABLE_SPEC)
 
     def test_only_the_accepted_draw_sizes_a_ridge(self, monkeypatch):
-        # the ridge takes one stacked state of the probe points: none for a
-        # spec whose draws all miss, one for an accepted draw
+        # the ridge takes one stacked state of the 11 probe points: none for a
+        # spec whose draws all miss or that plants no ridge, one for an
+        # accepted draw
         calls = []
 
         def counting(*args):
@@ -127,8 +145,13 @@ class TestGeneratePlanted:
         with pytest.raises(GenerationFailure, match=r"missed \|\|b\|\|_2 <= 0\.5$"):
             so.generate_planted(UNREACHABLE_SPEC)
         assert calls == []
-        so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1.0, seed=0))
-        assert len(calls) == 1
+        inst, _ = so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=0.0, seed=8))
+        np.testing.assert_array_equal(inst.w, np.zeros(20))
+        assert calls == []
+        for n, d in [(20, 5), (20, 4), (400, 4)]:
+            calls.clear()
+            so.generate_planted(so.GeneratorSpec(n=n, d=d, ridge_l=1.0, seed=0))
+            assert [np.shape(points) for _, points in calls] == [(11, d)]
 
     def test_one_svd_per_draw(self, monkeypatch):
         # the ridge takes sigma_min(A) from the accepted draw's own SVD
@@ -147,9 +170,16 @@ class TestGeneratePlanted:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_ridge_weight_is_named(self):
-        # 1e308 / sigma_min(A)^2 overflows: a typed error, not a numpy warning
-        with pytest.raises(NonFiniteEvaluation, match="^ridge weight w\\^2 = 100 R"):
-            so.generate_planted(so.GeneratorSpec(n=20, d=5, ridge_l=1e308))
+        # l / sigma_min(A)^2 overflows: a typed error, not a numpy warning.
+        # With conditioning 100 and cap 0.25, sigma_min(A) = 0.9 * 0.25 / 100;
+        # the cap is just above 1/sqrt(20), which near-uniform b meet
+        specs = [so.GeneratorSpec(n=20, d=5, ridge_l=1e308)] + [
+            so.GeneratorSpec(n=20, d=5, conditioning=100.0, norm_cap_r=0.25, ridge_l=level)
+            for level in (1e306, 5e306)
+        ]
+        for spec in specs:
+            with pytest.raises(NonFiniteEvaluation, match="^ridge weight w\\^2 = 100 R"):
+                so.generate_planted(spec)
 
     def test_basin_start_offset(self):
         x_star = np.array([1.0, -2.0, 0.5])
@@ -292,6 +322,8 @@ class TestLandscape:
         g2 = so.landscape_grid(self.inst, half_width=0.3, resolution=5)
         with pytest.raises(DimensionMismatch):
             so.average_grids([g1, g2])
+        with pytest.raises(DomainError, match="^need at least one grid"):
+            so.average_grids([])
 
     def test_csv_layout(self, tmp_path):
         grid = so.landscape_grid(self.inst, half_width=0.3, resolution=3)
